@@ -21,6 +21,25 @@ from figreport import (  # noqa: F401  (re-exported for the benchmarks)
 )
 
 
+try:
+    import pytest_benchmark  # noqa: F401
+except ImportError:
+    # Without pytest-benchmark the figure benchmarks still regenerate
+    # their results: ``benchmark`` and ``benchmark.pedantic`` run the
+    # callable once and return its result.
+
+    class _RunOnce:
+        def __call__(self, fn, *args, **kwargs):
+            return fn(*args, **kwargs)
+
+        def pedantic(self, fn, args=(), kwargs=None, **_timing):
+            return fn(*args, **(kwargs or {}))
+
+    @pytest.fixture()
+    def benchmark():
+        return _RunOnce()
+
+
 @pytest.fixture()
 def report(request):
     """A per-test FigureReport named after the test module."""
