@@ -1,8 +1,12 @@
 """Unit tests for the Iperf-style TCP model."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.geometry.vec import Vec2
+from repro.mac.scheduler import TransmitArbiter
 from repro.mac.simulator import Medium, Simulator, Station, StaticCoupling
 from repro.mac.tcp import GIGE_CAP_BPS, IperfFlow, TcpParameters
 from repro.mac.wigig import MPDU_BITS, WiGigLink
@@ -139,3 +143,96 @@ class TestAimd:
         sim.run_until(0.4)
         # Despite the event, long-run throughput approaches the cap.
         assert flow.throughput_bps() > 0.75e9
+
+
+# -- pinned timelines ---------------------------------------------------------
+#
+# Every frame on the air, every delivery and the final RNG state of a few
+# short runs, hashed.  The pacing model (Ethernet serializer plus window
+# credits) is an optimization target; these digests make sure a faster
+# implementation simulates exactly the same network.
+
+
+def _history_flow(params, coupling_db=-40.0, seed=7, send_beacons=False):
+    sim = Simulator(seed=seed)
+    coupling = StaticCoupling({("tx", "rx"): coupling_db, ("rx", "tx"): coupling_db})
+    medium = Medium(sim, coupling)
+    tx = Station("tx", Vec2(0, 0))
+    rx = Station("rx", Vec2(2, 0))
+    medium.register(tx)
+    medium.register(rx)
+    link = WiGigLink(sim, medium, transmitter=tx, receiver=rx,
+                     snr_hint_db=35.0, send_beacons=send_beacons)
+    return sim, medium, [link], [IperfFlow(sim, link, params)]
+
+
+def _shared_radio(seed=7):
+    """Two flows from one dock radio, serialized by a TXOP arbiter."""
+    sim = Simulator(seed=seed)
+    coupling = StaticCoupling({
+        ("dock", "sta-0"): -40.0, ("sta-0", "dock"): -40.0,
+        ("dock", "sta-1"): -45.0, ("sta-1", "dock"): -45.0,
+    })
+    medium = Medium(sim, coupling)
+    dock = Station("dock", Vec2(0, 0))
+    medium.register(dock)
+    arbiter = TransmitArbiter()
+    links, flows = [], []
+    for i, window in enumerate((256 * 1024, 14 * 1024)):
+        station = Station(f"sta-{i}", Vec2(2, i))
+        medium.register(station)
+        link = WiGigLink(sim, medium, transmitter=dock, receiver=station,
+                         snr_hint_db=35.0, tx_arbiter=arbiter)
+        links.append(link)
+        flows.append(IperfFlow(sim, link, TcpParameters(window_bytes=window)))
+    return sim, medium, links, flows
+
+
+_SCENARIOS = {
+    # The 171 Mbps point: the TXOP is mostly held waiting for data.
+    "fixed-14k": lambda: _history_flow(TcpParameters(window_bytes=14 * 1024)),
+    "fixed-64k": lambda: _history_flow(
+        TcpParameters(window_bytes=64 * 1024), send_beacons=True
+    ),
+    "fixed-256k": lambda: _history_flow(TcpParameters(window_bytes=256 * 1024)),
+    "aimd-lossy": lambda: _history_flow(
+        TcpParameters(window_bytes=256 * 1024, aimd=True), coupling_db=-73.5
+    ),
+    "paced": lambda: _history_flow(
+        TcpParameters(window_bytes=64 * 1024, rate_limit_bps=50e6)
+    ),
+    "shared-radio": _shared_radio,
+}
+
+_PINNED = {
+    "fixed-14k": "f549078d0cd31a2a45f7064f91fa07843bb4fe611d69e68742eabcbf5fa6ed34",
+    "fixed-64k": "6f6a9560bfd37dc632e256c397c47a39c54ab4249ce64e4ce3638c11ec3965e0",
+    "fixed-256k": "9e6e592fd19f2a744cf7a77c5293eca6d0b98e44abe59e058fdf5105ef7b64dc",
+    "aimd-lossy": "1ee5e7abd31104aac56612b5f380eed4a9ddeabdb352aa3efebde966e8659f04",
+    "paced": "6acd4b71280741ca3aca6c20e66daa85f074bbf398fe6f2ef023e0b401963e97",
+    "shared-radio": "547a053817483c1a3d6099067359f8826d11da5504c57629709a1caf65570daa",
+}
+
+
+def _timeline_digest(sim, medium, links, flows) -> str:
+    h = hashlib.sha256()
+    for r in medium.history:
+        h.update(repr((
+            r.start_s.hex(), r.duration_s.hex(), r.kind.value, r.source,
+            r.aggregated_mpdus, r.delivered, r.retransmission,
+        )).encode())
+    for flow in flows:
+        h.update(repr([(t.hex(), bits) for t, bits in flow.delivery_log]).encode())
+    for link in links:
+        h.update(repr([d.hex() for d in link.delivery_delays_s]).encode())
+    h.update(json.dumps(sim.rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestPinnedTimelines:
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    def test_timeline_digest_unchanged(self, scenario):
+        sim, medium, links, flows = _SCENARIOS[scenario]()
+        sim.run_until(0.05)
+        assert sum(flow.delivered_bits for flow in flows) > 0
+        assert _timeline_digest(sim, medium, links, flows) == _PINNED[scenario]
