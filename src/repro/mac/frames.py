@@ -36,15 +36,7 @@ class FrameKind(enum.Enum):
 
     def is_control(self) -> bool:
         """Control frames are sent at the robust control-PHY MCS."""
-        return self in (
-            FrameKind.BEACON,
-            FrameKind.DISCOVERY,
-            FrameKind.RTS,
-            FrameKind.CTS,
-            FrameKind.SSW,
-            FrameKind.ASSOC_REQ,
-            FrameKind.ASSOC_RESP,
-        )
+        return self._control
 
     def uses_wide_pattern(self) -> bool:
         """Frames sent over wide patterns at boosted power.
@@ -53,7 +45,25 @@ class FrameKind(enum.Enum):
         quasi-omni patterns; RTS/CTS and ACKs inside a trained link
         ride the directional data beams.
         """
-        return self in (FrameKind.BEACON, FrameKind.DISCOVERY)
+        return self._wide_pattern
+
+
+# Both predicates run on every power computation of the medium, so
+# each member stores its answers instead of scanning a tuple per call.
+_CONTROL_KINDS = frozenset({
+    FrameKind.BEACON,
+    FrameKind.DISCOVERY,
+    FrameKind.RTS,
+    FrameKind.CTS,
+    FrameKind.SSW,
+    FrameKind.ASSOC_REQ,
+    FrameKind.ASSOC_RESP,
+})
+_WIDE_PATTERN_KINDS = frozenset({FrameKind.BEACON, FrameKind.DISCOVERY})
+for _kind in FrameKind:
+    _kind._control = _kind in _CONTROL_KINDS
+    _kind._wide_pattern = _kind in _WIDE_PATTERN_KINDS
+del _kind
 
 
 @dataclass(frozen=True)
