@@ -11,11 +11,14 @@ simulation speed show up:
 * trace synthesis + frame detection round trip.
 
 ``test_perf_core_events_per_sec`` additionally writes the simulator's
-events/sec on the saturated link to
-``benchmarks/results/BENCH_core.json`` (unified :mod:`repro.obs.bench`
-schema) — the baseline number any event-engine change is measured
-against.  It deliberately avoids the pytest-benchmark fixture so CI
-can run it with plain pytest.
+speed on the saturated link to ``benchmarks/results/BENCH_core.json``
+(unified :mod:`repro.obs.bench` schema) — the baseline number any
+event-engine change is measured against.  The gated figure is
+simulated seconds per wall second: events per second is reported but
+not gated, because a change that folds many light events into fewer,
+heavier ones (as replaying the TCP pacing did) lowers it while the
+simulation gets faster.  It deliberately avoids the pytest-benchmark
+fixture so CI can run it with plain pytest.
 """
 
 import math
@@ -97,7 +100,7 @@ def test_perf_mac_simulation(benchmark):
 
 
 def test_perf_core_events_per_sec():
-    """Simulator events/sec baseline, written to BENCH_core.json."""
+    """Simulator speed baseline, written to BENCH_core.json."""
     run_50ms()  # warm imports and allocator before timing
 
     best_s = math.inf
@@ -109,19 +112,19 @@ def test_perf_core_events_per_sec():
         if elapsed < best_s:
             best_s = elapsed
             events = sim.events_processed
-    assert events > 10_000, "scenario no longer exercises the event loop"
+    assert events > 1_000, "scenario no longer exercises the event loop"
     assert flow.throughput_bps() > 0.8e9
     events_per_s = events / best_s
 
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
-        bench_entry("sim_events_per_s", round(events_per_s), "events/s",
+        bench_entry("sim_seconds_per_wall_s", round(0.05 / best_s, 4), "s/s",
                     "higher", tolerance=5.0),
+        bench_entry("sim_events_per_s", round(events_per_s), "events/s",
+                    "info"),
         bench_entry("scenario_events", events, "events", "info"),
         bench_entry("scenario_wall_s", round(best_s, 5), "s", "info"),
-        bench_entry("sim_seconds_per_wall_s", round(0.05 / best_s, 4), "s/s",
-                    "info"),
     ])
 
     print(

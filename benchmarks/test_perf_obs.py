@@ -111,7 +111,8 @@ def test_perf_obs_overhead():
         obs.enable(metrics=True)
         obs.reset()
         enabled_s = best_of(run_50ms)
-        enabled_fraction = max(0.0, enabled_s / disabled_s - 1.0)
+        # Signed: timing noise can make the enabled run the faster one.
+        enabled_fraction = enabled_s / disabled_s - 1.0
     finally:
         obs.disable()
         obs.reset()
@@ -142,7 +143,7 @@ def test_perf_obs_overhead():
         f"{metric_ops} sites -> disabled overhead "
         f"{disabled_fraction:.3%} (< {DISABLED_OVERHEAD_CEILING:.0%}), "
         f"metrics on {enabled_s * 1e3:.1f} ms "
-        f"(+{enabled_fraction:.1%}, < {ENABLED_OVERHEAD_CEILING:.0%})"
+        f"({enabled_fraction:+.1%}, < {ENABLED_OVERHEAD_CEILING:.0%})"
     )
 
     assert disabled_fraction < DISABLED_OVERHEAD_CEILING
