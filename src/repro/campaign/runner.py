@@ -33,6 +33,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.registry import resolve_cell
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.campaign.telemetry import RunTelemetry
+from repro.devices import clear_unit_cache
 from repro.obs import clock
 from repro.obs.export import TRACE_FILENAME
 from repro.obs.metrics import MetricsRegistry
@@ -67,6 +68,9 @@ def execute_cell(
     :class:`ScenarioTimeout`) propagate to the parent via the future.
     """
     fn = resolve_cell(experiment)
+    # Every cell starts cold: work counters must not depend on which
+    # device units this process (or a forked worker's parent) built.
+    clear_unit_cache()
     collect = obs.STATE.enabled
     if collect:
         obs.begin_cell()

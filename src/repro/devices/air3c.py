@@ -11,9 +11,17 @@ We model that with an irregular planar array (smoother, wider beams
 than a regular grid of the same element count), a wider codebook
 sector, and a slightly higher transmit power (the Air-3c sustained
 20 m video links, beating the D5000's 12-18 m).
+
+The array and codebook depend only on ``(unit_seed, frequency_hz,
+pattern_points)``, so a unit is built once per process per key and
+shared, read-only, by every device built from it; each factory call
+returns a fresh :class:`RadioDevice` with its own pose and active beam.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Tuple
 
 import numpy as np
 
@@ -28,14 +36,11 @@ from repro.phy.codebook import Codebook
 AIR3C_SECTOR_DEG = 180.0
 
 
-def _air3c_device(
-    name: str,
-    position: Vec2,
-    orientation_rad: float,
-    unit_seed: int,
-    frequency_hz: float,
-    pattern_points: int,
-) -> RadioDevice:
+@functools.lru_cache(maxsize=16)
+def _air3c_unit(
+    unit_seed: int, frequency_hz: float, pattern_points: int
+) -> Tuple[IrregularPlanarArray, Codebook]:
+    """The immutable part of an Air-3c unit: its array and codebook."""
     array = IrregularPlanarArray(
         num_elements=24,
         frequency_hz=frequency_hz,
@@ -55,6 +60,18 @@ def _air3c_device(
         quasi_omni_seed=unit_seed,
         pattern_points=pattern_points,
     )
+    return array, codebook
+
+
+def _air3c_device(
+    name: str,
+    position: Vec2,
+    orientation_rad: float,
+    unit_seed: int,
+    frequency_hz: float,
+    pattern_points: int,
+) -> RadioDevice:
+    array, codebook = _air3c_unit(unit_seed, frequency_hz, pattern_points)
     return RadioDevice(
         name=name,
         array=array,

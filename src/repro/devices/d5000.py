@@ -14,9 +14,20 @@ Both factories build a :class:`~repro.devices.base.RadioDevice` with:
   the 32 quasi-omni discovery patterns of Figure 16;
 * per-unit randomized element errors, seeded by ``unit_seed`` so each
   simulated unit has a stable pattern personality.
+
+The array and codebook depend only on ``(unit_seed, frequency_hz,
+pattern_points)``, so a unit is built once per process per key and
+shared, read-only, by every device built from it.  Each call still
+returns a fresh :class:`RadioDevice` with its own name, pose, powers
+and active beam.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Tuple
+
+import numpy as np
 
 from repro.devices.base import RadioDevice
 from repro.geometry.vec import Vec2
@@ -30,20 +41,64 @@ D5000_SECTOR_DEG = 120.0
 #: Number of quasi-omni patterns swept during discovery (Section 4.2).
 D5000_DISCOVERY_PATTERNS = 32
 
+#: Per-element error model of a Wilocity array, by mounting:
+#: (amplitude error std dB, phase error std rad, scatter level dB).
+_DOCK_ERRORS = (0.5, 0.15, -4.5)
+#: Lid placement: stronger installation-dependent errors and stronger
+#: enclosure scattering (the lid is a reflector).
+_LID_ERRORS = (1.0, 0.3, -4.0)
 
-def _wilocity_array(unit_seed: int, frequency_hz: float) -> UniformRectangularArray:
-    import numpy as np
 
-    return UniformRectangularArray(
+@functools.lru_cache(maxsize=16)
+def _wilocity_unit(
+    errors: Tuple[float, float, float],
+    unit_seed: int,
+    frequency_hz: float,
+    pattern_points: int,
+) -> Tuple[UniformRectangularArray, Codebook]:
+    """The immutable part of a Wilocity unit: its 2x8 array and codebook."""
+    amplitude_error_std_db, phase_error_std_rad, scatter_level_db = errors
+    array = UniformRectangularArray(
         rows=2,
         cols=8,
         frequency_hz=frequency_hz,
         phase_shifter=PhaseShifterModel(bits=2),
         element_gain_dbi=5.0,
-        amplitude_error_std_db=0.5,
-        phase_error_std_rad=0.15,
-        scatter_level_db=-4.5,
+        amplitude_error_std_db=amplitude_error_std_db,
+        phase_error_std_rad=phase_error_std_rad,
+        scatter_level_db=scatter_level_db,
         rng=np.random.default_rng(unit_seed),
+    )
+    codebook = Codebook.build(
+        array,
+        sector_width_deg=D5000_SECTOR_DEG,
+        num_directional=32,
+        num_quasi_omni=D5000_DISCOVERY_PATTERNS,
+        quasi_omni_seed=unit_seed,
+        pattern_points=pattern_points,
+    )
+    return array, codebook
+
+
+def _wilocity_device(
+    errors: Tuple[float, float, float],
+    name: str,
+    position: Vec2,
+    orientation_rad: float,
+    unit_seed: int,
+    frequency_hz: float,
+    pattern_points: int,
+) -> RadioDevice:
+    array, codebook = _wilocity_unit(errors, unit_seed, frequency_hz, pattern_points)
+    return RadioDevice(
+        name=name,
+        array=array,
+        codebook=codebook,
+        position=position,
+        orientation_rad=orientation_rad,
+        tx_power_dbm=10.0,
+        control_power_boost_db=5.0,
+        cca_threshold_dbm=-60.0,
     )
 
 
@@ -56,24 +111,8 @@ def make_d5000_dock(
     pattern_points: int = 720,
 ) -> RadioDevice:
     """Build a Dell D5000 docking station model."""
-    array = _wilocity_array(unit_seed, frequency_hz)
-    codebook = Codebook.build(
-        array,
-        sector_width_deg=D5000_SECTOR_DEG,
-        num_directional=32,
-        num_quasi_omni=D5000_DISCOVERY_PATTERNS,
-        quasi_omni_seed=unit_seed,
-        pattern_points=pattern_points,
-    )
-    return RadioDevice(
-        name=name,
-        array=array,
-        codebook=codebook,
-        position=position,
-        orientation_rad=orientation_rad,
-        tx_power_dbm=10.0,
-        control_power_boost_db=5.0,
-        cca_threshold_dbm=-60.0,
+    return _wilocity_device(
+        _DOCK_ERRORS, name, position, orientation_rad, unit_seed, frequency_hz, pattern_points
     )
 
 
@@ -92,36 +131,6 @@ def make_e7440_laptop(
     slightly offset serviceable sector, which skews the measured
     pattern like the left plot of Figure 17.
     """
-    import numpy as np
-
-    array = UniformRectangularArray(
-        rows=2,
-        cols=8,
-        frequency_hz=frequency_hz,
-        phase_shifter=PhaseShifterModel(bits=2),
-        element_gain_dbi=5.0,
-        # Lid placement: stronger installation-dependent errors and
-        # stronger enclosure scattering (the lid is a reflector).
-        amplitude_error_std_db=1.0,
-        phase_error_std_rad=0.3,
-        scatter_level_db=-4.0,
-        rng=np.random.default_rng(unit_seed),
-    )
-    codebook = Codebook.build(
-        array,
-        sector_width_deg=D5000_SECTOR_DEG,
-        num_directional=32,
-        num_quasi_omni=D5000_DISCOVERY_PATTERNS,
-        quasi_omni_seed=unit_seed,
-        pattern_points=pattern_points,
-    )
-    return RadioDevice(
-        name=name,
-        array=array,
-        codebook=codebook,
-        position=position,
-        orientation_rad=orientation_rad,
-        tx_power_dbm=10.0,
-        control_power_boost_db=5.0,
-        cca_threshold_dbm=-60.0,
+    return _wilocity_device(
+        _LID_ERRORS, name, position, orientation_rad, unit_seed, frequency_hz, pattern_points
     )

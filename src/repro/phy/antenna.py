@@ -78,6 +78,10 @@ class AntennaPattern:
         self._gain_ext = np.concatenate(
             ([self._gain[-1]], self._gain, [self._gain[0]])
         )
+        # Device units share their patterns process-wide: an in-place
+        # write must raise, not corrupt every later device.
+        for arr in (self._az, self._gain, self._az_ext, self._gain_ext):
+            arr.setflags(write=False)
 
     @property
     def azimuths(self) -> np.ndarray:  # replint: shape=(grid,)
@@ -298,7 +302,7 @@ class PhasedArray:
         scatter_level_db: float = -4.5,
         rng: Optional[np.random.Generator] = None,
     ):
-        positions = np.asarray(element_positions_m, dtype=float)
+        positions = np.array(element_positions_m, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] < 1:
             raise ValueError("element_positions_m must have shape (N, 2), N >= 1")
         self._positions = positions
@@ -312,6 +316,10 @@ class PhasedArray:
         self._phase_errors = rng.normal(0.0, phase_error_std_rad, size=n)
         self._scatter_level_db = float(scatter_level_db)
         self._clutter_shape = self._make_clutter_shape(rng)
+        # Read-only for the same reason as AntennaPattern's arrays.
+        for arr in (self._positions, self._amp_errors_db, self._phase_errors,
+                    self._clutter_shape):
+            arr.setflags(write=False)
 
     @staticmethod
     def _make_clutter_shape(

@@ -9,8 +9,11 @@ adaptation (Section 2, "Beam Steering").  A :class:`Codebook` bundles:
 * a set of *quasi-omni* entries swept during device discovery
   (the D5000 sweeps 32 of them, Section 4.2).
 
-Entries cache their computed :class:`~repro.phy.antenna.AntennaPattern`
-so repeated link-budget evaluations during a simulation stay cheap.
+Entries hold their computed :class:`~repro.phy.antenna.AntennaPattern`,
+so link-budget evaluations never re-synthesize a beam.  A device unit's
+codebook is built once per process and shared by every device built
+from that unit, so entries are frozen, the codebook holds tuples, and
+the pattern arrays are read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from repro.phy.antenna import AntennaPattern, PhasedArray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodebookEntry:
     """One selectable beam: an identifier, its intent, and its pattern."""
 
@@ -53,16 +56,16 @@ class Codebook:
     ):
         if not directional:
             raise ValueError("codebook needs at least one directional entry")
-        self._directional = list(directional)
-        self._quasi_omni = list(quasi_omni)
+        self._directional = tuple(directional)
+        self._quasi_omni = tuple(quasi_omni)
 
     @property
     def directional_entries(self) -> Tuple[CodebookEntry, ...]:
-        return tuple(self._directional)
+        return self._directional
 
     @property
     def quasi_omni_entries(self) -> Tuple[CodebookEntry, ...]:
-        return tuple(self._quasi_omni)
+        return self._quasi_omni
 
     @property
     def num_discovery_patterns(self) -> int:

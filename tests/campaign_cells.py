@@ -86,3 +86,16 @@ def des_cell(*, ticks: int = 50, seed: int = 0, repetition: int = 0):
         "fired": state["fired"],
         "events_simulated": sim.events_processed,
     }
+
+
+def device_pair_cell(*, distance_m: float = 2.0, seed: int = 0, repetition: int = 0):
+    """Builds the default dock and laptop and reports their beam coupling."""
+    from repro.devices import make_d5000_dock, make_e7440_laptop
+    from repro.geometry.vec import Vec2
+
+    dock = make_d5000_dock()
+    laptop = make_e7440_laptop(position=Vec2(distance_m, 0.0))
+    dock.train_toward(laptop.position)
+    laptop.train_toward(dock.position)
+    coupling_dbi = dock.tx_gain_dbi(laptop.position) + laptop.tx_gain_dbi(dock.position)
+    return {"coupling_dbi": coupling_dbi, "repetition": repetition}

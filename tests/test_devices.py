@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.devices.d5000 import D5000_DISCOVERY_PATTERNS, make_d5000_dock
+from repro.devices import clear_unit_cache
+from repro.devices.air3c import make_air3c_receiver, make_air3c_transmitter
+from repro.devices.d5000 import (
+    D5000_DISCOVERY_PATTERNS,
+    make_d5000_dock,
+    make_e7440_laptop,
+)
 from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind
 
@@ -127,3 +133,60 @@ class TestRadioDevice:
         ahead = dev.tx_gain_dbi(Vec2(3, 0))
         behind = dev.tx_gain_dbi(Vec2(-3, 0))
         assert ahead > behind + 10.0
+
+
+FACTORIES = (make_d5000_dock, make_e7440_laptop, make_air3c_transmitter, make_air3c_receiver)
+
+
+def _pattern_bytes(device):
+    entries = device.codebook.directional_entries + device.codebook.quasi_omni_entries
+    return [e.pattern.gains_dbi.tobytes() for e in entries]
+
+
+class TestUnitCache:
+    """Each unit's array + codebook is built once per process and shared."""
+
+    @pytest.mark.parametrize("factory", FACTORIES, ids=lambda f: f.__name__)
+    def test_cached_build_equals_fresh_build(self, factory):
+        factory()
+        cached = factory()
+        clear_unit_cache()
+        fresh = factory()
+        assert fresh.codebook is not cached.codebook
+        assert _pattern_bytes(cached) == _pattern_bytes(fresh)
+
+    def test_mountings_do_not_share_a_unit(self):
+        dock = make_d5000_dock(unit_seed=21)
+        laptop = make_e7440_laptop(unit_seed=21)
+        assert dock.codebook is not laptop.codebook
+        assert _pattern_bytes(dock) != _pattern_bytes(laptop)
+
+    def test_devices_share_codebook_but_not_beam_or_pose(self):
+        a = make_d5000_dock(name="a")
+        b = make_d5000_dock(name="b", position=Vec2(1.0, 2.0))
+        assert a.codebook is b.codebook and a.array is b.array
+        beam_before = b.active_beam
+        a.train_toward(Vec2(0.0, 5.0))  # +90 degrees
+        assert a.active_beam is not beam_before
+        assert b.active_beam is beam_before
+        assert b.name == "b"
+        assert b.position == Vec2(1.0, 2.0)
+        assert b.orientation_rad == 0.0
+
+    def test_shared_arrays_are_read_only(self, dock):
+        with pytest.raises(ValueError):
+            dock.active_beam.pattern._gain[0] = 0.0
+        with pytest.raises(ValueError):
+            dock.array._phase_errors[0] = 0.0
+
+    def test_codebook_entries_are_frozen(self, dock):
+        with pytest.raises(AttributeError):
+            dock.active_beam.index = 0
+
+    def test_public_accessors_return_writable_copies(self, dock):
+        pattern = dock.active_beam.pattern
+        gains = pattern.gains_dbi
+        azimuths = pattern.azimuths
+        gains[0] = azimuths[0] = 99.0
+        assert pattern.gains_dbi[0] != 99.0
+        assert pattern.azimuths[0] != 99.0

@@ -17,6 +17,7 @@ from repro.campaign.verify import canonical_metrics, verify_campaign
 from repro.obs.export import read_trace, validate_trace
 
 DES = "tests.campaign_cells:des_cell"
+DEVICES = "tests.campaign_cells:device_pair_cell"
 DOUBLE = "tests.campaign_cells:double_cell"
 
 
@@ -83,6 +84,30 @@ class TestMetricsCollection:
         ).run()
         assert canonical_metrics(serial) == canonical_metrics(parallel)
         assert canonical_metrics(serial)  # non-empty: metrics were recorded
+
+    def test_device_unit_cache_does_not_leak_into_cell_counters(self):
+        """A warm parent cache must not change counters at any worker count.
+
+        Forked workers inherit the parent's memoized device units; the
+        runner clears them before every cell, so each cell synthesizes
+        the dock's and the laptop's 64 patterns itself.
+        """
+        from repro.devices import make_d5000_dock
+
+        make_d5000_dock()
+        spec = CampaignSpec(
+            name="device-units",
+            experiment=DEVICES,
+            grid={"distance_m": (2.0, 3.0, 4.0)},
+            seeds=(0, 1),
+        )
+        serial = CampaignRunner(spec, workers=1, metrics=True).run()
+        parallel = CampaignRunner(
+            spec, workers=3, shuffle_seed=7, metrics=True
+        ).run()
+        assert canonical_metrics(serial) == canonical_metrics(parallel)
+        counters = serial.telemetry.metrics["counters"]
+        assert counters["phy.antenna.pattern_syntheses"] == 128 * 6
 
     def test_metrics_excluded_from_result_rows(self):
         result = run_campaign(des_campaign(), metrics=True)
