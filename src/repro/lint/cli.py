@@ -93,17 +93,10 @@ def run_lint(args: argparse.Namespace) -> int:
 
     findings = lint_paths(paths, root, config, jobs=max(1, args.jobs))
     flow_stats = None
-    flow_passes = ()
-    if args.flow:
-        flow_passes += ("units", "rng")
-    if args.par:
-        flow_passes += ("par",)
-    if args.vec:
-        flow_passes += ("vec",)
-    if args.des:
-        flow_passes += ("des",)
-    if args.dim:
-        flow_passes += ("dim",)
+    # --flow is units + rng; every other flag names its pass.
+    flow_passes = (("units", "rng") if args.flow else ()) + tuple(
+        name for name in ("par", "vec", "des", "dim") if getattr(args, name)
+    )
     if flow_passes:
         from repro.lint.flow import analyze_paths
 
@@ -168,19 +161,15 @@ def _run_worklist(
     list, not the failure gate) and always exits 0 unless the profile
     is unreadable.
     """
-    from repro.lint.config import LintConfig
-    from repro.lint.flow import Reporter
-    from repro.lint.flow.callgraph import build_call_graph
-    from repro.lint.flow.destime import DES_WORKLIST_CODES, DesPass
-    from repro.lint.flow.dims import DIM_WORKLIST_CODES, DimPass
+    from repro.lint.flow import load_files, run_passes
+    from repro.lint.flow.destime import DES_WORKLIST_CODES
+    from repro.lint.flow.dims import DIM_WORKLIST_CODES
     from repro.lint.flow.shapes import (
         WORKLIST_CODES,
-        VecPass,
         build_worklist,
         load_profile,
         render_worklist,
     )
-    from repro.lint.flow.symbols import build_symbol_table
 
     profile = None
     if args.profile:
@@ -189,31 +178,18 @@ def _run_worklist(
         except ValueError as exc:
             print(f"repro lint: {exc}", file=sys.stderr)
             return 2
-    files = []
-    for path in iter_python_files(list(paths), config):
-        try:
-            rel = path.resolve().relative_to(root.resolve())
-        except ValueError:
-            rel = pathlib.Path(path.name)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        files.append((rel.as_posix(), source))
-    table = build_symbol_table(files)
-    graph = build_call_graph(table)
+    # Pass name -> (rule codes that name work, worklist title).
+    worklists = {
+        "vec": (WORKLIST_CODES, "vectorization"),
+        "des": (DES_WORKLIST_CODES, "DES-time"),
+        "dim": (DIM_WORKLIST_CODES, "unit-scale"),
+    }
+    selected = tuple(name for name in worklists if getattr(args, name))
     # Inline suppressions still apply; the committed baseline does not.
-    reporter = Reporter(config if isinstance(config, LintConfig) else LintConfig())
-    codes = frozenset()
-    if args.vec:
-        VecPass(table, graph, config, reporter).run()
-        codes |= WORKLIST_CODES
-    if args.des:
-        DesPass(table, graph, config, reporter).run()
-        codes |= DES_WORKLIST_CODES
-    if args.dim:
-        DimPass(table, graph, config, reporter).run()
-        codes |= DIM_WORKLIST_CODES
+    table, graph, reporter = run_passes(
+        load_files(paths, root, config), config, selected
+    )
+    codes = frozenset().union(*(worklists[name][0] for name in selected))
     findings = sorted(reporter.findings, key=Finding.sort_key)
     modules_by_path = {
         m.rel_path: m.name
@@ -237,14 +213,8 @@ def _run_worklist(
             )
         )
     else:
-        titles = []
-        if args.vec:
-            titles.append("vectorization")
-        if args.des:
-            titles.append("DES-time")
-        if args.dim:
-            titles.append("unit-scale")
-        print(render_worklist(entries, args.profile, title="/".join(titles)))
+        title = "/".join(worklists[name][1] for name in selected)
+        print(render_worklist(entries, args.profile, title=title))
     return 0
 
 

@@ -15,8 +15,11 @@ code.  The scope and column components keep otherwise-identical lines
 in different functions (or different columns of one line) from
 colliding into interchangeable baseline entries.
 
-Inline suppressions use ``# replint: disable=RL003`` (comma-separated
-codes, or ``all``) on the first line of the flagged statement.
+Inline suppressions use ``# replint: disable=RL003`` on the first line
+of the flagged statement: comma-separated ``RLnnn`` codes or ``all``,
+optionally followed by a free-form reason
+(``# replint: disable=RL003,RL004 legacy fixture``).  Both the per-file
+rules and the flow passes report through one :class:`FindingSink`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from repro.lint.config import LintConfig
 #: Code used for files the engine cannot parse at all.
 PARSE_ERROR_CODE = "RL000"
 
-_SUPPRESS_RE = re.compile(r"#\s*replint:\s*disable=([A-Za-z0-9_,\s]+)")
+_SUPPRESS_RE = re.compile(
+    r"#\s*replint:\s*disable=\s*"
+    r"((?i:RL\d{3}|all)\b(?:\s*,\s*(?i:RL\d{3}|all)\b)*)"
+)
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,56 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
-class FileContext:
+def parse_suppressions(lines: Sequence[str]) -> Dict[int, frozenset]:
+    """Line number -> upper-cased codes its ``# replint: disable=`` names."""
+    out: Dict[int, frozenset] = {}
+    for lineno, text in enumerate(lines, start=1):
+        match = _SUPPRESS_RE.search(text)
+        if match:
+            out[lineno] = frozenset(
+                code.strip().upper() for code in match.group(1).split(",")
+            )
+    return out
+
+
+class FindingSink:
+    """Finding collector applying config disables, per-file ignores, and
+    inline suppressions — the one filter every engine reports through."""
+
+    def __init__(self, config: LintConfig):
+        self.config = config
+        self.findings: List[Finding] = []
+        self.suppressed_count = 0
+
+    def add(
+        self, source, node: ast.AST, code: str, message: str, context: str = ""
+    ) -> None:
+        """Record a finding in ``source`` (anything with ``rel_path``,
+        ``lines`` and ``suppressions``) unless it is suppressed or
+        configured away."""
+        lineno = getattr(node, "lineno", 1)
+        col = getattr(node, "col_offset", 0)
+        if code in self.config.disable or self.config.is_ignored(source.rel_path, code):
+            return
+        codes = source.suppressions.get(lineno)
+        if codes is not None and (code.upper() in codes or "ALL" in codes):
+            self.suppressed_count += 1
+            return
+        lines = source.lines
+        self.findings.append(
+            Finding(
+                path=source.rel_path,
+                line=lineno,
+                col=col + 1,
+                code=code,
+                message=message,
+                line_text=lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else "",
+                context=context,
+            )
+        )
+
+
+class FileContext(FindingSink):
     """Per-file state shared by every rule during the single pass."""
 
     def __init__(
@@ -101,29 +156,16 @@ class FileContext:
         tree: ast.Module,
         config: LintConfig,
     ):
+        super().__init__(config)
         self.rel_path = rel_path
         self.module = module
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.config = config
-        self.findings: List[Finding] = []
-        self.suppressed_count = 0
         #: Ancestors of the node currently being visited (outermost
         #: first; the node itself is not included).
         self.stack: List[ast.AST] = []
-        self._suppressions = self._parse_suppressions()
-
-    def _parse_suppressions(self) -> Dict[int, frozenset]:
-        out: Dict[int, frozenset] = {}
-        for lineno, text in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(text)
-            if match:
-                codes = frozenset(
-                    c.strip().upper() for c in match.group(1).split(",") if c.strip()
-                )
-                out[lineno] = codes
-        return out
+        self.suppressions = parse_suppressions(self.lines)
 
     def enclosing_function(self) -> Optional[ast.AST]:
         """Nearest enclosing function/lambda of the current node."""
@@ -141,39 +183,8 @@ class FileContext:
         ]
         return ".".join(parts)
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def is_suppressed(self, lineno: int, code: str) -> bool:
-        codes = self._suppressions.get(lineno)
-        if codes is None:
-            return False
-        return code.upper() in codes or "ALL" in codes
-
     def report(self, node: ast.AST, code: str, message: str) -> None:
-        """Record a finding unless it is suppressed or configured away."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        if code in self.config.disable:
-            return
-        if self.config.is_ignored(self.rel_path, code):
-            return
-        if self.is_suppressed(lineno, code):
-            self.suppressed_count += 1
-            return
-        self.findings.append(
-            Finding(
-                path=self.rel_path,
-                line=lineno,
-                col=col + 1,
-                code=code,
-                message=message,
-                line_text=self.line_text(lineno),
-                context=self.scope_name(),
-            )
-        )
+        self.add(self, node, code, message, self.scope_name())
 
 
 class Rule:
@@ -341,13 +352,18 @@ def iter_python_files(
     return kept
 
 
+def relative_path(path: pathlib.Path, root: pathlib.Path) -> pathlib.Path:
+    """``path`` relative to ``root``; just its name when outside it."""
+    try:
+        return path.resolve().relative_to(root.resolve())
+    except ValueError:
+        return pathlib.Path(path.name)
+
+
 def lint_path(
     path: pathlib.Path, root: pathlib.Path, config: LintConfig
 ) -> List[Finding]:
-    try:
-        rel = path.resolve().relative_to(root.resolve())
-    except ValueError:
-        rel = pathlib.Path(path.name)
+    rel = relative_path(path, root)
     rel_posix = rel.as_posix()
     try:
         source = path.read_text(encoding="utf-8")

@@ -16,10 +16,13 @@ then runs interprocedural passes on top of them:
 * :mod:`repro.lint.flow.dims` — physical-dimension and unit-scale
   inference (RL050-RL056, ``--dim``).
 
-Findings use the same :class:`repro.lint.engine.Finding` type as the
-per-file rules, honor the same inline ``# replint: disable=...``
-suppressions, per-file ignores, and baseline machinery, and merge into
-the same CLI output.
+units, dims and shapes run on one inference driver
+(:mod:`repro.lint.flow.infer`).  :func:`run_passes` dispatches from
+the :data:`PASSES` table for both :func:`analyze_files` and
+``repro lint --worklist``.  Findings pass the per-file rules' filter
+(:class:`repro.lint.engine.FindingSink`: inline ``# replint:
+disable=...``, config disables, per-file ignores), then share the
+baseline machinery and the CLI output.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.config import LintConfig
-from repro.lint.engine import _SUPPRESS_RE, Finding, iter_python_files
-from repro.lint.flow.callgraph import build_call_graph
+from repro.lint.engine import Finding, FindingSink, iter_python_files, relative_path
+from repro.lint.flow.callgraph import CallGraph, build_call_graph
 from repro.lint.flow.destime import DesPass
 from repro.lint.flow.dims import DimPass
 from repro.lint.flow.par import ParPass
@@ -193,8 +196,18 @@ DIM_RULES: Dict[str, Tuple[str, str]] = {
     ),
 }
 
+#: Pass name -> pass class, in execution order.
+PASSES = {
+    "units": UnitPass,
+    "rng": RngPass,
+    "par": ParPass,
+    "vec": VecPass,
+    "des": DesPass,
+    "dim": DimPass,
+}
+
 #: Pass names accepted by :func:`analyze_files`, in execution order.
-PASS_NAMES = ("units", "rng", "par", "vec", "des", "dim")
+PASS_NAMES = tuple(PASSES)
 
 
 @dataclass
@@ -223,29 +236,8 @@ class FlowStats:
         }
 
 
-class Reporter:
-    """Finding sink applying config/suppression filtering for the passes."""
-
-    def __init__(self, config: LintConfig):
-        self.config = config
-        self.findings: List[Finding] = []
-        self.suppressed_count = 0
-        self._suppressions: Dict[str, Dict[int, frozenset]] = {}
-
-    def _module_suppressions(self, module: ModuleInfo) -> Dict[int, frozenset]:
-        cached = self._suppressions.get(module.rel_path)
-        if cached is None:
-            cached = {}
-            for lineno, text in enumerate(module.lines, start=1):
-                match = _SUPPRESS_RE.search(text)
-                if match:
-                    cached[lineno] = frozenset(
-                        c.strip().upper()
-                        for c in match.group(1).split(",")
-                        if c.strip()
-                    )
-            self._suppressions[module.rel_path] = cached
-        return cached
+class Reporter(FindingSink):
+    """Finding sink the passes report through, keyed by module."""
 
     def report(
         self,
@@ -255,30 +247,23 @@ class Reporter:
         message: str,
         context: str = "",
     ) -> None:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        if code in self.config.disable:
-            return
-        if self.config.is_ignored(module.rel_path, code):
-            return
-        codes = self._module_suppressions(module).get(lineno)
-        if codes is not None and (code.upper() in codes or "ALL" in codes):
-            self.suppressed_count += 1
-            return
-        line_text = (
-            module.lines[lineno - 1].strip() if 1 <= lineno <= len(module.lines) else ""
-        )
-        self.findings.append(
-            Finding(
-                path=module.rel_path,
-                line=lineno,
-                col=col + 1,
-                code=code,
-                message=message,
-                line_text=line_text,
-                context=context,
-            )
-        )
+        self.add(module, node, code, message, context)
+
+
+def run_passes(
+    files: List[Tuple[str, str]], config: LintConfig, passes: Tuple[str, ...]
+) -> Tuple[SymbolTable, CallGraph, Reporter]:
+    """Run the selected passes, in :data:`PASSES` order, over one program."""
+    unknown = set(passes) - set(PASS_NAMES)
+    if unknown:
+        raise ValueError(f"unknown flow pass(es): {sorted(unknown)}")
+    table = build_symbol_table(files)
+    graph = build_call_graph(table)
+    reporter = Reporter(config)
+    for name, pass_class in PASSES.items():
+        if name in passes:
+            pass_class(table, graph, config, reporter).run()
+    return table, graph, reporter
 
 
 def analyze_files(
@@ -288,24 +273,7 @@ def analyze_files(
 ) -> Tuple[List[Finding], FlowStats]:
     """Run the selected flow passes over ``(rel_path, source)`` pairs."""
     config = config if config is not None else LintConfig()
-    unknown = set(passes) - set(PASS_NAMES)
-    if unknown:
-        raise ValueError(f"unknown flow pass(es): {sorted(unknown)}")
-    table: SymbolTable = build_symbol_table(files)
-    graph = build_call_graph(table)
-    reporter = Reporter(config)
-    if "units" in passes:
-        UnitPass(table, graph, config, reporter).run()
-    if "rng" in passes:
-        RngPass(table, graph, config, reporter).run()
-    if "par" in passes:
-        ParPass(table, graph, config, reporter).run()
-    if "vec" in passes:
-        VecPass(table, graph, config, reporter).run()
-    if "des" in passes:
-        DesPass(table, graph, config, reporter).run()
-    if "dim" in passes:
-        DimPass(table, graph, config, reporter).run()
+    table, graph, reporter = run_passes(files, config, passes)
     findings = sorted(reporter.findings, key=Finding.sort_key)
     stats = FlowStats(
         files=len(files),
@@ -321,6 +289,20 @@ def analyze_files(
     return findings, stats
 
 
+def load_files(
+    paths: Iterable[pathlib.Path], root: pathlib.Path, config: LintConfig
+) -> List[Tuple[str, str]]:
+    """``(rel_path, source)`` for every readable python file under ``paths``."""
+    files: List[Tuple[str, str]] = []
+    for path in iter_python_files(list(paths), config):
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            continue  # the per-file engine reports unreadable files
+        files.append((relative_path(path, root).as_posix(), source))
+    return files
+
+
 def analyze_paths(
     paths: Iterable[pathlib.Path],
     root: pathlib.Path,
@@ -328,18 +310,7 @@ def analyze_paths(
     passes: Tuple[str, ...] = ("units", "rng"),
 ) -> Tuple[List[Finding], FlowStats]:
     """Run the selected flow passes over python files under ``paths``."""
-    files: List[Tuple[str, str]] = []
-    for path in iter_python_files(list(paths), config):
-        try:
-            rel = path.resolve().relative_to(root.resolve())
-        except ValueError:
-            rel = pathlib.Path(path.name)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue  # the per-file engine reports unreadable files
-        files.append((rel.as_posix(), source))
-    return analyze_files(files, config, passes=passes)
+    return analyze_files(load_files(paths, root, config), config, passes=passes)
 
 
 __all__ = [
@@ -348,9 +319,12 @@ __all__ = [
     "FLOW_RULES",
     "PAR_RULES",
     "VEC_RULES",
+    "PASSES",
     "PASS_NAMES",
     "FlowStats",
     "Reporter",
     "analyze_files",
     "analyze_paths",
+    "load_files",
+    "run_passes",
 ]

@@ -12,8 +12,13 @@ table and call graph:
 * **time** {s, ms, us, ns} — the DES clock runs in seconds;
 * **frequency** {hz, khz, mhz, ghz};
 * **speed** {mps, kmh};
-* **power** — reuses the dB/linear facts from :mod:`units` so a dB
-  quantity added to a duration is still a cross-dimension bug here.
+* **power** — dB/linear quantities, so a dB quantity added to a
+  duration is still a cross-dimension bug here.  Their scale algebra
+  (dB + dBm is a legal dBm) stays in :mod:`units` (RL010-RL012).
+
+This module owns the unit vocabulary of both passes: the identifier
+suffixes and the one ``# replint: unit=...`` spelling table
+(:data:`UNIT_SPELLINGS`), which :mod:`units` reads for the power axis.
 
 Quantities seed from name suffixes (``bearing_rad``, ``delay_s``,
 ``speed_kmh``), the conversion-helper signature table
@@ -21,7 +26,8 @@ Quantities seed from name suffixes (``bearing_rad``, ``delay_s``,
 and ``# replint: unit=...`` annotations — on the ``def`` line for the
 return (as in :mod:`units`), or on a parameter's own line in a
 multi-line signature for that parameter.  Propagation follows
-assignments, returns (fixpoint summaries), and arithmetic: length/time
+assignments, loop targets, returns (the fixpoint summaries of
+:mod:`repro.lint.flow.infer`), and arithmetic: length/time
 is a speed, a dimensionless numerator over a time is a frequency,
 speed·time is a length, c/f is a wavelength.
 
@@ -52,13 +58,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.config import module_in
-from repro.lint.flow.callgraph import CallGraph, CallSite, bind_arguments
+from repro.lint.flow.callgraph import bind_arguments
 from repro.lint.flow.destime import SCHEDULE_METHODS, SIM_RECEIVER_NAMES
-from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable
-from repro.lint.flow.units import (
-    NEUTRAL as POWER_NEUTRAL,
-    unit_from_name as power_unit_from_name,
+from repro.lint.flow.infer import (
+    Binding,
+    FunctionAnalysis,
+    InferencePass,
+    Summaries,
+    callable_name,
 )
+from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, ParamInfo
 
 # ---------------------------------------------------------------------------
 # the (dimension × scale) lattice
@@ -125,47 +134,87 @@ _WORD_QTY: Dict[str, Qty] = {
     "delay": Qty(TIME),
 }
 
-#: Annotation spellings accepted by ``# replint: unit=...`` in this
-#: pass, beyond the scales: dimension-only and dimensionless forms.
-_ANNOTATION_EXTRA: Dict[str, Qty] = {
-    ANGLE: Qty(ANGLE),
-    LENGTH: Qty(LENGTH),
-    TIME: Qty(TIME),
-    FREQUENCY: Qty(FREQUENCY),
-    SPEED: Qty(SPEED),
+# ---------------------------------------------------------------------------
+# the power vocabulary (the dB/linear scales of repro.lint.flow.units)
+# ---------------------------------------------------------------------------
+
+DB = "dB"
+DBM = "dBm"
+LINEAR = "linear"
+AMPLITUDE = "amplitude"
+#: Declared "carries no power unit" — a duration, distance, count, or
+#: an explicitly annotated dimensionless ratio.  Never conflicts.
+NEUTRAL = "neutral"
+
+#: Power name-suffix heuristics (last ``_``-separated token).
+_POWER_SUFFIXES = {
+    "db": DB,
+    "dbi": DB,  # antenna gains are relative-dB quantities
+    "dbm": DBM,
+    "lin": LINEAR,
+    "linear": LINEAR,
+    "mw": LINEAR,
+    "watts": LINEAR,
+    "amplitude": AMPLITUDE,
+    "amp": AMPLITUDE,
+    "v": AMPLITUDE,
+    "volts": AMPLITUDE,
+}
+
+#: Bare names the paper's code uses for log-domain quantities.
+_LOG_WORDS = {"gain", "loss", "snr", "sinr", "rssi", "attenuation"}
+
+#: Suffixes that declare a *non-power* physical unit (seconds, metres,
+#: rates, angles ...) — the name documents its unit, it is just not a
+#: dB/linear one, so RL012 has nothing to ask for.
+_NEUTRAL_SUFFIXES = {
+    "s", "ms", "us", "ns", "m", "mm", "cm", "km", "deg", "rad",
+    "hz", "khz", "mhz", "ghz", "bps", "kbps", "mbps", "gbps",
+    "bytes", "bits", "count", "idx", "index", "pct", "ratio",
+    "frac", "fraction", "prob", "probability", "k", "kelvin", "j",
+}
+
+
+def power_unit_from_name(name: Optional[str]) -> Optional[str]:
+    """dB/linear unit implied by an identifier's naming convention."""
+    if not name:
+        return None
+    tokens = name.lower().split("_")
+    last = tokens[-1] if tokens[-1] else (tokens[-2] if len(tokens) > 1 else "")
+    if last in _POWER_SUFFIXES:
+        return _POWER_SUFFIXES[last]
+    if last in _LOG_WORDS:
+        return DB
+    if last in _NEUTRAL_SUFFIXES:
+        return NEUTRAL
+    return None
+
+
+#: The one ``# replint: unit=...`` vocabulary, read by this pass and by
+#: :mod:`repro.lint.flow.units` (which keeps only the power scales).
+#: Later entries override earlier ones: scales beat dimension words,
+#: which beat the power spellings.
+UNIT_SPELLINGS: Dict[str, Qty] = {
+    **{word: DIMENSIONLESS for word in _NEUTRAL_SUFFIXES},
+    **{word: Qty(POWER, DB) for word in _LOG_WORDS},
+    **{word: Qty(POWER, unit) for word, unit in _POWER_SUFFIXES.items()},
+    "linear-power": Qty(POWER, LINEAR),
+    **{dim: Qty(dim) for dim in SCALES},
     "none": DIMENSIONLESS,
     "dimensionless": DIMENSIONLESS,
     "neutral": DIMENSIONLESS,
     "ratio": DIMENSIONLESS,
+    **_SUFFIX_QTY,
 }
 
 
 def parse_unit_annotation(text: str) -> Optional[Qty]:
     """Map a ``unit=`` annotation value to a lattice element.
 
-    Returns None for spellings this pass does not know.  dB/linear
-    spellings (``dB``, ``dBm``, ``linear``...) map to the ``power``
-    dimension so both passes agree on one annotation vocabulary.
+    Returns None for unknown spellings.  dB/linear spellings (``dB``,
+    ``dBm``, ``linear``...) map to the ``power`` dimension.
     """
-    key = text.strip().lower()
-    qty = _SUFFIX_QTY.get(key) or _ANNOTATION_EXTRA.get(key)
-    if qty is not None:
-        return qty
-    power = power_unit_from_name(f"x_{key}") if key.isalnum() else None
-    if power == POWER_NEUTRAL:
-        return DIMENSIONLESS
-    if power is not None:
-        return Qty(POWER, power)
-    # Defer to the units-pass annotation table for spellings like
-    # "linear-power" that are not valid identifier suffixes.
-    from repro.lint.flow.units import parse_annotation as parse_power_annotation
-
-    power = parse_power_annotation(text)
-    if power == POWER_NEUTRAL:
-        return DIMENSIONLESS
-    if power is not None:
-        return Qty(POWER, power)
-    return None
+    return UNIT_SPELLINGS.get(text.strip().lower())
 
 
 #: Full-word single-token spellings that still seed a scale: a local
@@ -192,7 +241,7 @@ def qty_from_name(name: Optional[str]) -> Optional[Qty]:
     if qty is not None:
         return qty
     power = power_unit_from_name(name)
-    if power == POWER_NEUTRAL:
+    if power == NEUTRAL:
         return DIMENSIONLESS
     if power is not None:
         return Qty(POWER, power)
@@ -301,14 +350,6 @@ DIM_WORKLIST_CODES = frozenset(
 )
 
 
-def _callable_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _is_lightspeed(node: ast.AST) -> bool:
     # Case-folded: SPEED_OF_LIGHT the module constant and c_mps the
     # local spelling are the same quantity.
@@ -337,12 +378,8 @@ def _is_const(node: ast.AST, value: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _Summaries:
-    """Interprocedural state: declared/inferred quantities per function."""
-
-    def __init__(self, table: SymbolTable):
-        self.table = table
-        self.returns: Dict[str, Optional[Qty]] = {}
+class _Summaries(Summaries):
+    """Declared/inferred quantities per function."""
 
     def declared_return(self, fn: FunctionInfo) -> Optional[Qty]:
         sig = CONVERSIONS.get(fn.name)
@@ -411,25 +448,28 @@ def _ast_args(node: ast.AST) -> List[ast.arg]:
 # ---------------------------------------------------------------------------
 
 
-class _FunctionAnalysis:
-    """Per-function environment builder and expression inferencer."""
+class _FunctionAnalysis(FunctionAnalysis):
+    """Per-function quantity environment and expression inference."""
 
-    def __init__(
-        self,
-        fn: FunctionInfo,
-        module: ModuleInfo,
-        summaries: _Summaries,
-        sites: Dict[int, CallSite],
-    ):
-        self.fn = fn
-        self.module = module
-        self.summaries = summaries
-        self.sites = sites
-        self.env: Dict[str, Optional[Qty]] = {}
-        for param in fn.params:
-            qty = summaries.param_qty(fn, param.name, module)
-            if qty is not None:
-                self.env[param.name] = qty
+    neutral = DIMENSIONLESS
+    join = staticmethod(join_qty)
+
+    def param_value(self, param: ParamInfo) -> Optional[Qty]:
+        return self.summaries.param_qty(self.fn, param.name, self.module)
+
+    def annotated_value(self, text: str) -> Optional[Qty]:
+        return parse_unit_annotation(text)
+
+    def bind_other(self, node: ast.AST, binds: List[Binding]) -> None:
+        # Loop targets take the element quantity of a homogeneous
+        # iterable: `for s in speeds_kmh` binds a km/h speed, not a
+        # bare "s".
+        if isinstance(node, (ast.For, ast.comprehension)):
+            if isinstance(node.target, ast.Name):
+                binds.append((node.target.id, node.iter, getattr(node, "lineno", 0)))
+
+    def bound_value(self, name: str, value: ast.AST) -> Optional[Qty]:
+        return join_qty(qty_from_name(name), self.infer(value))
 
     # -- expression inference ---------------------------------------
 
@@ -461,7 +501,7 @@ class _FunctionAnalysis:
         return None
 
     def _infer_call(self, node: ast.Call) -> Optional[Qty]:
-        name = _callable_name(node.func)
+        name = callable_name(node.func)
         if name in CONVERSIONS:
             return CONVERSIONS[name][1]
         if name in _RETURNS_RAD:
@@ -539,114 +579,26 @@ class _FunctionAnalysis:
             return left
         return None
 
-    # -- environment construction -----------------------------------
-
-    def build_env(self, iterations: int = 3) -> None:
-        assigns: List[Tuple[str, ast.AST, int]] = []
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    assigns.append((target.id, node.value, node.lineno))
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    assigns.append((node.target.id, node.value, node.lineno))
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                # Loop targets take the element quantity of a
-                # homogeneous iterable: `for s in speeds_kmh` binds a
-                # km/h speed, not a bare "s".
-                if isinstance(node.target, ast.Name):
-                    assigns.append(
-                        (node.target.id, node.iter, getattr(node, "lineno", 0))
-                    )
-        for _ in range(iterations):
-            changed = False
-            for name, value, lineno in assigns:
-                annotated = self.module.unit_annotations.get(lineno)
-                if annotated:
-                    qty: Optional[Qty] = parse_unit_annotation(annotated)
-                else:
-                    qty = join_qty(qty_from_name(name), self.infer(value))
-                if qty is not None:
-                    merged = join_qty(self.env.get(name), qty)
-                    if merged != self.env.get(name):
-                        self.env[name] = merged
-                        changed = True
-            if not changed:
-                break
-
-    # -- summary ----------------------------------------------------
-
-    def returned_qtys(self) -> List[Tuple[ast.Return, Optional[Qty]]]:
-        out: List[Tuple[ast.Return, Optional[Qty]]] = []
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if isinstance(node.value, (ast.Tuple, ast.List, ast.Dict, ast.Set)):
-                    out.append((node, None))
-                else:
-                    out.append((node, self.infer(node.value)))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # the pass
 # ---------------------------------------------------------------------------
 
 
-class DimPass:
+class DimPass(InferencePass):
     """Drives inference to a fixpoint, then emits RL050-RL056."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph, config, reporter):
-        self.table = table
-        self.graph = graph
-        self.config = config
-        self.reporter = reporter
-        self.summaries = _Summaries(table)
-        self._sites_by_fn: Dict[str, Dict[int, CallSite]] = {}
-        for site in graph.sites:
-            if site.caller is not None:
-                self._sites_by_fn.setdefault(site.caller.qualname, {})[
-                    id(site.node)
-                ] = site
+    analysis_class = _FunctionAnalysis
+    summaries_class = _Summaries
 
-    def _analysis(self, fn: FunctionInfo) -> Optional[_FunctionAnalysis]:
-        module = self.table.modules.get(fn.module)
-        if module is None:
-            return None
-        analysis = _FunctionAnalysis(
-            fn, module, self.summaries, self._sites_by_fn.get(fn.qualname, {})
-        )
-        analysis.build_env()
-        return analysis
-
-    def run(self) -> None:
-        functions = sorted(self.table.functions.values(), key=lambda f: f.qualname)
-        # Fixpoint on return summaries (bounded; the lattice is tiny).
-        for _ in range(4):
-            changed = False
-            for fn in functions:
-                analysis = self._analysis(fn)
-                if analysis is None:
-                    continue
-                qtys = [
-                    q for _, q in analysis.returned_qtys()
-                    if q not in (None, DIMENSIONLESS)
-                ]
-                inferred: Optional[Qty] = None
-                for qty in qtys:
-                    inferred = join_qty(inferred, qty) if inferred is not None else qty
-                if self.summaries.returns.get(fn.qualname) != inferred:
-                    self.summaries.returns[fn.qualname] = inferred
-                    changed = True
-            if not changed:
-                break
+    def check(self, functions: List[FunctionInfo]) -> None:
         self._check_annotations()
         for fn in functions:
             if fn.name in CONVERSIONS:
                 # Conversion helpers legitimately cross scales inside
                 # their bodies — they ARE the boundary.
                 continue
-            analysis = self._analysis(fn)
+            analysis = self.analysis(fn)
             if analysis is None:
                 continue
             self._check_body(fn, analysis)
@@ -768,30 +720,29 @@ class DimPass:
         for op, a_node in zip(node.ops, operands):
             if not isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
                 continue
-            for side in (a_node,):
-                sub = _raw_angle_difference(side)
-                if sub is None:
-                    continue
-                a, b = analysis.infer(sub.left), analysis.infer(sub.right)
-                if (
-                    a is not None
-                    and b is not None
-                    and a.dim == ANGLE
-                    and b.dim == ANGLE
-                    and not scale_mismatch(a, b)
-                    and id(node) not in flagged
-                ):
-                    flagged.add(id(node))
-                    self.reporter.report(
-                        module,
-                        node,
-                        "RL055",
-                        "comparison on a raw angle difference — wrap "
-                        "through normalize_angle/angle_between (radians) "
-                        "or deg_wrap_180 (degrees) or the ±180°/±π seam "
-                        "misreads nearly-aligned headings as opposite",
-                        context=fn.qualname,
-                    )
+            sub = _raw_angle_difference(a_node)
+            if sub is None:
+                continue
+            a, b = analysis.infer(sub.left), analysis.infer(sub.right)
+            if (
+                a is not None
+                and b is not None
+                and a.dim == ANGLE
+                and b.dim == ANGLE
+                and not scale_mismatch(a, b)
+                and id(node) not in flagged
+            ):
+                flagged.add(id(node))
+                self.reporter.report(
+                    module,
+                    node,
+                    "RL055",
+                    "comparison on a raw angle difference — wrap "
+                    "through normalize_angle/angle_between (radians) "
+                    "or deg_wrap_180 (degrees) or the ±180°/±π seam "
+                    "misreads nearly-aligned headings as opposite",
+                    context=fn.qualname,
+                )
 
     def _check_mult(
         self,
@@ -859,7 +810,7 @@ class DimPass:
         module: ModuleInfo,
         node: ast.Call,
     ) -> None:
-        name = _callable_name(node.func)
+        name = callable_name(node.func)
         if name in TRIG_DEMANDS_RAD and len(node.args) == 1:
             qty = analysis.infer(node.args[0])
             if qty is not None and qty.dim == ANGLE and qty.scale == "deg":
@@ -887,7 +838,7 @@ class DimPass:
     ) -> None:
         expected_in, out = CONVERSIONS[name]
         arg = node.args[0]
-        inner_name = _callable_name(arg.func) if isinstance(arg, ast.Call) else None
+        inner_name = callable_name(arg.func) if isinstance(arg, ast.Call) else None
         if inner_name in CONVERSIONS:
             inner_in, inner_out = CONVERSIONS[inner_name]
             if inner_in == out and inner_out == expected_in:
@@ -1002,7 +953,7 @@ class DimPass:
                 continue
             if site.callee.name in CONVERSIONS:
                 continue  # handled syntactically in _check_conversion_call
-            analysis = self._analysis(caller)
+            analysis = self.analysis(caller)
             if analysis is None:
                 continue
             bound, _exhaustive = bind_arguments(site)
@@ -1044,7 +995,7 @@ class DimPass:
         if declared in (None, DIMENSIONLESS):
             return
         module = self.table.modules[fn.module]
-        for node, qty in analysis.returned_qtys():
+        for node, qty in analysis.returned():
             if qty in (None, DIMENSIONLESS):
                 continue
             if scale_mismatch(declared, qty):
@@ -1113,7 +1064,7 @@ def _raw_angle_difference(node: ast.AST) -> Optional[ast.BinOp]:
     """The ``a - b`` inside ``abs(a - b)`` or a bare difference, if any."""
     if (
         isinstance(node, ast.Call)
-        and _callable_name(node.func) in ("abs", "fabs")
+        and callable_name(node.func) in ("abs", "fabs")
         and len(node.args) == 1
     ):
         node = node.args[0]

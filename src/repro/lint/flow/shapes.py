@@ -61,8 +61,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.config import module_in
 from repro.lint.engine import Finding
-from repro.lint.flow.callgraph import CallGraph, CallSite, bind_arguments
-from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable
+from repro.lint.flow.callgraph import CallGraph, bind_arguments
+from repro.lint.flow.infer import Binding, FunctionAnalysis, InferencePass, Summaries
+from repro.lint.flow.symbols import FunctionInfo, ParamInfo
 
 # ---------------------------------------------------------------------------
 # the shape/dtype lattice
@@ -410,12 +411,11 @@ def _float_result(dtype: Optional[str]) -> Optional[str]:
 # interprocedural summaries
 # ---------------------------------------------------------------------------
 
-class _Summaries:
+class _Summaries(Summaries):
     """Fixpoint state: return shapes per function, attr shapes per class."""
 
-    def __init__(self, table: SymbolTable):
-        self.table = table
-        self.returns: Dict[str, Optional[ShapeVal]] = {}
+    def __init__(self) -> None:
+        super().__init__()
         #: ``module.Class.attr`` -> inferred shape of ``self.attr``.
         self.attrs: Dict[str, Optional[ShapeVal]] = {}
 
@@ -440,27 +440,23 @@ class _Summaries:
 # per-function inference
 # ---------------------------------------------------------------------------
 
-class _FunctionAnalysis:
+class _FunctionAnalysis(FunctionAnalysis):
     """Builds a local shape environment and infers expression shapes."""
 
-    def __init__(
-        self,
-        fn: FunctionInfo,
-        module: ModuleInfo,
-        summaries: _Summaries,
-        sites: Dict[int, CallSite],
-    ):
-        self.fn = fn
-        self.module = module
-        self.summaries = summaries
-        self.sites = sites
-        self.env: Dict[str, Optional[ShapeVal]] = {}
+    annotations_attr = "shape_annotations"
+    join = staticmethod(join)
+
+    def __init__(self, *args):
         #: Loop variables bound by iterating an inferred array (RL034).
         self.array_loop_vars: set = set()
-        for param in fn.params:
-            shape = _annotation_shape(param.annotation)
-            if shape is not None:
-                self.env[param.name] = shape
+        super().__init__(*args)
+
+    def param_value(self, param: ParamInfo) -> Optional[ShapeVal]:
+        return _annotation_shape(param.annotation)
+
+    def annotated_value(self, text: str) -> Optional[ShapeVal]:
+        shape, recognized = parse_shape_annotation(text)
+        return shape if recognized else None
 
     # -- expression inference ---------------------------------------
 
@@ -783,49 +779,24 @@ class _FunctionAnalysis:
 
     # -- environment construction -----------------------------------
 
-    def build_env(self, iterations: int = 3) -> None:
-        binds: List[Tuple[str, object, int]] = []  # (name, value-node|callable, line)
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    binds.append((target.id, node.value, node.lineno))
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if node.value is not None:
-                    binds.append((node.target.id, node.value, node.lineno))
-                else:
-                    declared = _annotation_shape(
-                        node.annotation and _safe_unparse(node.annotation) or ""
-                    )
-                    if declared is not None:
-                        self.env[node.target.id] = declared
-            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-                binds.append((node.target.id, node.value, node.lineno))
-            elif isinstance(node, ast.For):
-                self._bind_loop_targets(node, binds)
-        for _ in range(iterations):
-            changed = False
-            for name, value, lineno in binds:
-                annotated = self.module.shape_annotations.get(lineno)
-                shape: Optional[ShapeVal]
-                if annotated:
-                    shape, recognized = parse_shape_annotation(annotated)
-                    if not recognized:
-                        shape = None
-                elif callable(value):
-                    shape = value()
-                else:
-                    shape = self.infer(value)
-                if shape is not None:
-                    current = self.env.get(name)
-                    merged = join(current, shape) if current is not None else shape
-                    if merged != current:
-                        self.env[name] = merged
-                        changed = True
-            if not changed:
-                break
+    def bind_other(self, node: ast.AST, binds: List[Binding]) -> None:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            # A bare declaration (``x: np.ndarray``) seeds the type.
+            declared = _annotation_shape(
+                node.annotation and _safe_unparse(node.annotation) or ""
+            )
+            if declared is not None:
+                self.env[node.target.id] = declared
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            binds.append((node.target.id, node.value, node.lineno))
+        elif isinstance(node, ast.For):
+            self._bind_loop_targets(node, binds)
 
-    def _bind_loop_targets(self, node: ast.For, binds: List) -> None:
+    def bound_value(self, name: str, value) -> Optional[ShapeVal]:
+        # Loop targets bind a thunk that re-reads the iterable's shape.
+        return value() if callable(value) else self.infer(value)
+
+    def _bind_loop_targets(self, node: ast.For, binds: List[Binding]) -> None:
         """Bind ``for x in arr`` loop targets to element shapes."""
         def element_of(iter_node: ast.AST):
             def thunk() -> Optional[ShapeVal]:
@@ -862,17 +833,14 @@ class _FunctionAnalysis:
                 if shape is not None and shape.kind == ARRAY:
                     self.array_loop_vars.add(target.id)
 
-    # -- summary ----------------------------------------------------
-
-    def returned_shapes(self) -> List[Tuple[ast.Return, Optional[ShapeVal]]]:
-        out: List[Tuple[ast.Return, Optional[ShapeVal]]] = []
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if isinstance(node.value, (ast.Tuple, ast.Dict, ast.Set)):
-                    out.append((node, None))
-                else:
-                    out.append((node, self.infer(node.value)))
-        return out
+    def return_summary(self) -> Optional[ShapeVal]:
+        # Any unknown return makes the whole summary unknown.
+        inferred: Optional[ShapeVal] = None
+        for _, shape in self.returned():
+            if shape is None:
+                return None
+            inferred = shape if inferred is None else join(inferred, shape)
+        return inferred
 
 
 def _real_part(dtype: Optional[str]) -> Optional[str]:
@@ -988,60 +956,25 @@ _ITER_WORDS = {
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.Mod, ast.FloorDiv)
 
 
-class VecPass:
+class VecPass(InferencePass):
     """Drives shape inference to a fixpoint, then emits RL030-RL036."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph, config, reporter):
-        self.table = table
-        self.graph = graph
-        self.config = config
-        self.reporter = reporter
-        self.summaries = _Summaries(table)
-        self._sites_by_fn: Dict[str, Dict[int, CallSite]] = {}
-        for site in graph.sites:
-            if site.caller is not None:
-                self._sites_by_fn.setdefault(site.caller.qualname, {})[
-                    id(site.node)
-                ] = site
+    analysis_class = _FunctionAnalysis
+    summaries_class = _Summaries
 
-    def _analysis(self, fn: FunctionInfo) -> Optional[_FunctionAnalysis]:
-        module = self.table.modules.get(fn.module)
-        if module is None:
-            return None
-        analysis = _FunctionAnalysis(
-            fn, module, self.summaries, self._sites_by_fn.get(fn.qualname, {})
-        )
-        analysis.build_env()
-        return analysis
+    def summarize(self, fn: FunctionInfo, analysis: _FunctionAnalysis) -> bool:
+        # Self-attribute shapes join the return summaries in the
+        # fixpoint (each entry only climbs the finite lattice).
+        changed = False
+        if fn.name == "__init__" and fn.class_name is not None:
+            changed = self._record_attrs(fn, analysis)
+        return super().summarize(fn, analysis) or changed
 
-    def run(self) -> None:
-        functions = sorted(self.table.functions.values(), key=lambda f: f.qualname)
-        # Fixpoint on return summaries and self-attribute shapes
-        # (bounded; each entry only climbs the finite lattice).
-        for _ in range(4):
-            changed = False
-            for fn in functions:
-                analysis = self._analysis(fn)
-                if analysis is None:
-                    continue
-                if fn.name == "__init__" and fn.class_name is not None:
-                    changed |= self._record_attrs(fn, analysis)
-                shapes = [s for _, s in analysis.returned_shapes()]
-                inferred: Optional[ShapeVal] = None
-                for shape in shapes:
-                    if shape is None:
-                        inferred = None
-                        break
-                    inferred = join(inferred, shape) if inferred is not None else shape
-                if self.summaries.returns.get(fn.qualname, "∅") != inferred:
-                    self.summaries.returns[fn.qualname] = inferred
-                    changed = True
-            if not changed:
-                break
+    def check(self, functions: List[FunctionInfo]) -> None:
         for fn in functions:
             if not module_in(fn.module, self.config.vec_packages):
                 continue
-            analysis = self._analysis(fn)
+            analysis = self.analysis(fn)
             if analysis is None:
                 continue
             self._check_loops(fn, analysis)
@@ -1082,7 +1015,7 @@ class VecPass:
         reported: set = set()  # nested loops walk shared bodies twice
         for loop in loops:
             if isinstance(loop, ast.For):
-                why = self._vectorizable_iter(loop, analysis)
+                why = self._iter_reason(loop.iter, loop, analysis, allow_range=True)
                 if why is not None:
                     ops = _arith_op_count(loop)
                     if ops >= 2:
@@ -1150,13 +1083,6 @@ class VecPass:
                         f"np.{np_name} — compute it as one array expression",
                         context=fn.qualname,
                     )
-        del loops
-
-    def _vectorizable_iter(
-        self, loop: ast.For, analysis: _FunctionAnalysis
-    ) -> Optional[str]:
-        """Reason string when the loop iterates a vectorizable domain."""
-        return self._iter_reason(loop.iter, loop, analysis, allow_range=True)
 
     def _iter_reason(
         self,
@@ -1165,6 +1091,7 @@ class VecPass:
         analysis: _FunctionAnalysis,
         allow_range: bool,
     ) -> Optional[str]:
+        """Reason string when ``iterable`` is a vectorizable domain."""
         np_name = _np_func(iterable) if isinstance(iterable, ast.Call) else None
         if np_name in ("arange", "linspace"):
             return f"an np.{np_name} grid"
@@ -1261,7 +1188,7 @@ class VecPass:
                 continue
             if not module_in(site.caller.module, self.config.vec_packages):
                 continue
-            analysis = self._analysis(site.caller)
+            analysis = self.analysis(site.caller)
             if analysis is None:
                 continue
             bound, _exhaustive = bind_arguments(site)

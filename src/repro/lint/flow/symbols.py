@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.lint.engine import ImportMap, module_name_for
+from repro.lint.engine import ImportMap, module_name_for, parse_suppressions
 
 #: ``# replint: unit=dB`` / ``unit=linear`` annotation on a source line.
 UNIT_ANNOTATION_RE = re.compile(r"#\s*replint:\s*unit=([A-Za-z\-]+)")
@@ -128,6 +128,8 @@ class ModuleInfo:
     shape_annotations: Dict[int, str] = field(default_factory=dict)
     #: line number -> blessed dtype from ``# replint: dtype=...``.
     dtype_annotations: Dict[int, str] = field(default_factory=dict)
+    #: line number -> codes named by ``# replint: disable=...``.
+    suppressions: Dict[int, frozenset] = field(default_factory=dict)
     lines: List[str] = field(default_factory=list)
 
 
@@ -208,6 +210,7 @@ class SymbolTable:
             unit_annotations=_scan_annotations(lines, UNIT_ANNOTATION_RE),
             shape_annotations=_scan_annotations(lines, SHAPE_ANNOTATION_RE),
             dtype_annotations=_scan_annotations(lines, DTYPE_ANNOTATION_RE),
+            suppressions=parse_suppressions(lines),
             lines=lines,
         )
         for node in tree.body:

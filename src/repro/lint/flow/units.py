@@ -14,7 +14,12 @@ suffix rule (RL004) cannot see the callee.  This pass assigns units
 from three seed sources (the :mod:`repro.analysis.dbmath` signature
 table, ``*_db``/``*_dbm``/``*_lin``-style name heuristics, and
 explicit ``# replint: unit=...`` annotations) and propagates them
-through assignments, returns, and resolved call sites to a fixpoint.
+through assignments, returns, and resolved call sites to a fixpoint
+(the shared driver in :mod:`repro.lint.flow.infer`).
+
+The name and annotation vocabulary is owned by
+:mod:`repro.lint.flow.dims`; this module keeps the dB/linear algebra
+(families, ``join``) and the checks.
 
 Checks:
 
@@ -34,20 +39,28 @@ import ast
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.config import module_in
-from repro.lint.flow.callgraph import CallGraph, CallSite, bind_arguments
-from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable
+from repro.lint.flow.callgraph import bind_arguments
+from repro.lint.flow.dims import (
+    AMPLITUDE,
+    DB,
+    DBM,
+    LINEAR,
+    NEUTRAL,
+    POWER,
+    parse_unit_annotation,
+    power_unit_from_name as unit_from_name,
+)
+from repro.lint.flow.infer import (
+    FunctionAnalysis,
+    InferencePass,
+    Summaries,
+    callable_name,
+)
+from repro.lint.flow.symbols import FunctionInfo, ParamInfo
 
 # ---------------------------------------------------------------------------
 # the unit lattice
 # ---------------------------------------------------------------------------
-
-DB = "dB"
-DBM = "dBm"
-LINEAR = "linear"
-AMPLITUDE = "amplitude"
-#: Declared "carries no power unit" — a duration, distance, count, or
-#: an explicitly annotated dimensionless ratio.  Never conflicts.
-NEUTRAL = "neutral"
 
 _FAMILY = {DB: "log", DBM: "log", LINEAR: "linear", AMPLITUDE: "amplitude"}
 
@@ -95,81 +108,18 @@ DBMATH_SIGNATURES: Dict[str, Tuple[Tuple[Optional[str], ...], Optional[str]]] = 
     "repro.analysis.dbmath.power_average_db": ((DB,), DB),
 }
 
-#: Name-suffix heuristics (last ``_``-separated token of an identifier).
-_SUFFIX_UNITS = {
-    "db": DB,
-    "dbi": DB,  # antenna gains are relative-dB quantities
-    "dbm": DBM,
-    "lin": LINEAR,
-    "linear": LINEAR,
-    "mw": LINEAR,
-    "watts": LINEAR,
-    "amplitude": AMPLITUDE,
-    "amp": AMPLITUDE,
-    "v": AMPLITUDE,
-    "volts": AMPLITUDE,
-}
-
-#: Bare names the paper's code uses for log-domain quantities.
-_LOG_WORDS = {"gain", "loss", "snr", "sinr", "rssi", "attenuation"}
-
-#: Suffixes that declare a *non-power* physical unit (seconds, metres,
-#: rates, angles ...) — the name documents its unit, it is just not a
-#: dB/linear one, so RL012 has nothing to ask for.
-_NEUTRAL_SUFFIXES = {
-    "s", "ms", "us", "ns", "m", "mm", "cm", "km", "deg", "rad",
-    "hz", "khz", "mhz", "ghz", "bps", "kbps", "mbps", "gbps",
-    "bytes", "bits", "count", "idx", "index", "pct", "ratio",
-    "frac", "fraction", "prob", "probability", "k", "kelvin", "j",
-}
-
-#: Accepted ``# replint: unit=...`` annotation spellings.
-_ANNOTATION_UNITS = {
-    "db": DB,
-    "dbi": DB,
-    "dbm": DBM,
-    "linear": LINEAR,
-    "linear-power": LINEAR,
-    "lin": LINEAR,
-    "mw": LINEAR,
-    "watts": LINEAR,
-    "amplitude": AMPLITUDE,
-    "none": NEUTRAL,
-    "dimensionless": NEUTRAL,
-    "neutral": NEUTRAL,
-    # Non-power dimension/scale spellings owned by the --dim pass
-    # (repro.lint.flow.dims): declared, just not on the dB/linear axis.
-    **{
-        scale: NEUTRAL
-        for scale in (
-            "rad", "deg", "radians", "degrees", "angle",
-            "m", "mm", "cm", "km", "meters", "length",
-            "s", "ms", "us", "ns", "seconds", "time",
-            "hz", "khz", "mhz", "ghz", "frequency",
-            "mps", "kmh", "speed", "ratio",
-        )
-    },
-}
-
 
 def parse_annotation(text: str) -> Optional[str]:
-    """Map a ``unit=`` annotation value to a lattice element."""
-    return _ANNOTATION_UNITS.get(text.strip().lower())
+    """Map a ``unit=`` annotation value to a lattice element.
 
-
-def unit_from_name(name: Optional[str]) -> Optional[str]:
-    """Unit implied by an identifier's naming convention."""
-    if not name:
+    The spellings are :data:`repro.lint.flow.dims.UNIT_SPELLINGS`: a
+    power spelling maps to its dB/linear unit, any other known one
+    declares a non-power unit (:data:`NEUTRAL`), unknown ones are None.
+    """
+    qty = parse_unit_annotation(text)
+    if qty is None:
         return None
-    tokens = name.lower().split("_")
-    last = tokens[-1] if tokens[-1] else (tokens[-2] if len(tokens) > 1 else "")
-    if last in _SUFFIX_UNITS:
-        return _SUFFIX_UNITS[last]
-    if last in _LOG_WORDS:
-        return DB
-    if last in _NEUTRAL_SUFFIXES:
-        return NEUTRAL
-    return None
+    return qty.scale if qty.dim == POWER else NEUTRAL
 
 
 #: Calls that return their first argument's unit unchanged.
@@ -180,20 +130,8 @@ _PASSTHROUGH = {
 }
 
 
-def _callable_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-class _Summaries:
-    """Interprocedural state: declared/inferred units per function."""
-
-    def __init__(self, table: SymbolTable):
-        self.table = table
-        self.returns: Dict[str, Optional[str]] = {}
+class _Summaries(Summaries):
+    """Declared/inferred units per function."""
 
     def declared_return(self, fn: FunctionInfo) -> Optional[str]:
         sig = DBMATH_SIGNATURES.get(fn.qualname)
@@ -216,30 +154,25 @@ class _Summaries:
         return unit_from_name(param_name)
 
 
-class _FunctionAnalysis:
-    """Per-function environment builder and checker."""
+class _FunctionAnalysis(FunctionAnalysis):
+    """Per-function unit environment and expression inference."""
 
-    def __init__(
-        self,
-        fn: FunctionInfo,
-        module: ModuleInfo,
-        summaries: _Summaries,
-        sites: Dict[int, CallSite],
-    ):
-        self.fn = fn
-        self.module = module
-        self.summaries = summaries
-        self.sites = sites
-        self.env: Dict[str, Optional[str]] = {}
-        for param in fn.params:
-            unit = unit_from_name(param.name)
-            if unit is not None:
-                self.env[param.name] = unit
-        sig = DBMATH_SIGNATURES.get(fn.qualname)
+    neutral = NEUTRAL
+    join = staticmethod(join)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        sig = DBMATH_SIGNATURES.get(self.fn.qualname)
         if sig is not None:
-            for param, unit in zip(fn.call_params, sig[0]):
+            for param, unit in zip(self.fn.call_params, sig[0]):
                 if unit is not None:
                     self.env[param.name] = unit
+
+    def param_value(self, param: ParamInfo) -> Optional[str]:
+        return unit_from_name(param.name)
+
+    def annotated_value(self, text: str) -> Optional[str]:
+        return parse_annotation(text)
 
     # -- expression inference ---------------------------------------
 
@@ -266,7 +199,7 @@ class _FunctionAnalysis:
             unit = self.summaries.return_unit(site.callee)
             if unit is not None:
                 return unit
-        name = _callable_name(node.func)
+        name = callable_name(node.func)
         if name in _PASSTHROUGH and node.args:
             return self.infer(node.args[0])
         return unit_from_name(name)
@@ -283,46 +216,6 @@ class _FunctionAnalysis:
             return None
         return None
 
-    # -- environment construction -----------------------------------
-
-    def build_env(self, iterations: int = 3) -> None:
-        assigns: List[Tuple[str, ast.AST, int]] = []
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    assigns.append((target.id, node.value, node.lineno))
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    assigns.append((node.target.id, node.value, node.lineno))
-        for _ in range(iterations):
-            changed = False
-            for name, value, lineno in assigns:
-                annotated = self.module.unit_annotations.get(lineno)
-                if annotated:
-                    unit: Optional[str] = parse_annotation(annotated)
-                else:
-                    unit = self.infer(value)
-                if unit is not None:
-                    merged = join(self.env.get(name), unit)
-                    if merged != self.env.get(name):
-                        self.env[name] = merged
-                        changed = True
-            if not changed:
-                break
-
-    # -- summary ----------------------------------------------------
-
-    def returned_units(self) -> List[Tuple[ast.Return, Optional[str]]]:
-        out: List[Tuple[ast.Return, Optional[str]]] = []
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Return) and node.value is not None:
-                if isinstance(node.value, (ast.Tuple, ast.List, ast.Dict, ast.Set)):
-                    out.append((node, None))
-                else:
-                    out.append((node, self.infer(node.value)))
-        return out
-
     def return_has_united_subexpr(self) -> bool:
         for node in ast.walk(self.fn.node):
             if not (isinstance(node, ast.Return) and node.value is not None):
@@ -337,56 +230,19 @@ class _FunctionAnalysis:
         return False
 
 
-class UnitPass:
+class UnitPass(InferencePass):
     """Drives inference to a fixpoint, then emits RL010-RL012."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph, config, reporter):
-        self.table = table
-        self.graph = graph
-        self.config = config
-        self.reporter = reporter
-        self.summaries = _Summaries(table)
-        self._sites_by_fn: Dict[str, Dict[int, CallSite]] = {}
-        for site in graph.sites:
-            if site.caller is not None:
-                self._sites_by_fn.setdefault(site.caller.qualname, {})[
-                    id(site.node)
-                ] = site
+    analysis_class = _FunctionAnalysis
+    summaries_class = _Summaries
 
-    def _analysis(self, fn: FunctionInfo) -> Optional[_FunctionAnalysis]:
-        module = self.table.modules.get(fn.module)
-        if module is None:
-            return None
-        analysis = _FunctionAnalysis(
-            fn, module, self.summaries, self._sites_by_fn.get(fn.qualname, {})
-        )
-        analysis.build_env()
-        return analysis
-
-    def run(self) -> None:
-        functions = sorted(self.table.functions.values(), key=lambda f: f.qualname)
-        # Fixpoint on return summaries (bounded; the lattice is tiny).
-        for _ in range(4):
-            changed = False
-            for fn in functions:
-                analysis = self._analysis(fn)
-                if analysis is None:
-                    continue
-                units = [u for _, u in analysis.returned_units() if u not in (None, NEUTRAL)]
-                inferred: Optional[str] = None
-                for unit in units:
-                    inferred = join(inferred, unit) if inferred is not None else unit
-                if self.summaries.returns.get(fn.qualname) != inferred:
-                    self.summaries.returns[fn.qualname] = inferred
-                    changed = True
-            if not changed:
-                break
+    def check(self, functions: List[FunctionInfo]) -> None:
         for fn in functions:
             if module_in(fn.module, self.config.dbmath_modules):
                 # The conversion helpers legitimately cross domains
                 # inside their bodies — they ARE the boundary.
                 continue
-            analysis = self._analysis(fn)
+            analysis = self.analysis(fn)
             if analysis is None:
                 continue
             self._check_returns(fn, analysis)
@@ -403,7 +259,7 @@ class UnitPass:
             caller = site.caller
             if caller is None or module_in(caller.module, self.config.dbmath_modules):
                 continue
-            analysis = self._analysis(caller)
+            analysis = self.analysis(caller)
             if analysis is None:
                 continue
             bound, _exhaustive = bind_arguments(site)
@@ -471,7 +327,7 @@ class UnitPass:
         declared = self.summaries.declared_return(fn)
         module = self.table.modules[fn.module]
         seen: Optional[str] = None
-        for node, unit in analysis.returned_units():
+        for node, unit in analysis.returned():
             if unit in (None, NEUTRAL):
                 continue
             if declared not in (None, NEUTRAL) and conflicting(declared, unit):

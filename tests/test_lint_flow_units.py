@@ -9,6 +9,7 @@ like the real module.
 
 from repro.lint.config import LintConfig
 from repro.lint.flow import analyze_files
+from repro.lint.flow.dims import UNIT_SPELLINGS
 from repro.lint.flow.units import (
     AMPLITUDE,
     DB,
@@ -16,6 +17,7 @@ from repro.lint.flow.units import (
     LINEAR,
     conflicting,
     join,
+    parse_annotation,
     unit_from_name,
 )
 
@@ -185,10 +187,44 @@ class TestRL012:
         assert findings == []
 
 
+class TestAnnotationVocabulary:
+    """``unit=`` spellings come from the one table in flow.dims."""
+
+    def test_non_power_annotation_declares_the_unit(self):
+        source = (
+            "def strength(x_db):  # replint: unit=bps\n"
+            "    return x_db + 3.0\n"
+        )
+        findings, _ = _run([("src/repro/phy/toy.py", source)])
+        assert "RL012" not in _codes(findings)
+
+    def test_amplitude_spelling_is_read_as_amplitude(self):
+        source = (
+            "def strength(x_db):  # replint: unit=volts\n"
+            "    return x_db + 3.0\n"
+        )
+        findings, _ = _run([("src/repro/phy/toy.py", source)])
+        assert _codes(findings) == ["RL011"]
+        assert "amplitude-domain return" in findings[0].message
+
+    def test_every_dims_spelling_is_known_here(self):
+        for spelling in UNIT_SPELLINGS:
+            assert parse_annotation(spelling) is not None, spelling
+
+
 class TestSuppression:
     def test_inline_disable_counts_as_suppressed(self):
         source = (
             "def strength(x_db):  # replint: disable=RL012\n"
+            "    return x_db + 3.0\n"
+        )
+        findings, stats = _run([("src/repro/phy/toy.py", source)])
+        assert findings == []
+        assert stats.suppressed == 1
+
+    def test_inline_disable_with_reason(self):
+        source = (
+            "def strength(x_db):  # replint: disable=RL012 because legacy\n"
             "    return x_db + 3.0\n"
         )
         findings, stats = _run([("src/repro/phy/toy.py", source)])

@@ -763,6 +763,25 @@ class TestEngine:
         )
         assert codes(found) == []
 
+    def test_suppression_reason_after_codes(self):
+        found = run(
+            """
+            import random
+            x = random.random()  # replint: disable=RL001 because legacy
+            """
+        )
+        assert codes(found) == []
+
+    def test_suppression_reason_does_not_widen_codes(self):
+        # Text after the code list is a reason, never more codes.
+        found = run(
+            """
+            import random
+            x = random.random()  # replint: disable=RL003 not RL001
+            """
+        )
+        assert codes(found) == ["RL001"]
+
     def test_global_disable_config(self):
         config = LintConfig(disable=frozenset({"RL001"}))
         found = run(
