@@ -7,7 +7,8 @@ simulation speed show up:
 * pattern synthesis (array factor + clutter on a 720-point grid);
 * codebook construction (64 patterns);
 * ray tracing in the conference room (LOS + 1st + 2nd order);
-* the discrete-event MAC (simulated-seconds per wall-second);
+* the discrete-event MAC (simulated-seconds per wall-second), on one
+  saturated link and on the six-station Fig 22 interference scenario;
 * trace synthesis + frame detection round trip.
 
 ``test_perf_core_events_per_sec`` additionally writes the simulator's
@@ -17,8 +18,10 @@ event-engine change is measured against.  The gated figure is
 simulated seconds per wall second: events per second is reported but
 not gated, because a change that folds many light events into fewer,
 heavier ones (as replaying the TCP pacing did) lowers it while the
-simulation gets faster.  It deliberately avoids the pytest-benchmark
-fixture so CI can run it with plain pytest.
+simulation gets faster.  The six-station run gates the medium's
+multi-transmitter path (interference, carrier sensing, NAV) the same
+way.  It deliberately avoids the pytest-benchmark fixture so CI can
+run it with plain pytest.
 """
 
 import math
@@ -61,6 +64,20 @@ def run_50ms():
     flow = IperfFlow(sim, link, TcpParameters(window_bytes=256 * 1024))
     sim.run_until(0.05)
     return sim, flow
+
+
+def run_interference_20ms():
+    """Fig 22's six stations (WiHD 1 m off): 20 ms of DES time.
+
+    Returns the scenario and the wall seconds of the run alone; the
+    device builds are set-up.
+    """
+    from repro.experiments.interference import build_interference_scenario
+
+    scenario = build_interference_scenario(wihd_offset_m=1.0)
+    t0 = time.perf_counter()
+    scenario.run(0.02)
+    return scenario, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +133,13 @@ def test_perf_core_events_per_sec():
     assert flow.throughput_bps() > 0.8e9
     events_per_s = events / best_s
 
+    run_interference_20ms()
+    interference_s = math.inf
+    for _ in range(3):
+        scenario, elapsed = run_interference_20ms()
+        interference_s = min(interference_s, elapsed)
+    assert len(scenario.medium.history) > 1_000
+
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
@@ -125,11 +149,15 @@ def test_perf_core_events_per_sec():
                     "info"),
         bench_entry("scenario_events", events, "events", "info"),
         bench_entry("scenario_wall_s", round(best_s, 5), "s", "info"),
+        bench_entry("interference_sim_seconds_per_wall_s",
+                    round(0.02 / interference_s, 4), "s/s", "higher",
+                    tolerance=5.0),
     ])
 
     print(
         f"\ncore perf: {events} events in {best_s * 1e3:.1f} ms "
-        f"-> {events_per_s / 1e6:.2f}M events/s"
+        f"-> {events_per_s / 1e6:.2f}M events/s; six stations: "
+        f"{0.02 / interference_s:.3f} sim s per wall s"
     )
 
 

@@ -209,24 +209,28 @@ def channel_utilization(
     The default ``seed`` reproduces the published figures.
     """
     vubiq = _measurement_receiver()
-    rng = np.random.default_rng(seed)
+    devices = scenario.devices
+    in_window = [
+        rec
+        for rec in scenario.medium.history
+        if rec.end_s > window_start_s
+        and rec.start_s < window_end_s
+        and rec.source in devices
+    ]
+    # Per-frame fading jitter: frames near the detection threshold are
+    # caught probabilistically, which smooths the utilization roll-off
+    # with distance like the real traces.  One draw per frame, in
+    # history order.
+    jitter_db = np.random.default_rng(seed).normal(0.0, 2.5, size=len(in_window))
     power_cache: Dict[Tuple[str, FrameKind], float] = {}
     busy: List[FrameRecord] = []
-    for rec in scenario.medium.history:
-        if rec.end_s <= window_start_s or rec.start_s >= window_end_s:
-            continue
-        device = scenario.devices.get(rec.source)
-        if device is None:
-            continue
+    for rec, jitter in zip(in_window, jitter_db.tolist()):
         key = (rec.source, rec.kind)
         power = power_cache.get(key)
         if power is None:
-            power = vubiq.received_power_dbm(device, rec.kind)
+            power = vubiq.received_power_dbm(devices[rec.source], rec.kind)
             power_cache[key] = power
-        # Per-frame fading jitter: frames near the detection threshold
-        # are caught probabilistically, which smooths the utilization
-        # roll-off with distance like the real traces.
-        if power + float(rng.normal(0.0, 2.5)) >= threshold_dbm:
+        if power + jitter >= threshold_dbm:
             busy.append(rec)
     return medium_usage_from_records(busy, window_start_s, window_end_s, bridge_gap_s=4e-6)
 

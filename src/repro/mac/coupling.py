@@ -9,6 +9,11 @@ interference experiment (Figure 7/23).
 
 Couplings are cached per (tx, rx, control) triple: device geometry is
 static within an experiment and ray tracing is the expensive step.
+Whoever moves or retrains a device, or changes its power, calls
+:meth:`DeviceCoupling.invalidate`.  That drops the cached couplings and
+also clears the link-power memo of every :class:`~repro.mac.simulator.Medium`
+built on this coupling (through ``CouplingModel.changed``), so the next
+frame sees the new geometry.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from repro.analysis.dbmath import power_sum_db
 from repro.devices.base import RadioDevice
 from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind
-from repro.mac.simulator import Station
+from repro.mac.simulator import CouplingModel, Station
 from repro.phy.channel import LinkBudget
 from repro.phy.raytracing import RayTracer
 
 
-class DeviceCoupling:
+class DeviceCoupling(CouplingModel):
     """Path gain between stations backed by full device models.
 
     Args:
@@ -45,6 +50,7 @@ class DeviceCoupling:
         tracer: Optional[RayTracer] = None,
         isolation_db: float = -200.0,
     ):
+        super().__init__()
         self._devices = dict(devices)
         self._budget = budget
         self._tracer = tracer
@@ -58,15 +64,17 @@ class DeviceCoupling:
         dropped — unrelated pairs keep their (expensive, ray-traced)
         couplings.  With no arguments everything is cleared, which is
         what scenario-wide changes (an outage flag, a budget swap)
-        need.
+        need.  Either way the watching media forget all their memoized
+        link powers.
         """
         if not device_names:
             self._cache.clear()
-            return
-        names = set(device_names)
-        stale = [key for key in self._cache if key[0] in names or key[1] in names]
-        for key in stale:
-            del self._cache[key]
+        else:
+            names = set(device_names)
+            stale = [key for key in self._cache if key[0] in names or key[1] in names]
+            for key in stale:
+                del self._cache[key]
+        self.changed()
 
     @property
     def cached_pair_count(self) -> int:

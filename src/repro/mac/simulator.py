@@ -14,6 +14,23 @@ corrupt it).  Carrier sensing is energy detection at the sensing
 station through its own receive pattern — which is precisely why side
 lobes matter: a D5000 hears (and is heard by) an interferer through
 whatever its pattern leaks in that direction.
+
+Link-power memo: the medium memoizes the power each transmitter's
+frames arrive with at each receiver, ``tx power + coupling`` as a
+``(dBm, mW)`` pair per (tx, rx, wide pattern or not), and the frame error
+probability per (SINR, MCS).  Two things clear the link memo, at the
+moment of the change:
+
+* assigning any attribute of a registered :class:`Station` (a move, a
+  re-synced beam, a new transmit power), and
+* the coupling model reporting a change through
+  :meth:`CouplingModel.changed` — ``StaticCoupling.set`` and
+  ``DeviceCoupling.invalidate`` do, so every caller that already
+  invalidates device couplings (mobility moves and retrains,
+  association, transmit power control) clears it too.
+
+A coupling model whose values change any other way must call
+``changed()`` itself.
 """
 
 from __future__ import annotations
@@ -21,8 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +88,10 @@ class Station:
             neither interfere nor hear each other — moving an
             interferer to the other channel is the obvious mitigation
             for everything Section 4.4 measures.
+
+    Assigning any attribute calls the callbacks passed to
+    :meth:`watch`: the media the station is registered with forget the
+    link powers they memoized.
     """
 
     def __init__(
@@ -88,6 +108,7 @@ class Station:
     ):
         if not name:
             raise ValueError("station needs a non-empty name")
+        self._watchers: List[Callable[[], None]] = []
         self.name = name
         self.channel = channel
         self.position = position
@@ -99,6 +120,15 @@ class Station:
         self.tx_power_dbm = tx_power_dbm
         self.control_power_boost_db = control_power_boost_db
         self.cca_threshold_dbm = cca_threshold_dbm
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        for forget in self._watchers:
+            forget()
+
+    def watch(self, forget: Callable[[], None]) -> None:
+        """Call ``forget`` after every attribute assignment."""
+        self._watchers.append(forget)
 
     def gain_toward_dbi(self, target: Vec2, control: bool = False) -> float:
         """Antenna gain toward a point, in the device's local frame."""
@@ -116,22 +146,43 @@ class Station:
         return f"Station({self.name!r} @ ({self.position.x:.2f}, {self.position.y:.2f}))"
 
 
-class CouplingModel(Protocol):
+class CouplingModel:
     """Maps a transmitter/receiver station pair to a path gain in dB.
 
     The returned value is *gain* (typically a large negative number):
     ``rx_power_dbm = tx_power_dbm + coupling_db``.  ``control`` selects
     the wide control patterns at both ends.
+
+    Media memoize link powers, so a model must call :meth:`changed`
+    whenever the value it returns for some pair changes other than
+    through an assignment to one of the stations.
     """
 
+    def __init__(self) -> None:
+        self._watchers: List[Callable[[], None]] = []
+
     def coupling_db(self, tx: Station, rx: Station, control: bool = False) -> float:
-        ...  # pragma: no cover
+        raise NotImplementedError  # pragma: no cover
+
+    def watch(self, forget: Callable[[], None]) -> None:
+        """Call ``forget`` after every :meth:`changed`."""
+        self._watchers.append(forget)
+
+    def changed(self) -> None:
+        """Tell the watching media that coupling values changed."""
+        for forget in self._watchers:
+            forget()
 
 
-class FreeSpaceCoupling:
-    """Friis path loss plus both stations' antenna patterns."""
+class FreeSpaceCoupling(CouplingModel):
+    """Friis path loss plus both stations' antenna patterns.
+
+    Reads the stations' live poses and patterns; the media forget
+    their link powers when a station is assigned a new one.
+    """
 
     def __init__(self, frequency_hz: float, extra_loss_db: float = 0.0):
+        super().__init__()
         self._freq = frequency_hz
         self._extra = extra_loss_db
 
@@ -150,14 +201,15 @@ class FreeSpaceCoupling:
         )
 
 
-class StaticCoupling:
+class StaticCoupling(CouplingModel):
     """Explicit coupling table, for tests and handcrafted scenarios.
 
     Keys are ``(tx_name, rx_name)``; missing pairs fall back to a
-    default isolation value.
+    default isolation value.  :meth:`set` edits the table mid-run.
     """
 
     def __init__(self, table: Dict[Tuple[str, str], float], default_db: float = -200.0):
+        super().__init__()
         self._table = dict(table)
         self._default = default_db
 
@@ -166,6 +218,7 @@ class StaticCoupling:
 
     def set(self, tx_name: str, rx_name: str, value_db: float) -> None:
         self._table[(tx_name, rx_name)] = value_db
+        self.changed()
 
 
 class Simulator:
@@ -315,17 +368,6 @@ class Simulator:
             obs.add("mac.simulator.events", self.events_processed - start_events)
 
 
-@dataclass
-class _ActiveTransmission:
-    """Bookkeeping for a frame currently on the air."""
-
-    record: FrameRecord
-    tx: Station
-    rx: Optional[Station]
-    signal_dbm: Optional[float]  # at the intended receiver
-    max_interference_mw: float = 0.0
-
-
 class Medium:
     """The shared 60 GHz channel.
 
@@ -335,7 +377,50 @@ class Medium:
 
     All frames ever transmitted are appended to :attr:`history`, which
     the measurement models and analyses consume.
+
+    Link powers and frame error probabilities are memoized (see the
+    module docstring for when the link memo is cleared).
     """
+
+    class _ActiveTransmission:
+        """A frame on the air, and what happens when it ends.
+
+        Compared by identity: two frames with equal fields are still
+        two frames.  The medium schedules :meth:`finish` at the frame
+        end; nesting the class keeps that event's handler qualname
+        under ``Medium`` for the profiler.
+        """
+
+        __slots__ = (
+            "medium", "record", "wide", "tx", "rx", "signal_dbm",
+            "max_interference_mw", "on_complete",
+        )
+
+        def __init__(
+            self,
+            medium: "Medium",
+            record: FrameRecord,
+            tx: Station,
+            rx: Optional[Station],
+            on_complete: Optional[Callable[[FrameRecord, bool], None]] = None,
+        ):
+            self.medium = medium
+            self.record = record
+            self.wide = record.kind.uses_wide_pattern()
+            self.tx = tx
+            self.rx = rx
+            self.signal_dbm: Optional[float] = None  # at the intended receiver
+            self.max_interference_mw = 0.0
+            self.on_complete = on_complete
+
+        def finish(self) -> None:
+            medium = self.medium
+            medium._active.remove(self)
+            delivered = medium._evaluate_delivery(self)
+            self.record.delivered = delivered
+            medium._notify_idle_waiters()
+            if self.on_complete is not None:
+                self.on_complete(self.record, bool(delivered))
 
     def __init__(
         self,
@@ -348,7 +433,7 @@ class Medium:
         self._coupling = coupling
         self._budget = budget
         self._noise_mw = db_to_linear_scalar(budget.noise_floor_dbm())
-        self._active: List[_ActiveTransmission] = []
+        self._active: List[Medium._ActiveTransmission] = []
         self._stations: Dict[str, Station] = {}
         self._idle_waiters: List[Tuple[Station, Callable[[], None]]] = []
         # Virtual carrier sensing: per-station NAV expiry times set by
@@ -356,6 +441,10 @@ class Medium:
         self._nav_expiry: Dict[str, float] = {}
         self.history: List[FrameRecord] = []
         self._capture_history = capture_history
+        # (tx, rx, wide) -> received (dBm, mW); (SINR dB, MCS) -> FER.
+        self._links: Dict[Tuple[Station, Station, bool], Tuple[float, float]] = {}
+        self._fer: Dict[Tuple[float, int], float] = {}
+        coupling.watch(self._links.clear)
 
     @property
     def budget(self) -> LinkBudget:
@@ -371,15 +460,26 @@ class Medium:
         if station.name in self._stations:
             raise ValueError(f"duplicate station name {station.name!r}")
         self._stations[station.name] = station
+        station.watch(self._links.clear)
 
     def station(self, name: str) -> Station:
         return self._stations[name]
 
     # -- power bookkeeping ---------------------------------------------
 
-    def _rx_power_dbm(self, tx: Station, rx: Station, kind: FrameKind) -> float:
-        control = kind.uses_wide_pattern()
-        return tx.tx_power_for(kind) + self._coupling.coupling_db(tx, rx, control)
+    def _link(self, tx: Station, rx: Station, wide: bool) -> Tuple[float, float]:
+        """Received power at ``rx`` of ``tx``'s frames: (dBm, mW).
+
+        ``wide`` selects the wide patterns and boosted power of
+        beacons and discovery frames.
+        """
+        key = (tx, rx, wide)
+        link = self._links.get(key)
+        if link is None:
+            kind = FrameKind.BEACON if wide else FrameKind.DATA
+            power = tx.tx_power_for(kind) + self._coupling.coupling_db(tx, rx, wide)
+            link = self._links[key] = (power, db_to_linear_scalar(power))
+        return link
 
     def sensed_power_dbm(self, station: Station) -> float:
         """Total in-band power the station currently detects (dBm)."""
@@ -387,8 +487,7 @@ class Medium:
         for act in self._active:
             if act.tx is station or act.tx.channel != station.channel:
                 continue
-            p = self._rx_power_dbm(act.tx, station, act.record.kind)
-            total_mw += db_to_linear_scalar(p)
+            total_mw += self._link(act.tx, station, act.wide)[1]
         return linear_to_db_scalar(total_mw)
 
     def channel_busy_for(self, station: Station) -> bool:
@@ -417,6 +516,8 @@ class Medium:
             self._sim.schedule(nav_left + 1e-9, self._notify_idle_waiters)
 
     def _notify_idle_waiters(self) -> None:
+        if not self._idle_waiters:
+            return
         still_waiting: List[Tuple[Station, Callable[[], None]]] = []
         for station, callback in self._idle_waiters:
             if self.channel_busy_for(station):
@@ -440,52 +541,48 @@ class Medium:
         """
         tx = self._stations[record.source]
         rx = self._stations.get(record.destination) if record.destination else None
-        signal = self._rx_power_dbm(tx, rx, record.kind) if rx is not None else None
-        act = _ActiveTransmission(record=record, tx=tx, rx=rx, signal_dbm=signal)
+        act = self._ActiveTransmission(self, record, tx, rx, on_complete)
+        wide = act.wide
+        if rx is not None:
+            act.signal_dbm = self._link(tx, rx, wide)[0]
         if obs.STATE.metrics:
             obs.add("mac.medium.frames")
 
         # This new transmission interferes with every in-flight frame
         # whose receiver can hear it — and vice versa.  A station never
         # interferes with its own frames (it is half-duplex and its
-        # self-coupling is not a propagation path).
+        # self-coupling is not a propagation path).  Memo hits are read
+        # inline; ``_link`` fills misses.
+        links, link = self._links, self._link
         for other in self._active:
+            other_tx, other_rx = other.tx, other.rx
             if (
-                other.rx is not None
-                and other.tx is not tx
-                and other.rx is not tx
-                and other.rx.channel == tx.channel
+                other_rx is not None
+                and other_tx is not tx
+                and other_rx is not tx
+                and other_rx.channel == tx.channel
             ):
-                p = self._rx_power_dbm(tx, other.rx, record.kind)
-                other.max_interference_mw = max(
-                    other.max_interference_mw, db_to_linear_scalar(p)
-                )
+                mw = (links.get((tx, other_rx, wide)) or link(tx, other_rx, wide))[1]
+                if mw > other.max_interference_mw:
+                    other.max_interference_mw = mw
             if (
                 rx is not None
-                and other.tx is not tx
-                and other.tx is not rx
-                and other.tx.channel == rx.channel
+                and other_tx is not tx
+                and other_tx is not rx
+                and other_tx.channel == rx.channel
             ):
-                p = self._rx_power_dbm(other.tx, rx, other.record.kind)
-                act.max_interference_mw = max(
-                    act.max_interference_mw, db_to_linear_scalar(p)
-                )
+                mw = (
+                    links.get((other_tx, rx, other.wide)) or link(other_tx, rx, other.wide)
+                )[1]
+                if mw > act.max_interference_mw:
+                    act.max_interference_mw = mw
 
         self._active.append(act)
         if self._capture_history:
             self.history.append(record)
         if record.nav_duration_s > 0:
             self._apply_nav(record, tx, rx)
-
-        def finish() -> None:
-            self._active.remove(act)
-            delivered = self._evaluate_delivery(act)
-            record.delivered = delivered
-            self._notify_idle_waiters()
-            if on_complete is not None:
-                on_complete(record, bool(delivered))
-
-        self._sim.schedule(record.duration_s, finish)
+        self._sim.schedule(record.duration_s, act.finish)
 
     def _apply_nav(self, record: FrameRecord, tx: Station, rx: Optional[Station]) -> None:
         """Third parties that decode a reserving frame set their NAV.
@@ -497,25 +594,30 @@ class Medium:
         the blind WiHD interferer is unaffected: it never listens).
         """
         expiry = record.end_s + record.nav_duration_s
+        wide = record.kind.uses_wide_pattern()
         for station in self._stations.values():
             if station is tx or station is rx:
                 continue
             if station.channel != tx.channel:
                 continue
-            power = self._rx_power_dbm(tx, station, record.kind)
+            power = self._link(tx, station, wide)[0]
             if power >= NAV_DECODE_THRESHOLD_DBM:
                 self._nav_expiry[station.name] = max(
                     self._nav_expiry.get(station.name, 0.0), expiry
                 )
 
-    def _evaluate_delivery(self, act: _ActiveTransmission) -> Optional[bool]:
+    def _evaluate_delivery(self, act: "Medium._ActiveTransmission") -> Optional[bool]:
         if act.rx is None or act.signal_dbm is None:
             return None
         sinr_db = act.signal_dbm - linear_to_db_scalar(
             self._noise_mw + act.max_interference_mw
         )
-        mcs = mcs_by_index(act.record.mcs_index)
-        fer = frame_error_probability(sinr_db, mcs)
+        key = (sinr_db, act.record.mcs_index)
+        fer = self._fer.get(key)
+        if fer is None:
+            fer = self._fer[key] = frame_error_probability(
+                sinr_db, mcs_by_index(act.record.mcs_index)
+            )
         return bool(self._sim.rng.random() >= fer)
 
     def active_count(self) -> int:

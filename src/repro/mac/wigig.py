@@ -171,11 +171,13 @@ class WiGigLink:
             # it supports instead of walking down from the top.
             best = select_mcs(snr_hint_db)
             initial_mcs_index = best.index if best is not None else 1
-        self._mcs = mcs_by_index(initial_mcs_index)
+        self._use_mcs(mcs_by_index(initial_mcs_index))
         self._associated = associated
         self._in_burst = False
         self._awaiting_data = False
         self._burst_serial = 0
+        # The data frame being acknowledged (one exchange at a time).
+        self._acked_record: Optional[FrameRecord] = None
         self._contending = False
         self._cw = MIN_CONTENTION_WINDOW
         self._retries = 0
@@ -270,10 +272,19 @@ class WiGigLink:
 
     def set_mcs(self, index: int) -> None:
         """Force the data MCS (used by tests and ablations)."""
-        self._mcs = mcs_by_index(index)
+        self._use_mcs(mcs_by_index(index))
         self.mcs_history.append((self.sim.now, index))
         if obs.STATE.metrics:
             obs.add("mac.wigig.mcs_transitions")
+
+    def _use_mcs(self, mcs: MCS) -> None:
+        # Per-MCS tables for _send_next_data: the aggregation cap and
+        # the duration of an n-MPDU frame at index n (0 unused).
+        self._mcs = mcs
+        self._mcs_max_aggregation = max_aggregation_for(mcs)
+        self._frame_durations_s = (0.0,) + tuple(
+            data_frame_duration_s(n, mcs) for n in range(1, MAX_AGGREGATION + 1)
+        )
 
     # -- beacons and discovery -------------------------------------------
 
@@ -421,14 +432,15 @@ class WiGigLink:
         n = min(
             self._queue_mpdus,
             self.max_aggregation,
-            max_aggregation_for(self._mcs),
+            self._mcs_max_aggregation,
         )
-        duration = data_frame_duration_s(n, self._mcs)
+        durations = self._frame_durations_s
+        duration = durations[n]
         # Never start a frame that cannot finish (with its ACK) inside
         # the burst; shrink the aggregate instead.
         while n > 1 and self.sim.now + duration > self._burst_end:
             n -= 1
-            duration = data_frame_duration_s(n, self._mcs)
+            duration = durations[n]
         self._queue_mpdus -= n
         frame = FrameRecord(
             start_s=self.sim.now,
@@ -452,7 +464,8 @@ class WiGigLink:
         if delivered:
             self.stats.data_frames_delivered += 1
             self._recent_delivered += 1
-            self.sim.schedule(self.timing.sifs_s, lambda: self._send_ack(record))
+            self._acked_record = record
+            self.sim.schedule(self.timing.sifs_s, self._send_ack)
         else:
             # No ACK will come; requeue after an ACK-timeout-sized gap.
             self._retries += 1
@@ -469,7 +482,7 @@ class WiGigLink:
             timeout = self.timing.sifs_s + self.timing.ack_frame_s + self.timing.sifs_s
             self.sim.schedule(timeout, self._send_next_data)
 
-    def _send_ack(self, data_record: FrameRecord) -> None:
+    def _send_ack(self) -> None:
         ack = FrameRecord(
             start_s=self.sim.now,
             duration_s=self.timing.ack_frame_s,
@@ -477,32 +490,32 @@ class WiGigLink:
             destination=self.tx.name,
             kind=FrameKind.ACK,
         )
+        self.medium.transmit(ack, on_complete=self._ack_done)
 
-        def ack_done(record: FrameRecord, delivered: bool) -> None:
-            # The MPDUs were received regardless of whether the ACK got
-            # back cleanly; a lost ACK causes a spurious retransmission.
-            if delivered:
-                self._retries = 0
-                self._cw = MIN_CONTENTION_WINDOW
-                self.stats.mpdus_delivered += data_record.aggregated_mpdus
-                now = self.sim.now
-                popleft = self._enqueue_times.popleft
-                self.delivery_delays_s.extend([
-                    now - popleft()
-                    for _ in range(min(data_record.aggregated_mpdus, len(self._enqueue_times)))
-                ])
-                if self.on_delivery is not None:
-                    self.on_delivery(data_record.aggregated_mpdus)
-                self.sim.schedule(self.timing.sifs_s, self._send_next_data)
-            else:
-                self._retries += 1
-                self.stats.retransmissions += 1
-                if obs.STATE.metrics:
-                    obs.add("mac.wigig.retransmissions")
-                self._queue_mpdus += data_record.aggregated_mpdus
-                self.sim.schedule(self.timing.sifs_s, self._send_next_data)
-
-        self.medium.transmit(ack, on_complete=ack_done)
+    def _ack_done(self, record: FrameRecord, delivered: bool) -> None:
+        data_record = self._acked_record
+        # The MPDUs were received regardless of whether the ACK got
+        # back cleanly; a lost ACK causes a spurious retransmission.
+        if delivered:
+            self._retries = 0
+            self._cw = MIN_CONTENTION_WINDOW
+            self.stats.mpdus_delivered += data_record.aggregated_mpdus
+            now = self.sim.now
+            popleft = self._enqueue_times.popleft
+            self.delivery_delays_s.extend([
+                now - popleft()
+                for _ in range(min(data_record.aggregated_mpdus, len(self._enqueue_times)))
+            ])
+            if self.on_delivery is not None:
+                self.on_delivery(data_record.aggregated_mpdus)
+            self.sim.schedule(self.timing.sifs_s, self._send_next_data)
+        else:
+            self._retries += 1
+            self.stats.retransmissions += 1
+            if obs.STATE.metrics:
+                obs.add("mac.wigig.retransmissions")
+            self._queue_mpdus += data_record.aggregated_mpdus
+            self.sim.schedule(self.timing.sifs_s, self._send_next_data)
 
     def _end_burst(self, failed: bool) -> None:
         self._in_burst = False

@@ -117,14 +117,16 @@ class MobilityStats:
 
 
 def sync_station(device: RadioDevice, station: Station) -> None:
-    """Mirror a device's pose and trained beam into its MAC station.
+    """Mirror a device's pose, trained beam and power into its MAC station.
 
     ``RadioDevice.make_station`` snapshots; a mobile device's station
-    must be re-synced after every move and every re-training.
+    must be re-synced after every move and every re-training, and any
+    station after transmit power control.
     """
     station.position = device.position
     station.orientation_rad = device.orientation_rad
     station.data_pattern = device.active_beam.pattern
+    station.tx_power_dbm = device.tx_power_dbm
 
 
 class MobileStation:

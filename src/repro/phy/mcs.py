@@ -15,7 +15,7 @@ matters for reproducing rate-vs-distance shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,19 @@ OFDM_MCS_TABLE: List[MCS] = [
 ]
 
 
+#: Index -> MCS.  Built in reverse so that, as in a first-match scan,
+#: the first table listing an index wins (control, then SC, then OFDM).
+_MCS_BY_INDEX: Dict[int, MCS] = {
+    mcs.index: mcs for mcs in reversed((CONTROL_MCS, *MCS_TABLE, *OFDM_MCS_TABLE))
+}
+
+
 def mcs_by_index(index: int) -> MCS:
     """Look up an MCS by its standard index (SC, OFDM, or control)."""
-    if index == 0:
-        return CONTROL_MCS
-    for mcs in MCS_TABLE:
-        if mcs.index == index:
-            return mcs
-    for mcs in OFDM_MCS_TABLE:
-        if mcs.index == index:
-            return mcs
-    raise KeyError(f"no MCS with index {index}")
+    try:
+        return _MCS_BY_INDEX[index]
+    except (KeyError, TypeError):
+        raise KeyError(f"no MCS with index {index}") from None
 
 
 def select_mcs(

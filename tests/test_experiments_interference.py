@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 from repro.core.frames import FrameDetector
+from repro.core.utilization import medium_usage_from_records
 from repro.experiments.interference import (
+    UTILIZATION_THRESHOLD_DBM,
+    _measurement_receiver,
     build_interference_scenario,
     capture_interference_trace,
+    channel_utilization,
     interference_free_baseline,
     mean_link_rate_bps,
     run_interference_point,
@@ -184,3 +188,28 @@ class TestMeanLinkRate:
         from repro.phy.mcs import mcs_by_index
 
         assert rate == pytest.approx(mcs_by_index(scen.link_a.mcs.index).phy_rate_bps, rel=0.3)
+
+
+class TestChannelUtilization:
+    def test_bulk_jitter_matches_per_frame_draws(self):
+        """One bulk normal draw gives the per-frame loop's answer."""
+        scen = build_interference_scenario(wihd_offset_m=1.0)
+        scen.run(0.02)
+        start, end = 0.004, 0.018
+
+        vubiq = _measurement_receiver()
+        rng = np.random.default_rng(17)
+        busy = []
+        for rec in scen.medium.history:
+            if rec.end_s <= start or rec.start_s >= end:
+                continue
+            device = scen.devices.get(rec.source)
+            if device is None:
+                continue
+            power = vubiq.received_power_dbm(device, rec.kind)
+            if power + float(rng.normal(0.0, 2.5)) >= UTILIZATION_THRESHOLD_DBM:
+                busy.append(rec)
+        expected = medium_usage_from_records(busy, start, end, bridge_gap_s=4e-6)
+
+        assert 0.0 < expected < 1.0
+        assert channel_utilization(scen, start, end) == expected

@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event simulator core and medium."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.core.spatial import Link, apply_power_control
+from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.geometry.vec import Vec2
+from repro.mac.beam_training import SectorSweepTrainer
+from repro.mac.coupling import DeviceCoupling
 from repro.mac.frames import FrameKind, FrameRecord
 from repro.mac.simulator import (
     FreeSpaceCoupling,
@@ -11,7 +18,9 @@ from repro.mac.simulator import (
     Station,
     StaticCoupling,
 )
-from repro.phy.channel import SIXTY_GHZ
+from repro.mobility.station import MobileStation, RetrainConfig, sync_station
+from repro.mobility.trajectory import LinearTrajectory
+from repro.phy.channel import SIXTY_GHZ, LinkBudget
 
 
 @pytest.fixture
@@ -295,3 +304,118 @@ class TestFreeSpaceCoupling:
         far = Station("f", Vec2(10, 0))
         c = FreeSpaceCoupling(SIXTY_GHZ)
         assert c.coupling_db(a, near) > c.coupling_db(a, far)
+
+
+def send_and_sense(sim, medium, src, dst, mcs=8):
+    """Put one data frame on the air; return (power ``dst`` senses
+    while it is on the air, whether it was delivered)."""
+    outcome = []
+    medium.transmit(
+        FrameRecord(start_s=sim.now, duration_s=10e-6, source=src.name,
+                    destination=dst.name, kind=FrameKind.DATA, mcs_index=mcs),
+        on_complete=lambda record, delivered: outcome.append(delivered),
+    )
+    sensed = medium.sensed_power_dbm(dst)
+    sim.run_until(sim.now + 20e-6)
+    return sensed, outcome[0]
+
+
+def dock_and_laptop(distance_m=2.0):
+    """A D5000 dock at the origin and its laptop ``distance_m`` up +y,
+    trained toward each other, on a device-coupled medium."""
+    budget = LinkBudget()
+    dock = make_d5000_dock(name="dock", position=Vec2(0.0, 0.0),
+                           orientation_rad=math.pi / 2.0)
+    laptop = make_e7440_laptop(name="laptop", position=Vec2(0.0, distance_m),
+                               orientation_rad=-math.pi / 2.0, unit_seed=21)
+    dock.train_toward(laptop.position)
+    laptop.train_toward(dock.position)
+    sim = Simulator(seed=3)
+    coupling = DeviceCoupling({"dock": dock, "laptop": laptop}, budget=budget)
+    medium = Medium(sim, coupling, budget=budget)
+    stations = {d.name: d.make_station() for d in (dock, laptop)}
+    for station in stations.values():
+        medium.register(station)
+    return sim, medium, coupling, dock, laptop, stations
+
+
+class TestLinkPowerMemo:
+    """The medium memoizes link powers; every way a coupling or a power
+    changes mid-run must reach the next frame."""
+
+    def test_static_coupling_set(self):
+        sim, medium, a, b = make_pair(coupling_db_value=-40.0)
+        assert send_and_sense(sim, medium, a, b) == (pytest.approx(-30.0), True)
+        medium.coupling.set("a", "b", -150.0)
+        assert send_and_sense(sim, medium, a, b) == (pytest.approx(-140.0), False)
+
+    def test_device_coupling_invalidated_by_mobile_station_move(self):
+        sim, medium, coupling, dock, laptop, stations = dock_and_laptop()
+        # Two kilometers within the first 5 ms position update.
+        mobile = MobileStation(
+            sim=sim, medium=medium, coupling=coupling, device=laptop,
+            station=stations["laptop"],
+            trajectory=LinearTrajectory(Vec2(0.0, 2.0), Vec2(0.0, 4.0e5)),
+            peer_device=dock, peer_station=stations["dock"],
+            trainer=SectorSweepTrainer(rng=np.random.default_rng(1)),
+            config=RetrainConfig(snr_drop_db=None, misalignment_rad=None),
+        )
+        mobile.start()
+        near = stations["laptop"].tx_power_dbm + coupling.coupling_db(
+            stations["laptop"], stations["dock"])
+        sensed, delivered = send_and_sense(
+            sim, medium, stations["laptop"], stations["dock"], mcs=1)
+        assert (sensed, delivered) == (pytest.approx(near), True)
+
+        sim.run_until(6e-3)
+        assert mobile.stats.position_updates == 2
+        far = stations["laptop"].tx_power_dbm + coupling.coupling_db(
+            stations["laptop"], stations["dock"])
+        assert far < near - 50.0
+        sensed, delivered = send_and_sense(
+            sim, medium, stations["laptop"], stations["dock"], mcs=1)
+        assert (sensed, delivered) == (pytest.approx(far), False)
+
+    def test_apply_power_control(self):
+        sim, medium, coupling, dock, laptop, stations = dock_and_laptop()
+        sensed, delivered = send_and_sense(
+            sim, medium, stations["laptop"], stations["dock"], mcs=12)
+        assert delivered
+        chosen = apply_power_control([Link(tx=laptop, rx=dock)], coupling,
+                                     target_snr_db=1.0)
+        assert chosen == {"laptop": -10.0}
+        sync_station(laptop, stations["laptop"])
+        quiet, delivered = send_and_sense(
+            sim, medium, stations["laptop"], stations["dock"], mcs=12)
+        assert quiet == pytest.approx(sensed - 20.0)
+        assert not delivered
+
+    def test_free_space_station_moved_by_sync_station(self):
+        sim = Simulator(seed=1)
+        medium = Medium(sim, FreeSpaceCoupling(60.48e9))
+        laptop = make_e7440_laptop(name="laptop", position=Vec2(0.5, 0.0))
+        a = laptop.make_station()
+        b = Station("b", Vec2(0.0, 0.0))
+        medium.register(a)
+        medium.register(b)
+        near, delivered = send_and_sense(sim, medium, a, b, mcs=1)
+        assert delivered
+        laptop.position = Vec2(2000.0, 0.0)
+        sync_station(laptop, a)
+        far, delivered = send_and_sense(sim, medium, a, b, mcs=1)
+        assert far == pytest.approx(
+            a.tx_power_dbm + medium.coupling.coupling_db(a, b))
+        assert far < near - 60.0
+        assert not delivered
+
+
+class TestActiveFrames:
+    def test_finished_frame_leaves_by_identity(self):
+        sim, medium, a, b = make_pair()
+        record = data_frame()
+        first = Medium._ActiveTransmission(medium, record, a, b)
+        second = Medium._ActiveTransmission(medium, record, a, b)
+        medium._active.extend([first, second])
+        second.finish()
+        assert len(medium._active) == 1
+        assert medium._active[0] is first

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.experiments.interference import build_interference_scenario
 from repro.geometry.vec import Vec2
 from repro.mac.scheduler import TransmitArbiter
 from repro.mac.simulator import Medium, Simulator, Station, StaticCoupling
@@ -236,3 +237,34 @@ class TestPinnedTimelines:
         sim.run_until(0.05)
         assert sum(flow.delivered_bits for flow in flows) > 0
         assert _timeline_digest(sim, medium, links, flows) == _PINNED[scenario]
+
+
+# The six-station Fig 22 scenario: two WiGig links, the WiHD pair and
+# device couplings.  It is the only pinned run with more than one
+# transmitter, so it is what checks the medium's interference, carrier
+# sensing and NAV paths frame for frame.
+_PINNED_INTERFERENCE = {
+    "aligned": "debbef5dc2477fe618ef8754a78058ade69b1cb535d24b3e601de66b1b23dd9b",
+    "rotated": "d2b8f1536be7e6a04d3494fc73608ef329bd0019cf5af3b4fba7277cbb7b7e99",
+}
+
+
+def _interference_digest(rotated: bool) -> str:
+    scenario = build_interference_scenario(wihd_offset_m=1.0, rotated=rotated)
+    scenario.run(0.02)
+    links = [scenario.link_a, scenario.link_b]
+    flows = [scenario.flow_a, scenario.flow_b]
+    assert sum(flow.delivered_bits for flow in flows) > 0
+    h = hashlib.sha256(
+        _timeline_digest(scenario.sim, scenario.medium, links, flows).encode()
+    )
+    for link in links:
+        h.update(repr([(t.hex(), index) for t, index in link.mcs_history]).encode())
+    return h.hexdigest()
+
+
+class TestPinnedInterferenceTimeline:
+    @pytest.mark.parametrize("setting", sorted(_PINNED_INTERFERENCE))
+    def test_timeline_digest_unchanged(self, setting):
+        digest = _interference_digest(rotated=setting == "rotated")
+        assert digest == _PINNED_INTERFERENCE[setting]
