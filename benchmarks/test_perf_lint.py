@@ -1,8 +1,8 @@
 """Lint engine performance over the full repository source tree.
 
 Times three configurations — per-file rules serially, per-file rules
-with ``--jobs 4``, and the whole-program flow passes (units + rng +
-par) — and writes the numbers to ``benchmarks/results/BENCH_lint.json``
+with ``--jobs 4``, and the whole-program flow passes (units + rng) —
+and writes the numbers to ``benchmarks/results/BENCH_lint.json``
 in the unified :mod:`repro.obs.bench` schema so CI runs leave a
 comparable perf trail.
 
@@ -44,7 +44,7 @@ def test_perf_lint_full_repo():
 
     t0 = time.perf_counter()
     flow_findings, flow_stats = analyze_paths(
-        [SRC], REPO_ROOT, config, passes=("units", "rng", "par")
+        [SRC], REPO_ROOT, config, passes=("units", "rng")
     )
     flow_s = time.perf_counter() - t0
 
@@ -57,7 +57,7 @@ def test_perf_lint_full_repo():
         # heterogeneous CI machines.
         bench_entry("per_file_serial_s", round(serial_s, 4), "s", "lower",
                     tolerance=5.0),
-        bench_entry("flow_units_rng_par_s", round(flow_s, 4), "s", "lower",
+        bench_entry("flow_units_rng_s", round(flow_s, 4), "s", "lower",
                     tolerance=5.0),
         bench_entry("per_file_jobs4_s", round(parallel_s, 4), "s", "info"),
         bench_entry("files", len(files), "files", "info"),

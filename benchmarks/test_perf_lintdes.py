@@ -18,7 +18,7 @@ from repro.lint.config import load_config
 from repro.lint.engine import iter_python_files
 from repro.lint.flow import analyze_paths
 from repro.lint.flow.destime import DES_WORKLIST_CODES
-from repro.lint.flow.shapes import build_worklist
+from repro.lint.flow.worklist import build_worklist
 from repro.obs.bench import bench_entry, write_bench
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -14,7 +14,7 @@ two properties the campaign engine's results rest on:
    :class:`repro.sanitize.PurityAudit`, which records each
    environment/file/clock read.  Any read not derivable from the
    scenario spec means the content-addressed cache key does not
-   capture all inputs (the dynamic counterpart of lint rule RL022).
+   capture all inputs.
    A third run replays the shuffled-parallel results through a fresh
    cache and asserts a serial re-run is served entirely from cache
    with identical values.

@@ -20,7 +20,7 @@ Usage::
     python -m repro obs diff <run_a> <run_b>
     python -m repro obs bench report
     python -m repro obs bench check --baseline <dir>
-    python -m repro lint [--flow] [--par] [--baseline] [--json] [paths...]
+    python -m repro lint [--flow] [--des] [--dim] [--baseline] [--json] [paths...]
     python -m repro sanitize -- python -m repro nlos
 
 Each subcommand runs a time-scaled version of the corresponding
@@ -42,8 +42,9 @@ shuffled shard submission must merge to byte-identical result stores
 AST rules RL001-RL008 covering determinism (unseeded RNG, wall-clock
 reads, frozen-spec mutation, unordered hashing) and dB-unit safety
 (inline conversions, log/linear mixing, float equality); ``--flow``
-adds the whole-program unit/RNG passes, ``--par`` the
-parallelism-safety and cache-purity pass (RL020-RL025).
+adds the whole-program unit/RNG passes, ``--des`` the discrete-event
+sim-time soundness pass (RL040-RL046), and ``--dim`` the
+physical-dimension pass (RL050-RL056).
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ class AngularProfile:
             raise ValueError("angular profile too coarse")
 
     @property
-    def relative_db(self) -> np.ndarray:  # replint: shape=(points,)
+    def relative_db(self) -> np.ndarray:
         """Profile normalized to its strongest direction."""
         return self.power_dbm - float(np.max(self.power_dbm))
 

@@ -51,7 +51,7 @@ class MeasuredPattern:
             raise ValueError("bearing and power arrays must align")
 
     @property
-    def relative_db(self) -> np.ndarray:  # replint: shape=(points,)
+    def relative_db(self) -> np.ndarray:
         return self.power_dbm - float(np.max(self.power_dbm))
 
     def as_pattern(self) -> AntennaPattern:

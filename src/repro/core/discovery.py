@@ -55,7 +55,7 @@ def subelement_amplitudes(
     frame: DetectedFrame,
     num_subelements: int = DISCOVERY_SUBELEMENTS,
     trim_fraction: float = 0.15,
-) -> np.ndarray:  # replint: shape=(subelements,)
+) -> np.ndarray:
     """Mean envelope amplitude of each sub-element of a discovery frame.
 
     ``trim_fraction`` drops the edges of each sub-element before

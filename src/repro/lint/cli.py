@@ -4,25 +4,23 @@ Exit codes (stable, for CI):
 
 * ``0`` — no findings (after baseline subtraction, if requested)
 * ``1`` — at least one (non-baselined) finding
-* ``2`` — operational error (unreadable baseline, bad arguments)
+* ``2`` — operational error (unreadable baseline, unknown config key,
+  bad arguments)
 
 ``--flow`` additionally runs the whole-program passes
 (:mod:`repro.lint.flow`): symbol table + call graph construction, then
 interprocedural dB/linear unit inference (RL010-RL012) and RNG taint
-tracking (RL013-RL015).  ``--par`` runs the parallelism-safety and
-cache-purity pass (RL020-RL025) over the same symbol table; the flags
-combine freely.  Flow findings merge into the same output, baseline,
-and exit-code machinery as the per-file rules.
+tracking (RL013-RL015).  ``--des`` runs the discrete-event sim-time
+soundness pass (RL040-RL046) and ``--dim`` the physical-dimension/
+unit-scale inference pass (RL050-RL056) over the same symbol table;
+the flags combine freely.  Flow findings merge into the same output,
+baseline, and exit-code machinery as the per-file rules.
 
-``--vec`` runs the numpy shape/dtype flow and vectorization-readiness
-pass (RL030-RL036) over the same symbol table.  ``--des`` runs the
-discrete-event sim-time soundness pass (RL040-RL046).  ``--dim`` runs
-the physical-dimension/unit-scale inference pass (RL050-RL056).
-``--worklist`` (with any of ``--vec``/``--des``/``--dim``) switches to
-an exclusive mode
-that prints the ranked burn-down worklist (finding sites grouped per
-function) and exits 0; add ``--profile <manifest|BENCH_*.json>`` to
-rank entries by measured hotness joined from obs metrics.
+``--worklist`` (with ``--des`` and/or ``--dim``) switches to an
+exclusive mode that prints the ranked burn-down worklist (finding
+sites grouped per function) and exits 0; add ``--profile
+<manifest|BENCH_*.json>`` to rank entries by measured hotness joined
+from obs metrics.
 
 ``--jobs N`` lints files in N pool processes (per-file rules only —
 the flow passes need the whole program in one address space); finding
@@ -66,7 +64,11 @@ def run_lint(args: argparse.Namespace) -> int:
     start_time = time.perf_counter()
     start = pathlib.Path(args.paths[0]) if args.paths else pathlib.Path.cwd()
     root = pathlib.Path(args.root) if args.root else find_root(start)
-    config = load_config(root)
+    try:
+        config = load_config(root)
+    except ValueError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     paths = resolve_paths(args.paths, root)
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -77,16 +79,16 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
 
     if args.worklist:
-        if not (args.vec or args.des or args.dim):
+        if not (args.des or args.dim):
             print(
-                "repro lint: --worklist requires --vec, --des, and/or --dim",
+                "repro lint: --worklist requires --des and/or --dim",
                 file=sys.stderr,
             )
             return 2
         return _run_worklist(args, root, config, paths)
-    if args.profile and not (args.vec or args.des or args.dim):
+    if args.profile and not (args.des or args.dim):
         print(
-            "repro lint: --profile requires --vec, --des, and/or --dim",
+            "repro lint: --profile requires --des and/or --dim",
             file=sys.stderr,
         )
         return 2
@@ -95,7 +97,7 @@ def run_lint(args: argparse.Namespace) -> int:
     flow_stats = None
     # --flow is units + rng; every other flag names its pass.
     flow_passes = (("units", "rng") if args.flow else ()) + tuple(
-        name for name in ("par", "vec", "des", "dim") if getattr(args, name)
+        name for name in ("des", "dim") if getattr(args, name)
     )
     if flow_passes:
         from repro.lint.flow import analyze_paths
@@ -156,7 +158,7 @@ def _run_worklist(
 ) -> int:
     """Exclusive ``--worklist`` mode: print the ranked worklist.
 
-    Runs only the selected pass(es) — vec, des, or both (baselined
+    Runs only the selected pass(es) — des, dim, or both (baselined
     findings are still *real* targets — the worklist is the burn-down
     list, not the failure gate) and always exits 0 unless the profile
     is unreadable.
@@ -164,8 +166,7 @@ def _run_worklist(
     from repro.lint.flow import load_files, run_passes
     from repro.lint.flow.destime import DES_WORKLIST_CODES
     from repro.lint.flow.dims import DIM_WORKLIST_CODES
-    from repro.lint.flow.shapes import (
-        WORKLIST_CODES,
+    from repro.lint.flow.worklist import (
         build_worklist,
         load_profile,
         render_worklist,
@@ -180,7 +181,6 @@ def _run_worklist(
             return 2
     # Pass name -> (rule codes that name work, worklist title).
     worklists = {
-        "vec": (WORKLIST_CODES, "vectorization"),
         "des": (DES_WORKLIST_CODES, "DES-time"),
         "dim": (DIM_WORKLIST_CODES, "unit-scale"),
     }
@@ -286,41 +286,29 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "RNG taint RL013-015)",
     )
     parser.add_argument(
-        "--par",
-        action="store_true",
-        help="also run the parallelism-safety/cache-purity pass "
-        "(RL020-025); combines with --flow",
-    )
-    parser.add_argument(
-        "--vec",
-        action="store_true",
-        help="also run the numpy shape/dtype flow and vectorization-"
-        "readiness pass (RL030-036); combines with --flow/--par",
-    )
-    parser.add_argument(
         "--des",
         action="store_true",
         help="also run the discrete-event sim-time soundness pass "
-        "(RL040-046); combines with --flow/--par/--vec",
+        "(RL040-046); combines with --flow",
     )
     parser.add_argument(
         "--dim",
         action="store_true",
         help="also run the physical-dimension/unit-scale inference pass "
-        "(RL050-056); combines with --flow/--par/--vec/--des",
+        "(RL050-056); combines with --flow/--des",
     )
     parser.add_argument(
         "--profile",
         default=None,
         metavar="PATH",
         help="run manifest or BENCH_*.json whose metrics rank the "
-        "--worklist entries by measured hotness (requires --vec/--des/--dim)",
+        "--worklist entries by measured hotness (requires --des/--dim)",
     )
     parser.add_argument(
         "--worklist",
         action="store_true",
         help="print the ranked burn-down worklist instead of findings "
-        "and exit 0 (requires --vec, --des, and/or --dim)",
+        "and exit 0 (requires --des and/or --dim)",
     )
     parser.add_argument(
         "--jobs",
@@ -369,18 +357,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def list_rules() -> int:
-    from repro.lint.flow import (
-        DES_RULES,
-        DIM_RULES,
-        FLOW_RULES,
-        PAR_RULES,
-        VEC_RULES,
-    )
+    from repro.lint.flow import DES_RULES, DIM_RULES, FLOW_RULES
 
     catalog = {code: (cls.name, cls.summary) for code, cls in RULES.items()}
     catalog.update(FLOW_RULES)
-    catalog.update(PAR_RULES)
-    catalog.update(VEC_RULES)
     catalog.update(DES_RULES)
     catalog.update(DIM_RULES)
     for code in sorted(catalog):

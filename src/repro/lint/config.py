@@ -12,14 +12,16 @@ Settings live in ``pyproject.toml`` under ``[tool.repro-lint]``::
     dbmath-modules = ["repro.analysis.dbmath"]  # RL003's own home
     flow-unit-packages = ["repro.phy", "repro.mac"]  # RL012 scope
     flow-rng-packages = ["repro.phy", "repro.mac"]   # RL013/RL015 scope
-    par-packages = ["repro.campaign"]  # RL023-RL025 scope (--par)
     clock-modules = ["repro.obs.clock"]  # sanctioned clock shims
-    vec-packages = ["repro.phy"]       # RL030-RL036 scope (--vec)
     des-packages = ["repro.mac"]       # RL040-RL046 scope (--des)
     dim-packages = ["repro.phy"]       # RL053/RL055 scope (--dim)
 
     [tool.repro-lint.per-file-ignores]
     "src/repro/campaign/telemetry.py" = ["RL002"]
+
+An unknown key raises ``ValueError`` (``repro lint`` exits 2 naming
+it), so a misspelled or retired key never silently falls back to a
+default.
 
 TOML parsing uses the stdlib ``tomllib`` (Python 3.11+); on older
 interpreters without a toml parser the defaults below apply and a
@@ -31,7 +33,7 @@ from __future__ import annotations
 import fnmatch
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 try:  # pragma: no cover - exercised implicitly on py3.11+
@@ -55,8 +57,8 @@ DEFAULT_WALL_CLOCK_PACKAGES = (
 )
 
 #: The sanctioned clock shims — the only modules allowed to read the
-#: wall/monotonic clock.  RL002 skips them entirely and the --par
-#: cache-purity pass (RL022) treats calls into them as pure, so every
+#: wall/monotonic clock.  RL002 skips them entirely and the --des
+#: handler-purity check (RL043) treats calls into them as pure, so every
 #: *other* clock read in the tree still fires.
 DEFAULT_CLOCK_MODULES = ("repro.obs.clock",)
 
@@ -88,16 +90,6 @@ DEFAULT_FLOW_RNG_PACKAGES = (
     "repro.campaign",
 )
 
-#: Packages that orchestrate process pools and define campaign cells;
-#: RL023-RL025 (ordered reduction, Future handling, post-handoff
-#: mutation) apply here.  RL020-RL022 follow cells project-wide.
-DEFAULT_PAR_PACKAGES = ("repro.campaign", "repro.experiments")
-
-#: Packages holding the numpy kernels targeted by the vectorization
-#: arc; RL030-RL036 (shape/dtype flow, loop-growth, shape contracts)
-#: apply here (``--vec``).
-DEFAULT_VEC_PACKAGES = ("repro.phy", "repro.core", "repro.experiments")
-
 #: Packages that schedule simulator events and define event handlers;
 #: RL040-RL046 (delay soundness, timestamp drift, stale-now capture,
 #: handler purity, cache-invalidation typestate) apply here (``--des``).
@@ -124,9 +116,7 @@ class LintConfig:
     dbmath_modules: Tuple[str, ...] = DEFAULT_DBMATH_MODULES
     flow_unit_packages: Tuple[str, ...] = DEFAULT_FLOW_UNIT_PACKAGES
     flow_rng_packages: Tuple[str, ...] = DEFAULT_FLOW_RNG_PACKAGES
-    par_packages: Tuple[str, ...] = DEFAULT_PAR_PACKAGES
     clock_modules: Tuple[str, ...] = DEFAULT_CLOCK_MODULES
-    vec_packages: Tuple[str, ...] = DEFAULT_VEC_PACKAGES
     des_packages: Tuple[str, ...] = DEFAULT_DES_PACKAGES
     dim_packages: Tuple[str, ...] = DEFAULT_DIM_PACKAGES
 
@@ -170,7 +160,11 @@ def _strings(raw: object, default: Tuple[str, ...]) -> Tuple[str, ...]:
 
 
 def load_config(root: pathlib.Path) -> LintConfig:
-    """Load ``[tool.repro-lint]`` from ``root/pyproject.toml``."""
+    """Load ``[tool.repro-lint]`` from ``root/pyproject.toml``.
+
+    Raises ``ValueError`` naming any key that is not a
+    :class:`LintConfig` field (spelled with dashes).
+    """
     pyproject = root / "pyproject.toml"
     if _toml is None:  # pragma: no cover - py<3.11 without tomli
         print(
@@ -189,6 +183,13 @@ def load_config(root: pathlib.Path) -> LintConfig:
     section = data.get("tool", {}).get("repro-lint", {})
     if not isinstance(section, dict):
         return LintConfig()
+    known = {f.name.replace("_", "-") for f in fields(LintConfig)}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown [tool.repro-lint] key(s) in {pyproject}: "
+            + ", ".join(unknown)
+        )
     ignores_raw = section.get("per-file-ignores", {})
     ignores: Tuple[Tuple[str, frozenset], ...] = ()
     if isinstance(ignores_raw, dict):
@@ -214,9 +215,7 @@ def load_config(root: pathlib.Path) -> LintConfig:
         flow_rng_packages=_strings(
             section.get("flow-rng-packages"), DEFAULT_FLOW_RNG_PACKAGES
         ),
-        par_packages=_strings(section.get("par-packages"), DEFAULT_PAR_PACKAGES),
         clock_modules=_strings(section.get("clock-modules"), DEFAULT_CLOCK_MODULES),
-        vec_packages=_strings(section.get("vec-packages"), DEFAULT_VEC_PACKAGES),
         des_packages=_strings(section.get("des-packages"), DEFAULT_DES_PACKAGES),
         dim_packages=_strings(section.get("dim-packages"), DEFAULT_DIM_PACKAGES),
     )

@@ -7,16 +7,12 @@ then runs interprocedural passes on top of them:
   (RL010-RL012);
 * :mod:`repro.lint.flow.rngflow` — RNG-determinism taint tracking
   (RL013-RL015);
-* :mod:`repro.lint.flow.par` — parallelism-safety and cache-purity
-  analysis for the campaign engine (RL020-RL025, ``--par``);
-* :mod:`repro.lint.flow.shapes` — numpy shape/dtype inference and
-  vectorization-readiness lints (RL030-RL036, ``--vec``);
 * :mod:`repro.lint.flow.destime` — discrete-event sim-time and
   event-handler soundness (RL040-RL046, ``--des``);
 * :mod:`repro.lint.flow.dims` — physical-dimension and unit-scale
   inference (RL050-RL056, ``--dim``).
 
-units, dims and shapes run on one inference driver
+units and dims run on one inference driver
 (:mod:`repro.lint.flow.infer`).  :func:`run_passes` dispatches from
 the :data:`PASSES` table for both :func:`analyze_files` and
 ``repro lint --worklist``.  Findings pass the per-file rules' filter
@@ -37,9 +33,7 @@ from repro.lint.engine import Finding, FindingSink, iter_python_files, relative_
 from repro.lint.flow.callgraph import CallGraph, build_call_graph
 from repro.lint.flow.destime import DesPass
 from repro.lint.flow.dims import DimPass
-from repro.lint.flow.par import ParPass
 from repro.lint.flow.rngflow import RngPass
-from repro.lint.flow.shapes import VecPass
 from repro.lint.flow.symbols import ModuleInfo, SymbolTable, build_symbol_table
 from repro.lint.flow.units import UnitPass
 
@@ -69,66 +63,6 @@ FLOW_RULES: Dict[str, Tuple[str, str]] = {
     "RL015": (
         "rng-chain-dropped",
         "seeded generator not forwarded to a callee that accepts one",
-    ),
-}
-
-#: Rule catalog for the parallelism-safety pass (``--par``).
-PAR_RULES: Dict[str, Tuple[str, str]] = {
-    "RL020": (
-        "unpicklable-pool-callable",
-        "lambda/closure/bound method submitted to a process pool",
-    ),
-    "RL021": (
-        "shared-mutable-state-in-cell",
-        "campaign cell reads module-level mutable state mutated elsewhere",
-    ),
-    "RL022": (
-        "cache-key-impurity",
-        "cell reads env/file/clock input not captured by the spec hash",
-    ),
-    "RL023": (
-        "order-dependent-reduction",
-        "shard results merged in completion or unordered-set order",
-    ),
-    "RL024": (
-        "unhandled-broken-pool",
-        "Future.result() without a BrokenProcessPool/Exception handler",
-    ),
-    "RL025": (
-        "post-handoff-mutation",
-        "result object mutated after handoff to the cache/store layer",
-    ),
-}
-
-#: Rule catalog for the vectorization-readiness pass (``--vec``).
-VEC_RULES: Dict[str, Tuple[str, str]] = {
-    "RL030": (
-        "scalar-hot-loop",
-        "scalar python loop over a vectorizable domain doing float math",
-    ),
-    "RL031": (
-        "broadcast-shape-conflict",
-        "broadcast shape mismatch or silent rank promotion",
-    ),
-    "RL032": (
-        "dtype-drift",
-        "float64->float32 narrowing or complex->real truncation unannotated",
-    ),
-    "RL033": (
-        "array-growth-in-loop",
-        "np.append/concatenate or list-append-then-asarray grows arrays in a loop",
-    ),
-    "RL034": (
-        "python-float-roundtrip",
-        "float(...) coerces array elements to python scalars inside a loop",
-    ),
-    "RL035": (
-        "false-vectorization",
-        "np.vectorize or scalar-only math.* applied to arrays",
-    ),
-    "RL036": (
-        "missing-shape-contract",
-        "public array-returning API without a '# replint: shape=...' contract",
     ),
 }
 
@@ -200,8 +134,6 @@ DIM_RULES: Dict[str, Tuple[str, str]] = {
 PASSES = {
     "units": UnitPass,
     "rng": RngPass,
-    "par": ParPass,
-    "vec": VecPass,
     "des": DesPass,
     "dim": DimPass,
 }
@@ -317,8 +249,6 @@ __all__ = [
     "DES_RULES",
     "DIM_RULES",
     "FLOW_RULES",
-    "PAR_RULES",
-    "VEC_RULES",
     "PASSES",
     "PASS_NAMES",
     "FlowStats",

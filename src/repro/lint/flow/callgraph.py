@@ -64,9 +64,9 @@ class CallGraph:
     def reachable_from(self, qualname: str, limit: int = 512) -> List[str]:
         """Transitive callee qualnames from a function (BFS, bounded).
 
-        Used by the --vec worklist to attribute profile hotness: a
-        scalar loop is hot if *anything it calls into* is instrumented
-        hot, not just its own module.  Deterministic order (BFS over
+        Used by the ``--worklist`` ranking to attribute profile hotness:
+        a finding's function is hot if *anything it calls into* is
+        instrumented hot, not just its own module.  Deterministic order (BFS over
         call sites in source order); ``limit`` bounds pathological
         graphs, dropping the deepest entries.
         """

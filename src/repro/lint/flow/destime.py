@@ -21,7 +21,7 @@ contract the engine rewrite can be verified against:
   By the time the handler runs, simulated time has moved on.
 * **RL043** — wall-clock, process-global-RNG, or environment reads
   reachable from event-handler context (the callback-context-sensitive
-  extension of RL002/RL022): every ``schedule*`` callsite seeds a
+  extension of RL002): every ``schedule*`` callsite seeds a
   closure over the call graph, and anything impure inside it makes
   event outcomes depend on the host, not the seed.
 * **RL044** — cache-invalidation obligation: a write to device pose or
@@ -84,8 +84,8 @@ SNR_EVAL_NAMES = frozenset(
 )
 
 #: Wall-clock reads forbidden in event-handler context (RL043) — the
-#: RL002 set plus the monotonic/perf counters RL022 tolerates in
-#: telemetry but a handler must never consult.
+#: RL002 set plus the monotonic/perf counters telemetry may read but a
+#: handler must never consult.
 HANDLER_CLOCK_READS = frozenset(
     {
         "time.time",

@@ -1,6 +1,6 @@
-"""Shared inference driver for the units, dims and shapes passes.
+"""Shared inference driver for the units and dims passes.
 
-The three passes are one algorithm over three lattices: seed a
+The two passes are one algorithm over two lattices: seed a
 per-function environment from the parameters, bind assignments to a
 small fixpoint, summarize each function's ``return`` values, iterate
 those summaries over the call graph to a bounded fixpoint, then check.
@@ -45,8 +45,6 @@ class Summaries:
 class FunctionAnalysis:
     """Per-function environment builder and expression inferencer."""
 
-    #: ``ModuleInfo`` attribute holding this pass's line annotations.
-    annotations_attr = "unit_annotations"
     #: The "declared, carries nothing" element the summary skips.
     neutral: Any = None
 
@@ -108,7 +106,7 @@ class FunctionAnalysis:
                 binds.append((node.target.id, node.value, node.lineno))
             else:
                 self.bind_other(node, binds)
-        annotations = getattr(self.module, self.annotations_attr)
+        annotations = self.module.unit_annotations
         for _ in range(iterations):
             changed = False
             for name, value, lineno in binds:

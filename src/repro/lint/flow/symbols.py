@@ -33,16 +33,6 @@ from repro.lint.engine import ImportMap, module_name_for, parse_suppressions
 #: ``# replint: unit=dB`` / ``unit=linear`` annotation on a source line.
 UNIT_ANNOTATION_RE = re.compile(r"#\s*replint:\s*unit=([A-Za-z\-]+)")
 
-#: ``# replint: shape=(n,)`` / ``shape=scalar`` / ``shape=input``
-#: annotation — the shape contract consumed by the --vec pass (RL036)
-#: and the runtime shape checker in :mod:`repro.sanitize`.  May share
-#: a comment with ``unit=``: ``# replint: unit=dBi shape=(points,)``.
-SHAPE_ANNOTATION_RE = re.compile(r"#\s*replint:[^\n]*?\bshape=([^\s#]+)")
-
-#: ``# replint: dtype=float32`` — blesses a deliberate dtype narrowing
-#: or complex→real truncation on the annotated line (RL032).
-DTYPE_ANNOTATION_RE = re.compile(r"#\s*replint:[^\n]*?\bdtype=([A-Za-z0-9_]+)")
-
 
 @dataclass
 class ParamInfo:
@@ -67,9 +57,6 @@ class FunctionInfo:
     #: Declared return unit from a ``# replint: unit=...`` def-line
     #: annotation ("" when absent).
     unit_annotation: str = ""
-    #: Declared return-shape contract from a ``# replint: shape=...``
-    #: def-line annotation ("" when absent).
-    shape_annotation: str = ""
     #: Source text of the ``->`` return annotation ("" when absent).
     return_annotation: str = ""
 
@@ -124,10 +111,6 @@ class ModuleInfo:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: line number -> declared unit from ``# replint: unit=...``.
     unit_annotations: Dict[int, str] = field(default_factory=dict)
-    #: line number -> declared shape from ``# replint: shape=...``.
-    shape_annotations: Dict[int, str] = field(default_factory=dict)
-    #: line number -> blessed dtype from ``# replint: dtype=...``.
-    dtype_annotations: Dict[int, str] = field(default_factory=dict)
     #: line number -> codes named by ``# replint: disable=...``.
     suppressions: Dict[int, frozenset] = field(default_factory=dict)
     lines: List[str] = field(default_factory=list)
@@ -208,8 +191,6 @@ class SymbolTable:
             tree=tree,
             imports=ImportMap.scan(tree),
             unit_annotations=_scan_annotations(lines, UNIT_ANNOTATION_RE),
-            shape_annotations=_scan_annotations(lines, SHAPE_ANNOTATION_RE),
-            dtype_annotations=_scan_annotations(lines, DTYPE_ANNOTATION_RE),
             suppressions=parse_suppressions(lines),
             lines=lines,
         )
@@ -253,15 +234,6 @@ class SymbolTable:
                 returns = ast.unparse(node.returns)
             except (ValueError, AttributeError):  # pragma: no cover
                 returns = _dotted(node.returns)
-        # A multi-line signature may carry the annotation on any line
-        # between ``def`` and the first body statement (typically the
-        # closing ``) -> np.ndarray:`` line).
-        shape_annotation = ""
-        body_start = node.body[0].lineno if node.body else node.lineno + 1
-        for lineno in range(node.lineno, body_start):
-            if lineno in module.shape_annotations:
-                shape_annotation = module.shape_annotations[lineno]
-                break
         return FunctionInfo(
             qualname=f"{prefix}{node.name}",
             module=module.name,
@@ -271,7 +243,6 @@ class SymbolTable:
             class_name=class_name,
             decorators=decorators,
             unit_annotation=module.unit_annotations.get(node.lineno, ""),
-            shape_annotation=shape_annotation,
             return_annotation=returns,
         )
 

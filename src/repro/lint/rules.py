@@ -10,8 +10,8 @@ swallowed simulator errors.
 
 These per-file rules compose with the whole-program passes in
 :mod:`repro.lint.flow`: unit inference (RL010-RL012), RNG taint
-(RL013-RL015), parallelism safety (RL020-RL025), and the numpy
-shape/dtype vectorization-readiness pass (RL030-RL036, ``--vec``).
+(RL013-RL015), DES sim-time soundness (RL040-RL046, ``--des``), and
+physical-dimension inference (RL050-RL056, ``--dim``).
 """
 
 from __future__ import annotations

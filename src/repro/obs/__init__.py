@@ -11,7 +11,7 @@ internals.  It provides:
   deterministically across campaign workers into the v2 run manifest;
 * :mod:`repro.obs.clock` — the single sanctioned clock shim (the only
   module allowed to read wall/monotonic time; everything else is
-  policed by lint rules RL002/RL022);
+  policed by lint rule RL002);
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — the Perfetto
   exporter and the ``repro obs report`` summary.
 

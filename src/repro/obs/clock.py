@@ -4,7 +4,7 @@ Simulation and campaign code must never call :func:`time.time`,
 :func:`time.perf_counter`, etc. directly: wall-clock reads in the
 physics/MAC layers are nondeterminism bugs (lint rule RL002), and
 clock reads inside cache-keyed cells make cached results unsound
-(RL022).  Observability, however, legitimately needs real timestamps
+(``repro campaign verify`` audits for them).  Observability, however, legitimately needs real timestamps
 for span durations and run manifests.
 
 This module is that single sanctioned doorway.  It is exempted *by

@@ -33,7 +33,6 @@ import numpy as np
 from repro import obs
 from repro.analysis.dbmath import db_to_linear, db_to_linear_scalar, linear_to_db
 from repro.geometry.units import deg_wrap_180
-from repro.sanitize import shape_contract
 
 #: Speed of light in vacuum, m/s.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -69,8 +68,7 @@ class AntennaPattern:
         self._gain = gains_dbi[order]
         # np.interp needs the query inside the grid span; extend the
         # grid by one wrapped point on each side for periodicity.
-        # Precomputed here: rebuilding it per gain_dbi call was the
-        # vec pass's first confirmed RL033 catch.
+        # Precomputed here rather than rebuilt on every gain_dbi call.
         two_pi = 2.0 * math.pi
         self._az_ext = np.concatenate((
             [self._az[-1] - two_pi], self._az, [self._az[0] + two_pi],
@@ -84,16 +82,16 @@ class AntennaPattern:
             arr.setflags(write=False)
 
     @property
-    def azimuths(self) -> np.ndarray:  # replint: shape=(grid,)
+    def azimuths(self) -> np.ndarray:
         """Grid angles in radians (sorted ascending)."""
         return self._az.copy()
 
     @property
-    def gains_dbi(self) -> np.ndarray:  # replint: unit=dBi shape=(grid,)
+    def gains_dbi(self) -> np.ndarray:  # replint: unit=dBi
         """Gain at each grid angle, in dBi."""
         return self._gain.copy()
 
-    def gain_dbi(self, azimuth_rad):  # replint: unit=dBi shape=input
+    def gain_dbi(self, azimuth_rad):  # replint: unit=dBi
         """Gain toward one direction or an array of directions, in dBi.
 
         Periodic linear interpolation on the stored grid.  A python
@@ -123,8 +121,7 @@ class AntennaPattern:
         """Maximum gain over all directions."""
         return float(np.max(self._gain))
 
-    @shape_contract("(grid,)")
-    def normalized_db(self) -> np.ndarray:  # replint: unit=dB shape=(grid,)
+    def normalized_db(self) -> np.ndarray:  # replint: unit=dB
         """Pattern relative to its own peak (0 dB at the main lobe)."""
         return self._gain - self.peak_gain_dbi()
 
@@ -248,7 +245,7 @@ class PhaseShifterModel:
 
     bits: Optional[int] = 2
 
-    def quantize(self, phases_rad: np.ndarray) -> np.ndarray:  # replint: shape=input
+    def quantize(self, phases_rad: np.ndarray) -> np.ndarray:
         """Snap ideal phases to the nearest realizable setting."""
         if self.bits is None:
             return phases_rad
@@ -404,12 +401,10 @@ class PhasedArray:
         return self._lambda
 
     @property
-    @shape_contract("(elements,2)")
-    def element_positions(self) -> np.ndarray:  # replint: shape=(elements,2)
+    def element_positions(self) -> np.ndarray:
         return self._positions.copy()
 
-    @shape_contract("(elements,)")
-    def steering_phases(self, azimuth_rad: float) -> np.ndarray:  # replint: shape=(elements,)
+    def steering_phases(self, azimuth_rad: float) -> np.ndarray:
         """Ideal per-element phases that focus the beam at ``azimuth_rad``."""
         k = 2.0 * math.pi / self._lambda
         x = self._positions[:, 0]

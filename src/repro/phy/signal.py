@@ -88,7 +88,7 @@ class Trace:
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 
-    def times(self) -> np.ndarray:  # replint: shape=(samples,)
+    def times(self) -> np.ndarray:
         """Absolute time of every sample."""
         return self.start_s + np.arange(self.samples.size) / self.sample_rate_hz
 

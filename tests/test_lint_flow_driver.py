@@ -18,8 +18,6 @@ def _module(path, src):
 EXPECTED = {
     "units": "RL012",
     "rng": "RL013",
-    "par": "RL020",
-    "vec": "RL033",
     "des": "RL040",
     "dim": "RL050",
 }
@@ -38,25 +36,6 @@ PROJECT = [
         def sample():
             rng = np.random.default_rng(7)
             return rng.normal()
-    """),
-    # par: a lambda submitted to a process pool
-    _module("src/repro/phy/fan.py", """
-        from concurrent.futures import ProcessPoolExecutor
-
-
-        def fan_out(items):
-            with ProcessPoolExecutor() as pool:
-                return [pool.submit(lambda x: x + 1, i) for i in items]
-    """),
-    # vec: np.append growing an array in a loop
-    _module("src/repro/phy/grow.py", """
-        import numpy as np
-
-        def _grow(xs):  # replint: shape=any
-            out = np.zeros(0)
-            for x in xs:
-                out = np.append(out, x)
-            return out
     """),
     # des: a negative schedule delay
     _module("src/repro/mac/timer.py", """
@@ -82,7 +61,7 @@ def _run(passes):
 class TestPassTable:
     def test_pass_names_follow_the_table(self):
         assert PASS_NAMES == tuple(PASSES) == (
-            "units", "rng", "par", "vec", "des", "dim"
+            "units", "rng", "des", "dim"
         )
 
 

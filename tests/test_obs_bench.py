@@ -252,14 +252,14 @@ class TestBenchCli:
 
 class TestWorklistProfileIntegration:
     def test_bench_doc_flattens_to_suite_keys(self, tmp_path):
-        from repro.lint.flow.shapes import load_profile
+        from repro.lint.flow.worklist import load_profile
 
         path = tmp_path / "BENCH_core.json"
         write_bench(path, "core", [bench_entry("rate", 5.0, "1/s", "higher")])
         assert load_profile(path) == {"bench.core.rate": 5.0}
 
     def test_manifest_flattens_counters_and_profile_counts(self, tmp_path):
-        from repro.lint.flow.shapes import load_profile
+        from repro.lint.flow.worklist import load_profile
 
         manifest = {
             "schema_version": 3,

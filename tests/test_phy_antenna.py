@@ -244,8 +244,8 @@ def _reference_scalar_gain(pattern: AntennaPattern, azimuth_rad: float) -> float
     """The historical scalar-only gain_dbi, rebuilt per call.
 
     The wrapped-grid extension used to be concatenated on every query;
-    the vectorization pass (RL033) motivated hoisting it into
-    ``__init__``.  This reference pins the byte-identical contract.
+    it is now hoisted into ``__init__``.  This reference pins the
+    byte-identical contract.
     """
     two_pi = 2.0 * math.pi
     az_grid = pattern.azimuths
@@ -310,3 +310,12 @@ class TestGainDbiArrayInput:
         out = p.gain_dbi(np.zeros(0))
         assert isinstance(out, np.ndarray)
         assert out.shape == (0,)
+
+
+class TestOutputShapes:
+    def test_eight_element_ula_shapes(self):
+        ula = UniformLinearArray(8, FREQ)
+        pattern = ula.steered_pattern(0.2)
+        assert pattern.normalized_db().shape == pattern.azimuths.shape
+        assert ula.element_positions.shape == (8, 2)
+        assert ula.steering_phases(0.1).shape == (8,)

@@ -183,102 +183,6 @@ class TestCli:
         assert "0 violation(s)" in proc.stdout
 
 
-class TestShapeContract:
-    def test_conforming_return_is_silent(self, sanitizer):
-        @sanitize.shape_contract("(n,2)")
-        def positions():
-            return np.zeros((5, 2))
-
-        positions()
-        assert sanitizer.violations() == []
-
-    def test_rank_mismatch_recorded(self, sanitizer):
-        @sanitize.shape_contract("(n,2)")
-        def flat():
-            return np.zeros(5)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sanitize.SanitizerWarning)
-            flat()
-        hits = sanitizer.violations()
-        assert [v.check for v in hits] == ["shape-contract"]
-        assert "rank" in hits[0].message
-
-    def test_concrete_dim_mismatch_recorded(self, sanitizer):
-        @sanitize.shape_contract("(n,2)")
-        def wide():
-            return np.zeros((5, 3))
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sanitize.SanitizerWarning)
-            wide()
-        assert "axis 1" in sanitizer.violations()[0].message
-
-    def test_same_name_dims_must_agree(self, sanitizer):
-        @sanitize.shape_contract("(n,n)")
-        def rect():
-            return np.zeros((3, 4))
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sanitize.SanitizerWarning)
-            rect()
-        assert "disagree" in sanitizer.violations()[0].message
-
-    def test_scalar_contract_rejects_arrays(self, sanitizer):
-        @sanitize.shape_contract("scalar")
-        def level():
-            return np.zeros(3)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sanitize.SanitizerWarning)
-            level()
-        assert sanitizer.violations()[0].check == "shape-contract"
-
-    def test_input_contract_is_presence_only(self, sanitizer):
-        @sanitize.shape_contract("input")
-        def passthrough(x):
-            return x
-
-        passthrough(np.zeros((2, 2)))
-        passthrough(1.0)
-        assert sanitizer.violations() == []
-
-    def test_disabled_sanitizer_skips_checks(self):
-        @sanitize.shape_contract("(n,2)")
-        def flat():
-            return np.zeros(5)
-
-        assert not sanitize.is_enabled()
-        flat()  # must not warn or record
-        assert sanitize.violations() == []
-
-    def test_raise_mode_raises_at_call_site(self):
-        @sanitize.shape_contract("scalar")
-        def level():
-            return np.zeros(3)
-
-        sanitize.enable("raise")
-        try:
-            with pytest.raises(sanitize.SanitizerError):
-                level()
-        finally:
-            sanitize.disable()
-            sanitize.clear_violations()
-
-    def test_decorated_phy_apis_pass_on_real_data(self, sanitizer):
-        from repro.phy.antenna import UniformLinearArray
-
-        ula = UniformLinearArray(8, frequency_hz=60.48e9)
-        pattern = ula.steered_pattern(0.2)
-        pattern.normalized_db()
-        _ = ula.element_positions
-        ula.steering_phases(0.1)
-        shape_hits = [
-            v for v in sanitizer.violations() if v.check == "shape-contract"
-        ]
-        assert shape_hits == []
-
-
 class TestSimTimeAudit:
     def test_audit_installed_and_removed_with_sanitizer(self):
         from repro.mac import simulator as simulator_mod
