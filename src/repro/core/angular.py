@@ -85,7 +85,10 @@ def measure_angular_profile(
             and RX lobes because ACKs flow back).
         vubiq_factory: Callable ``(position, boresight_rad) ->
             VubiqReceiver``; lets the caller wire in a ray tracer and
-            budget once.
+            budget once.  Called once per location, with the stage's
+            first orientation; the returned receiver's horn is then
+            swept through every orientation of the stage, so nothing
+            but the horn's pointing may depend on the boresight.
         stage: Rotation stage (default: 72 steps, i.e. 5-degree
             resolution).
         kind: Frame kind whose power is integrated.
@@ -94,13 +97,10 @@ def measure_angular_profile(
         The assembled :class:`AngularProfile`.
     """
     stage = stage if stage is not None else RotationStage(steps=72)
-    orientations = []
-    powers = []
-    for orientation in stage.orientations():
-        vubiq: VubiqReceiver = vubiq_factory(location, orientation)
-        contributions = [vubiq.received_power_dbm(dev, kind) for dev in devices]
-        orientations.append(orientation)
-        powers.append(power_sum_db(contributions))
+    orientations = list(stage.orientations())
+    vubiq: VubiqReceiver = vubiq_factory(location, orientations[0])
+    sweeps = [vubiq.received_power_sweep_dbm(dev, orientations, kind) for dev in devices]
+    powers = [power_sum_db([sweep[i] for sweep in sweeps]) for i in range(len(orientations))]
     return AngularProfile(
         orientations_rad=np.asarray(orientations),
         power_dbm=np.asarray(powers),

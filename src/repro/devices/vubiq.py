@@ -18,7 +18,7 @@ reflected path — and renders it into a sampled :class:`Trace`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class VubiqReceiver:
 
     # -- power computation ------------------------------------------------
 
-    def _horn_gain_dbi(self, arrival_bearing_rad: float) -> float:
-        """Horn gain for energy arriving from a global bearing."""
-        return self.antenna.gain_toward(arrival_bearing_rad - self.boresight_rad)
-
     def received_power_dbm(
         self,
         device: RadioDevice,
@@ -89,27 +85,69 @@ class VubiqReceiver:
         """Power received from a device transmitting a frame kind.
 
         With a ray tracer, powers of all resolvable paths add; without
-        one, the free-space LOS path is used.
+        one, the free-space LOS path is used.  The single-boresight case
+        of :meth:`received_power_sweep_dbm`.
         """
-        tx_power = device.tx_power_for(kind)
+        return self.received_power_sweep_dbm(
+            device, (self.boresight_rad,), kind, subelement
+        )[0]
+
+    def received_power_sweep_dbm(
+        self,
+        device: RadioDevice,
+        boresights_rad: Sequence[float],
+        kind: FrameKind = FrameKind.DATA,
+        subelement: Optional[int] = None,
+    ) -> List[float]:
+        """:meth:`received_power_dbm` with the horn at each boresight.
+
+        Only the horn's orientation changes between the returned powers,
+        so the room is traced, and each path's transmit gain and arrival
+        bearing computed, once for the whole sweep.
+        """
+        tx_power_offset = device.tx_power_for(kind) - self.budget.tx_power_dbm
+        gain_toward = self.antenna.gain_toward
         if self.tracer is None:
             distance = device.position.distance_to(self.position)
             tx_gain = device.tx_gain_dbi(self.position, kind, subelement)
-            rx_gain = self._horn_gain_dbi((device.position - self.position).angle())
-            power = self.budget.received_power_dbm(distance, tx_gain, rx_gain)
-            return power + (tx_power - self.budget.tx_power_dbm) + self.extra_gain_db
+            bearing = (device.position - self.position).angle()
+            return [
+                self.budget.received_power_dbm(
+                    distance, tx_gain, gain_toward(bearing - boresight)
+                )
+                + tx_power_offset
+                + self.extra_gain_db
+                for boresight in boresights_rad
+            ]
         paths = self.tracer.trace(device.position, self.position)
         if not paths:
-            return -300.0
-        contributions = []
-        for path in paths:
-            # TX gain at the departure angle of this specific path.
-            departure = device.position + Vec2.unit(path.departure_angle_rad())
-            tx_gain = device.tx_gain_dbi(departure, kind, subelement)
-            rx_gain = self._horn_gain_dbi(path.arrival_angle_rad())
-            power = path.received_power_dbm(self.budget, tx_gain, rx_gain)
-            contributions.append(power + (tx_power - self.budget.tx_power_dbm))
-        return power_sum_db(contributions) + self.extra_gain_db
+            return [-300.0] * len(boresights_rad)
+        # (path, TX gain at the departure angle of that path, arrival bearing)
+        legs = [
+            (
+                path,
+                device.tx_gain_dbi(
+                    device.position + Vec2.unit(path.departure_angle_rad()),
+                    kind,
+                    subelement,
+                ),
+                path.arrival_angle_rad(),
+            )
+            for path in paths
+        ]
+        return [
+            power_sum_db(
+                [
+                    path.received_power_dbm(
+                        self.budget, tx_gain, gain_toward(arrival - boresight)
+                    )
+                    + tx_power_offset
+                    for path, tx_gain, arrival in legs
+                ]
+            )
+            + self.extra_gain_db
+            for boresight in boresights_rad
+        ]
 
     # -- trace generation ------------------------------------------------
 
@@ -126,6 +164,17 @@ class VubiqReceiver:
         staircase amplitude structure of Figure 3.
         """
         out: List[Emission] = []
+        # A frame's power depends only on (source, kind, sub-element).
+        powers: Dict[Tuple[str, FrameKind, Optional[int]], float] = {}
+
+        def power_of(
+            device: RadioDevice, rec: FrameRecord, subelement: Optional[int] = None
+        ) -> float:
+            key = (rec.source, rec.kind, subelement)
+            if key not in powers:
+                powers[key] = self.received_power_dbm(device, rec.kind, subelement)
+            return powers[key]
+
         for rec in records:
             device = devices.get(rec.source)
             if device is None:
@@ -134,7 +183,7 @@ class VubiqReceiver:
                 n = DISCOVERY_SUBELEMENTS
                 sub_duration = rec.duration_s / n
                 for i in range(n):
-                    power = self.received_power_dbm(device, rec.kind, subelement=i)
+                    power = power_of(device, rec, i)
                     if power < MIN_DETECTABLE_DBM:
                         continue
                     out.append(
@@ -147,7 +196,7 @@ class VubiqReceiver:
                         )
                     )
                 continue
-            power = self.received_power_dbm(device, rec.kind)
+            power = power_of(device, rec)
             if power < MIN_DETECTABLE_DBM:
                 continue
             out.append(

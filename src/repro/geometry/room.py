@@ -50,6 +50,9 @@ class Room:
         self._obstacles: List[Obstacle] = list(obstacles)
         if not self._walls and not self._obstacles:
             raise ValueError("a room needs at least one wall or obstacle")
+        self._surfaces: Tuple[Segment, ...] = tuple(self._walls) + tuple(
+            o.segment for o in self._obstacles
+        )
 
     @property
     def walls(self) -> Sequence[Segment]:
@@ -62,11 +65,12 @@ class Room:
     @property
     def surfaces(self) -> Tuple[Segment, ...]:
         """All reflective/blocking segments (walls + obstacle plates)."""
-        return tuple(self._walls) + tuple(o.segment for o in self._obstacles)
+        return self._surfaces
 
     def add_obstacle(self, obstacle: Obstacle) -> None:
         """Place an additional obstacle into the room."""
         self._obstacles.append(obstacle)
+        self._surfaces += (obstacle.segment,)
 
     def first_hit(
         self,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.experiments.beam_patterns import (
     PatternMetrics,
     measure_discovery_patterns,
@@ -109,6 +110,18 @@ class TestFigures18and19Reflections:
         full = measure_room_profiles("d5000", steps=48, max_order=2)
         reduced = measure_room_profiles("d5000", steps=48, max_order=1)
         assert reduced.total_reflection_lobes() <= full.total_reflection_lobes()
+
+    def test_each_transmitter_traced_once_per_location(self):
+        obs.reset()
+        obs.enable(metrics=True)
+        try:
+            measure_room_profiles("d5000", steps=72)
+            snap = obs.metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        # Two devices at the paper's six locations; not one per step.
+        assert snap["counters"]["phy.raytracing.traces"] == 2 * len(LOCATION_LABELS)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from repro.geometry.materials import MATERIALS, Material, get_material
 from repro.geometry.room import Obstacle, Room, conference_room, measurement_locations
 from repro.geometry.segments import Segment
 from repro.geometry.vec import Vec2
+from repro.phy.raytracing import RayTracer
 
 
 class TestMaterials:
@@ -63,6 +64,16 @@ class TestVisibility:
         room = Room.rectangular(10.0, 10.0)
         room.add_obstacle(Obstacle.plate(Vec2(5, 0.5), Vec2(5, 9.5), material="metal"))
         assert not room.path_is_clear(Vec2(1, 5), Vec2(9, 5))
+
+    def test_added_obstacle_joins_surfaces_and_blocks_later_traces(self):
+        room = Room.rectangular(10.0, 10.0)
+        tracer = RayTracer(room, max_order=0)
+        tx, rx = Vec2(1, 5), Vec2(9, 5)
+        assert len(tracer.trace(tx, rx)) == 1
+        plate = Obstacle.plate(Vec2(5, 0.5), Vec2(5, 9.5), material="metal")
+        room.add_obstacle(plate)
+        assert room.surfaces == tuple(room.walls) + (plate.segment,)
+        assert tracer.trace(tx, rx) == []
 
     def test_ignored_segment_does_not_block(self):
         room = Room.rectangular(10.0, 10.0)

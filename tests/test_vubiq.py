@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.devices.vubiq import VubiqReceiver
+from repro.analysis.dbmath import power_sum_db
+from repro.devices.rotation import RotationStage
+from repro.devices.vubiq import MIN_DETECTABLE_DBM, VubiqReceiver
 from repro.geometry.materials import get_material
 from repro.geometry.room import Room
 from repro.geometry.segments import Segment
@@ -13,6 +17,7 @@ from repro.geometry.vec import Vec2
 from repro.mac.frames import DISCOVERY_SUBELEMENTS, FrameKind, FrameRecord
 from repro.phy.antenna import open_waveguide, standard_horn_25dbi
 from repro.phy.raytracing import RayTracer
+from repro.phy.signal import received_amplitude_v
 
 
 @pytest.fixture()
@@ -70,6 +75,64 @@ class TestPowerComputation:
         tracer = RayTracer(room, max_order=0)
         v = VubiqReceiver(Vec2(0.5, 0.5), tracer=tracer).pointed_at(laptop.position)
         assert v.received_power_dbm(laptop) == -300.0
+        assert v.received_power_sweep_dbm(laptop, [0.0, 1.0, 2.0]) == [-300.0] * 3
+
+
+def reference_power_dbm(vubiq, device, kind, subelement=None):
+    """The per-orientation power computation the sweep replaced."""
+    offset = device.tx_power_for(kind) - vubiq.budget.tx_power_dbm
+    if vubiq.tracer is None:
+        distance = device.position.distance_to(vubiq.position)
+        tx_gain = device.tx_gain_dbi(vubiq.position, kind, subelement)
+        bearing = (device.position - vubiq.position).angle()
+        rx_gain = vubiq.antenna.gain_toward(bearing - vubiq.boresight_rad)
+        power = vubiq.budget.received_power_dbm(distance, tx_gain, rx_gain)
+        return power + offset + vubiq.extra_gain_db
+    paths = vubiq.tracer.trace(device.position, vubiq.position)
+    if not paths:
+        return -300.0
+    contributions = []
+    for path in paths:
+        departure = device.position + Vec2.unit(path.departure_angle_rad())
+        tx_gain = device.tx_gain_dbi(departure, kind, subelement)
+        rx_gain = vubiq.antenna.gain_toward(path.arrival_angle_rad() - vubiq.boresight_rad)
+        contributions.append(path.received_power_dbm(vubiq.budget, tx_gain, rx_gain) + offset)
+    return power_sum_db(contributions) + vubiq.extra_gain_db
+
+
+#: A mixed-material room around the trained pair at (0, 0) and (2, 0).
+SWEEP_ROOM = Room.rectangular(
+    4.0, 3.0, materials=["metal", "glass", "brick", "wood"], origin=Vec2(-1.0, -1.0)
+)
+SWEEP_BORESIGHTS = list(RotationStage(steps=72).orientations())
+
+
+class TestPowerSweep:
+    """A sweep equals, bit for bit, one rotated receiver per boresight."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        x=st.floats(-0.8, 2.8),
+        y=st.floats(-0.8, 1.8),
+        traced=st.booleans(),
+        extra_gain_db=st.floats(0.0, 45.0),
+    )
+    def test_sweep_matches_rotated_receivers(self, trained_pair, x, y, traced, extra_gain_db):
+        dock, laptop = trained_pair
+        position = Vec2(x, y)
+        assume(min(position.distance_to(d.position) for d in trained_pair) > 0.05)
+        vubiq = VubiqReceiver(
+            position,
+            antenna=standard_horn_25dbi(),
+            extra_gain_db=extra_gain_db,
+            tracer=RayTracer(SWEEP_ROOM, max_order=2) if traced else None,
+        )
+        cases = [(laptop, FrameKind.DATA, None), (dock, FrameKind.DISCOVERY, 5)]
+        for device, kind, subelement in cases:
+            sweep = vubiq.received_power_sweep_dbm(device, SWEEP_BORESIGHTS, kind, subelement)
+            rotated = [vubiq.rotated_to(b) for b in SWEEP_BORESIGHTS]
+            assert sweep == [v.received_power_dbm(device, kind, subelement) for v in rotated]
+            assert sweep == [reference_power_dbm(v, device, kind, subelement) for v in rotated]
 
 
 class TestEmissionRendering:
@@ -91,6 +154,26 @@ class TestEmissionRendering:
         for em, rec in zip(ems, recs):
             assert em.start_s == rec.start_s
             assert em.duration_s == rec.duration_s
+
+    def test_emission_powers_match_per_frame_evaluation(self, trained_pair):
+        dock, laptop = trained_pair
+        devices = {d.name: d for d in trained_pair}
+        v = VubiqReceiver(Vec2(1, 1), extra_gain_db=25.0).pointed_at(dock.position)
+        recs = self._records() + self._records(source=dock.name) + [
+            FrameRecord(1e-3, 1e-3, dock.name, "", FrameKind.DISCOVERY)
+        ]
+        expected = []
+        for rec in recs:
+            device = devices[rec.source]
+            if rec.kind == FrameKind.DISCOVERY:
+                powers = [
+                    v.received_power_dbm(device, rec.kind, i)
+                    for i in range(DISCOVERY_SUBELEMENTS)
+                ]
+            else:
+                powers = [v.received_power_dbm(device, rec.kind)]
+            expected += [received_amplitude_v(p) for p in powers if p >= MIN_DETECTABLE_DBM]
+        assert [e.amplitude_v for e in v.emissions_for(recs, devices)] == expected
 
     def test_unknown_sources_skipped(self, receiver, trained_pair):
         devices = {d.name: d for d in trained_pair}
