@@ -208,8 +208,8 @@ class CampaignRunner:
         profile: Additionally attribute per-event wall time to DES
             handler qualnames inside the workers; the per-cell
             profiles merge (expansion order) into the manifest's
-            ``profile`` section for ``repro obs top`` / ``obs diff``
-            and the lint worklist.  Implies ``metrics``.
+            ``profile`` section for ``repro obs top`` / ``obs diff``.
+            Implies ``metrics``.
     """
 
     def __init__(

@@ -24,8 +24,7 @@ PathLike = Union[str, pathlib.Path]
 #: ``metrics`` section (deterministic merged obs counters) and the
 #: ``spans_file`` pointer to the Chrome trace-event export.  v3 adds
 #: the ``profile`` section (merged handler attribution + span
-#: self-time aggregates consumed by ``repro obs top`` / ``obs diff``
-#: and ``repro lint --worklist --profile``).
+#: self-time aggregates consumed by ``repro obs top`` / ``obs diff``).
 MANIFEST_SCHEMA_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"

@@ -4,9 +4,7 @@ The toolkit's quantities live in a handful of scales — road-sign km/h
 vs SI m/s for vehicle speeds, the paper's figure degrees vs the math
 library's radians for angles — and every conversion between them goes
 through this module so the change of scale is *named* at the call
-site and visible to ``repro lint --dim`` (the RL050-RL056 pass keys
-its inference on these helpers by name).  Inline ``/3.6``-style magic
-constants fire RL056.
+site rather than hidden in an inline ``/3.6``-style magic constant.
 """
 
 from __future__ import annotations

@@ -10,17 +10,8 @@ Exit codes (stable, for CI):
 ``--flow`` additionally runs the whole-program passes
 (:mod:`repro.lint.flow`): symbol table + call graph construction, then
 interprocedural dB/linear unit inference (RL010-RL012) and RNG taint
-tracking (RL013-RL015).  ``--des`` runs the discrete-event sim-time
-soundness pass (RL040-RL046) and ``--dim`` the physical-dimension/
-unit-scale inference pass (RL050-RL056) over the same symbol table;
-the flags combine freely.  Flow findings merge into the same output,
+tracking (RL013-RL015).  Flow findings merge into the same output,
 baseline, and exit-code machinery as the per-file rules.
-
-``--worklist`` (with ``--des`` and/or ``--dim``) switches to an
-exclusive mode that prints the ranked burn-down worklist (finding
-sites grouped per function) and exits 0; add ``--profile
-<manifest|BENCH_*.json>`` to rank entries by measured hotness joined
-from obs metrics.
 
 ``--jobs N`` lints files in N pool processes (per-file rules only —
 the flow passes need the whole program in one address space); finding
@@ -78,33 +69,12 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    if args.worklist:
-        if not (args.des or args.dim):
-            print(
-                "repro lint: --worklist requires --des and/or --dim",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_worklist(args, root, config, paths)
-    if args.profile and not (args.des or args.dim):
-        print(
-            "repro lint: --profile requires --des and/or --dim",
-            file=sys.stderr,
-        )
-        return 2
-
     findings = lint_paths(paths, root, config, jobs=max(1, args.jobs))
     flow_stats = None
-    # --flow is units + rng; every other flag names its pass.
-    flow_passes = (("units", "rng") if args.flow else ()) + tuple(
-        name for name in ("des", "dim") if getattr(args, name)
-    )
-    if flow_passes:
+    if args.flow:
         from repro.lint.flow import analyze_paths
 
-        flow_findings, flow_stats = analyze_paths(
-            paths, root, config, passes=flow_passes
-        )
+        flow_findings, flow_stats = analyze_paths(paths, root, config)
         findings = sorted([*findings, *flow_findings], key=Finding.sort_key)
     baseline_path = root / config.baseline
 
@@ -148,74 +118,6 @@ def run_lint(args: argparse.Namespace) -> int:
         if args.stats:
             _print_stats(findings, paths, config, duration_s, flow_stats)
     return 1 if findings else 0
-
-
-def _run_worklist(
-    args: argparse.Namespace,
-    root: pathlib.Path,
-    config,
-    paths: List[pathlib.Path],
-) -> int:
-    """Exclusive ``--worklist`` mode: print the ranked worklist.
-
-    Runs only the selected pass(es) — des, dim, or both (baselined
-    findings are still *real* targets — the worklist is the burn-down
-    list, not the failure gate) and always exits 0 unless the profile
-    is unreadable.
-    """
-    from repro.lint.flow import load_files, run_passes
-    from repro.lint.flow.destime import DES_WORKLIST_CODES
-    from repro.lint.flow.dims import DIM_WORKLIST_CODES
-    from repro.lint.flow.worklist import (
-        build_worklist,
-        load_profile,
-        render_worklist,
-    )
-
-    profile = None
-    if args.profile:
-        try:
-            profile = load_profile(pathlib.Path(args.profile))
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-    # Pass name -> (rule codes that name work, worklist title).
-    worklists = {
-        "des": (DES_WORKLIST_CODES, "DES-time"),
-        "dim": (DIM_WORKLIST_CODES, "unit-scale"),
-    }
-    selected = tuple(name for name in worklists if getattr(args, name))
-    # Inline suppressions still apply; the committed baseline does not.
-    table, graph, reporter = run_passes(
-        load_files(paths, root, config), config, selected
-    )
-    codes = frozenset().union(*(worklists[name][0] for name in selected))
-    findings = sorted(reporter.findings, key=Finding.sort_key)
-    modules_by_path = {
-        m.rel_path: m.name
-        for m in sorted(table.modules.values(), key=lambda m: m.name)
-    }
-    module_of_function = {
-        qualname: fn.module for qualname, fn in sorted(table.functions.items())
-    }
-    entries = build_worklist(
-        findings, graph, profile, modules_by_path, module_of_function, codes=codes
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "profile": args.profile,
-                    "worklist": [e.to_dict() for e in entries],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        title = "/".join(worklists[name][1] for name in selected)
-        print(render_worklist(entries, args.profile, title=title))
-    return 0
 
 
 def _check_baseline(findings, baseline_path: pathlib.Path) -> int:
@@ -286,31 +188,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "RNG taint RL013-015)",
     )
     parser.add_argument(
-        "--des",
-        action="store_true",
-        help="also run the discrete-event sim-time soundness pass "
-        "(RL040-046); combines with --flow",
-    )
-    parser.add_argument(
-        "--dim",
-        action="store_true",
-        help="also run the physical-dimension/unit-scale inference pass "
-        "(RL050-056); combines with --flow/--des",
-    )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help="run manifest or BENCH_*.json whose metrics rank the "
-        "--worklist entries by measured hotness (requires --des/--dim)",
-    )
-    parser.add_argument(
-        "--worklist",
-        action="store_true",
-        help="print the ranked burn-down worklist instead of findings "
-        "and exit 0 (requires --des and/or --dim)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -357,12 +234,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def list_rules() -> int:
-    from repro.lint.flow import DES_RULES, DIM_RULES, FLOW_RULES
+    from repro.lint.flow import FLOW_RULES
 
     catalog = {code: (cls.name, cls.summary) for code, cls in RULES.items()}
     catalog.update(FLOW_RULES)
-    catalog.update(DES_RULES)
-    catalog.update(DIM_RULES)
     for code in sorted(catalog):
         name, summary = catalog[code]
         print(f"{code}  {name:<26} {summary}")

@@ -13,8 +13,6 @@ Settings live in ``pyproject.toml`` under ``[tool.repro-lint]``::
     flow-unit-packages = ["repro.phy", "repro.mac"]  # RL012 scope
     flow-rng-packages = ["repro.phy", "repro.mac"]   # RL013/RL015 scope
     clock-modules = ["repro.obs.clock"]  # sanctioned clock shims
-    des-packages = ["repro.mac"]       # RL040-RL046 scope (--des)
-    dim-packages = ["repro.phy"]       # RL053/RL055 scope (--dim)
 
     [tool.repro-lint.per-file-ignores]
     "src/repro/campaign/telemetry.py" = ["RL002"]
@@ -57,9 +55,8 @@ DEFAULT_WALL_CLOCK_PACKAGES = (
 )
 
 #: The sanctioned clock shims — the only modules allowed to read the
-#: wall/monotonic clock.  RL002 skips them entirely and the --des
-#: handler-purity check (RL043) treats calls into them as pure, so every
-#: *other* clock read in the tree still fires.
+#: wall/monotonic clock.  RL002 skips them entirely, so every *other*
+#: clock read in the tree still fires.
 DEFAULT_CLOCK_MODULES = ("repro.obs.clock",)
 
 #: Packages doing link-budget / geometry math where float equality
@@ -90,18 +87,6 @@ DEFAULT_FLOW_RNG_PACKAGES = (
     "repro.campaign",
 )
 
-#: Packages that schedule simulator events and define event handlers;
-#: RL040-RL046 (delay soundness, timestamp drift, stale-now capture,
-#: handler purity, cache-invalidation typestate) apply here (``--des``).
-DEFAULT_DES_PACKAGES = ("repro.mac", "repro.mobility", "repro.experiments")
-
-#: Packages whose geometry/mobility math must carry explicit unit
-#: scales; RL053 (unit-ambiguous public API) and RL055 (angle
-#: wraparound) apply here (``--dim``).  RL050-RL052/RL054/RL056 run
-#: tree-wide like the dB pass.
-DEFAULT_DIM_PACKAGES = ("repro.phy", "repro.geometry", "repro.mobility")
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Resolved linter configuration."""
@@ -117,8 +102,6 @@ class LintConfig:
     flow_unit_packages: Tuple[str, ...] = DEFAULT_FLOW_UNIT_PACKAGES
     flow_rng_packages: Tuple[str, ...] = DEFAULT_FLOW_RNG_PACKAGES
     clock_modules: Tuple[str, ...] = DEFAULT_CLOCK_MODULES
-    des_packages: Tuple[str, ...] = DEFAULT_DES_PACKAGES
-    dim_packages: Tuple[str, ...] = DEFAULT_DIM_PACKAGES
 
     def is_ignored(self, rel_path: str, code: str) -> bool:
         """True if ``code`` is switched off for ``rel_path`` by config."""
@@ -216,6 +199,4 @@ def load_config(root: pathlib.Path) -> LintConfig:
             section.get("flow-rng-packages"), DEFAULT_FLOW_RNG_PACKAGES
         ),
         clock_modules=_strings(section.get("clock-modules"), DEFAULT_CLOCK_MODULES),
-        des_packages=_strings(section.get("des-packages"), DEFAULT_DES_PACKAGES),
-        dim_packages=_strings(section.get("dim-packages"), DEFAULT_DIM_PACKAGES),
     )

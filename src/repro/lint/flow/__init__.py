@@ -4,18 +4,13 @@ Builds a project symbol table and call graph over the analyzed files,
 then runs interprocedural passes on top of them:
 
 * :mod:`repro.lint.flow.units` — dB/linear unit inference
-  (RL010-RL012);
+  (RL010-RL012), on the inference driver in
+  :mod:`repro.lint.flow.infer`;
 * :mod:`repro.lint.flow.rngflow` — RNG-determinism taint tracking
-  (RL013-RL015);
-* :mod:`repro.lint.flow.destime` — discrete-event sim-time and
-  event-handler soundness (RL040-RL046, ``--des``);
-* :mod:`repro.lint.flow.dims` — physical-dimension and unit-scale
-  inference (RL050-RL056, ``--dim``).
+  (RL013-RL015).
 
-units and dims run on one inference driver
-(:mod:`repro.lint.flow.infer`).  :func:`run_passes` dispatches from
-the :data:`PASSES` table for both :func:`analyze_files` and
-``repro lint --worklist``.  Findings pass the per-file rules' filter
+:func:`run_passes` dispatches from the :data:`PASSES` table.  Findings
+pass the per-file rules' filter
 (:class:`repro.lint.engine.FindingSink`: inline ``# replint:
 disable=...``, config disables, per-file ignores), then share the
 baseline machinery and the CLI output.
@@ -30,11 +25,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.engine import Finding, FindingSink, iter_python_files, relative_path
-from repro.lint.flow.callgraph import CallGraph, build_call_graph
-from repro.lint.flow.destime import DesPass
-from repro.lint.flow.dims import DimPass
+from repro.lint.flow.callgraph import build_call_graph
 from repro.lint.flow.rngflow import RngPass
-from repro.lint.flow.symbols import ModuleInfo, SymbolTable, build_symbol_table
+from repro.lint.flow.symbols import ModuleInfo, build_symbol_table
 from repro.lint.flow.units import UnitPass
 
 #: Rule catalog for the flow passes (code -> (name, summary)), merged
@@ -66,76 +59,10 @@ FLOW_RULES: Dict[str, Tuple[str, str]] = {
     ),
 }
 
-#: Rule catalog for the DES-time soundness pass (``--des``).
-DES_RULES: Dict[str, Tuple[str, str]] = {
-    "RL040": (
-        "schedule-delay-unsound",
-        "schedule()/schedule_at() delay may be negative, NaN, or non-finite",
-    ),
-    "RL041": (
-        "sim-time-accumulation-drift",
-        "float sim-time accumulated in a loop (t += dt) instead of t0 + k*dt",
-    ),
-    "RL042": (
-        "stale-now-capture",
-        "sim.now captured into a variable read inside a later-scheduled callback",
-    ),
-    "RL043": (
-        "impure-event-handler",
-        "wall-clock/global-RNG/env read reachable from event-handler context",
-    ),
-    "RL044": (
-        "missing-cache-invalidation",
-        "pose/beam write not followed by coupling-cache invalidation before SNR eval",
-    ),
-    "RL045": (
-        "zero-delay-self-reschedule",
-        "handler reschedules itself at delay 0 (same-timestamp event storm)",
-    ),
-    "RL046": (
-        "sim-time-float-equality",
-        "float ==/!= on sim-time values or event tuple without counter tiebreak",
-    ),
-}
-
-#: Rule catalog for the physical-dimension pass (``--dim``).
-DIM_RULES: Dict[str, Tuple[str, str]] = {
-    "RL050": (
-        "trig-on-degrees",
-        "trig on a degree-scaled angle, or degree/radian mixing",
-    ),
-    "RL051": (
-        "cross-dimension-arithmetic",
-        "arithmetic/comparison mixes physical dimensions (m + s, Hz vs GHz)",
-    ),
-    "RL052": (
-        "unit-scale-boundary-mismatch",
-        "km/h into an m/s parameter, ms into a seconds schedule delay",
-    ),
-    "RL053": (
-        "unit-ambiguous-api",
-        "public phy/geometry/mobility parameter with no unit suffix/annotation",
-    ),
-    "RL054": (
-        "wavelength-frequency-confusion",
-        "c*f where wavelength is c/f, or a frequency used as a wavelength",
-    ),
-    "RL055": (
-        "angle-wraparound-compare",
-        "comparison on a raw angle difference without wrap normalization",
-    ),
-    "RL056": (
-        "redundant-unit-conversion",
-        "double/cancelling conversion (deg2rad(radians(x)), *3.6 then /3.6)",
-    ),
-}
-
 #: Pass name -> pass class, in execution order.
 PASSES = {
     "units": UnitPass,
     "rng": RngPass,
-    "des": DesPass,
-    "dim": DimPass,
 }
 
 #: Pass names accepted by :func:`analyze_files`, in execution order.
@@ -153,7 +80,7 @@ class FlowStats:
     findings: int = 0
     suppressed: int = 0
     by_rule: Dict[str, int] = field(default_factory=dict)
-    passes: Tuple[str, ...] = ("units", "rng")
+    passes: Tuple[str, ...] = PASS_NAMES
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -182,30 +109,25 @@ class Reporter(FindingSink):
         self.add(module, node, code, message, context)
 
 
-def run_passes(
-    files: List[Tuple[str, str]], config: LintConfig, passes: Tuple[str, ...]
-) -> Tuple[SymbolTable, CallGraph, Reporter]:
-    """Run the selected passes, in :data:`PASSES` order, over one program."""
+def analyze_files(
+    files: List[Tuple[str, str]],
+    config: Optional[LintConfig] = None,
+    passes: Tuple[str, ...] = PASS_NAMES,
+) -> Tuple[List[Finding], FlowStats]:
+    """Run the selected flow passes over ``(rel_path, source)`` pairs.
+
+    Passes run in :data:`PASSES` order whatever order ``passes`` names.
+    """
     unknown = set(passes) - set(PASS_NAMES)
     if unknown:
         raise ValueError(f"unknown flow pass(es): {sorted(unknown)}")
+    config = config if config is not None else LintConfig()
     table = build_symbol_table(files)
     graph = build_call_graph(table)
     reporter = Reporter(config)
     for name, pass_class in PASSES.items():
         if name in passes:
             pass_class(table, graph, config, reporter).run()
-    return table, graph, reporter
-
-
-def analyze_files(
-    files: List[Tuple[str, str]],
-    config: Optional[LintConfig] = None,
-    passes: Tuple[str, ...] = ("units", "rng"),
-) -> Tuple[List[Finding], FlowStats]:
-    """Run the selected flow passes over ``(rel_path, source)`` pairs."""
-    config = config if config is not None else LintConfig()
-    table, graph, reporter = run_passes(files, config, passes)
     findings = sorted(reporter.findings, key=Finding.sort_key)
     stats = FlowStats(
         files=len(files),
@@ -239,15 +161,13 @@ def analyze_paths(
     paths: Iterable[pathlib.Path],
     root: pathlib.Path,
     config: LintConfig,
-    passes: Tuple[str, ...] = ("units", "rng"),
+    passes: Tuple[str, ...] = PASS_NAMES,
 ) -> Tuple[List[Finding], FlowStats]:
     """Run the selected flow passes over python files under ``paths``."""
     return analyze_files(load_files(paths, root, config), config, passes=passes)
 
 
 __all__ = [
-    "DES_RULES",
-    "DIM_RULES",
     "FLOW_RULES",
     "PASSES",
     "PASS_NAMES",
@@ -256,5 +176,4 @@ __all__ = [
     "analyze_files",
     "analyze_paths",
     "load_files",
-    "run_passes",
 ]

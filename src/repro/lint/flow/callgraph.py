@@ -47,41 +47,14 @@ class CallSite:
 class CallGraph:
     sites: List[CallSite] = field(default_factory=list)
     by_caller: Dict[str, List[CallSite]] = field(default_factory=dict)
-    by_callee: Dict[str, List[CallSite]] = field(default_factory=dict)
 
     def add(self, site: CallSite) -> None:
         self.sites.append(site)
         key = site.caller.qualname if site.caller else f"{site.module}:<module>"
         self.by_caller.setdefault(key, []).append(site)
-        self.by_callee.setdefault(site.callee.qualname, []).append(site)
 
     def calls_from(self, qualname: str) -> List[CallSite]:
         return self.by_caller.get(qualname, [])
-
-    def callers_of(self, qualname: str) -> List[CallSite]:
-        return self.by_callee.get(qualname, [])
-
-    def reachable_from(self, qualname: str, limit: int = 512) -> List[str]:
-        """Transitive callee qualnames from a function (BFS, bounded).
-
-        Used by the ``--worklist`` ranking to attribute profile hotness:
-        a finding's function is hot if *anything it calls into* is
-        instrumented hot, not just its own module.  Deterministic order (BFS over
-        call sites in source order); ``limit`` bounds pathological
-        graphs, dropping the deepest entries.
-        """
-        seen = {qualname}
-        order: List[str] = []
-        queue = [qualname]
-        while queue and len(order) < limit:
-            current = queue.pop(0)
-            for site in self.by_caller.get(current, []):
-                callee = site.callee.qualname
-                if callee not in seen:
-                    seen.add(callee)
-                    order.append(callee)
-                    queue.append(callee)
-        return order
 
     @property
     def edge_count(self) -> int:

@@ -1,14 +1,14 @@
-"""Shared inference driver for the units and dims passes.
+"""Inference driver for the dB/linear unit pass.
 
-The two passes are one algorithm over two lattices: seed a
-per-function environment from the parameters, bind assignments to a
-small fixpoint, summarize each function's ``return`` values, iterate
-those summaries over the call graph to a bounded fixpoint, then check.
-:class:`FunctionAnalysis` owns the environment and the ``return`` walk,
-:class:`InferencePass` the call-site index and the fixpoint.  A pass
-supplies its lattice ``join``, ``infer``, seeds, and checks, plus the
-hooks where the passes really differ (extra binding forms, annotation
-parsing, the summary of mixed returns).
+Seed a per-function environment from the parameters, bind assignments
+to a small fixpoint, summarize each function's ``return`` values,
+iterate those summaries over the call graph to a bounded fixpoint,
+then check.  :class:`FunctionAnalysis` owns the environment and the
+``return`` walk, :class:`InferencePass` the call-site index and the
+fixpoint.  The pass (:mod:`repro.lint.flow.units`) supplies its
+lattice ``join``, ``infer``, seeds, and checks, plus the hooks for
+extra binding forms, annotation parsing, and the summary of mixed
+returns.
 """
 
 from __future__ import annotations

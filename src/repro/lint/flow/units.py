@@ -17,9 +17,8 @@ explicit ``# replint: unit=...`` annotations) and propagates them
 through assignments, returns, and resolved call sites to a fixpoint
 (the shared driver in :mod:`repro.lint.flow.infer`).
 
-The name and annotation vocabulary is owned by
-:mod:`repro.lint.flow.dims`; this module keeps the dB/linear algebra
-(families, ``join``) and the checks.
+This module owns the name and annotation vocabulary, the dB/linear
+algebra (families, ``join``), and the checks.
 
 Checks:
 
@@ -40,16 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.lint.config import module_in
 from repro.lint.flow.callgraph import bind_arguments
-from repro.lint.flow.dims import (
-    AMPLITUDE,
-    DB,
-    DBM,
-    LINEAR,
-    NEUTRAL,
-    POWER,
-    parse_unit_annotation,
-    power_unit_from_name as unit_from_name,
-)
 from repro.lint.flow.infer import (
     FunctionAnalysis,
     InferencePass,
@@ -59,8 +48,87 @@ from repro.lint.flow.infer import (
 from repro.lint.flow.symbols import FunctionInfo, ParamInfo
 
 # ---------------------------------------------------------------------------
-# the unit lattice
+# the unit lattice and its vocabulary
 # ---------------------------------------------------------------------------
+
+DB = "dB"
+DBM = "dBm"
+LINEAR = "linear"
+AMPLITUDE = "amplitude"
+#: Declared "carries no power unit" — a duration, distance, count, or
+#: an explicitly annotated dimensionless ratio.  Never conflicts.
+NEUTRAL = "neutral"
+
+#: Power name-suffix heuristics (last ``_``-separated token).
+_POWER_SUFFIXES = {
+    "db": DB,
+    "dbi": DB,  # antenna gains are relative-dB quantities
+    "dbm": DBM,
+    "lin": LINEAR,
+    "linear": LINEAR,
+    "mw": LINEAR,
+    "watts": LINEAR,
+    "amplitude": AMPLITUDE,
+    "amp": AMPLITUDE,
+    "v": AMPLITUDE,
+    "volts": AMPLITUDE,
+}
+
+#: Bare names the paper's code uses for log-domain quantities.
+_LOG_WORDS = {"gain", "loss", "snr", "sinr", "rssi", "attenuation"}
+
+#: Suffixes that declare a *non-power* physical unit (seconds, metres,
+#: rates, angles ...) — the name documents its unit, it is just not a
+#: dB/linear one, so RL012 has nothing to ask for.
+_NEUTRAL_SUFFIXES = {
+    "s", "ms", "us", "ns", "m", "mm", "cm", "km", "deg", "rad",
+    "hz", "khz", "mhz", "ghz", "bps", "kbps", "mbps", "gbps",
+    "bytes", "bits", "count", "idx", "index", "pct", "ratio",
+    "frac", "fraction", "prob", "probability", "k", "kelvin", "j",
+}
+
+#: ``unit=`` spellings that declare a non-power quantity: dimension
+#: words, dimensionless markers, and the angle/length/time/frequency/
+#: speed scales.
+_NEUTRAL_SPELLINGS = {
+    "angle", "length", "time", "frequency", "speed",
+    "none", "dimensionless", "neutral",
+    "radians", "degrees", "meters", "seconds", "mps", "kmh",
+}
+
+#: The ``# replint: unit=...`` vocabulary (lower-cased spelling ->
+#: lattice element).  Later entries override earlier ones.
+UNIT_SPELLINGS: Dict[str, str] = {
+    **{word: NEUTRAL for word in _NEUTRAL_SUFFIXES},
+    **{word: DB for word in _LOG_WORDS},
+    **_POWER_SUFFIXES,
+    "linear-power": LINEAR,
+    **{word: NEUTRAL for word in _NEUTRAL_SPELLINGS},
+}
+
+
+def unit_from_name(name: Optional[str]) -> Optional[str]:
+    """dB/linear unit implied by an identifier's naming convention."""
+    if not name:
+        return None
+    tokens = name.lower().split("_")
+    last = tokens[-1] if tokens[-1] else (tokens[-2] if len(tokens) > 1 else "")
+    if last in _POWER_SUFFIXES:
+        return _POWER_SUFFIXES[last]
+    if last in _LOG_WORDS:
+        return DB
+    if last in _NEUTRAL_SUFFIXES:
+        return NEUTRAL
+    return None
+
+
+def parse_annotation(text: str) -> Optional[str]:
+    """Map a ``unit=`` annotation value to a lattice element.
+
+    A power spelling maps to its dB/linear unit, any other known one
+    declares a non-power unit (:data:`NEUTRAL`), unknown ones are None.
+    """
+    return UNIT_SPELLINGS.get(text.strip().lower())
 
 _FAMILY = {DB: "log", DBM: "log", LINEAR: "linear", AMPLITUDE: "amplitude"}
 
@@ -107,20 +175,6 @@ DBMATH_SIGNATURES: Dict[str, Tuple[Tuple[Optional[str], ...], Optional[str]]] = 
     "repro.analysis.dbmath.power_sum_db": ((DB,), DB),
     "repro.analysis.dbmath.power_average_db": ((DB,), DB),
 }
-
-
-def parse_annotation(text: str) -> Optional[str]:
-    """Map a ``unit=`` annotation value to a lattice element.
-
-    The spellings are :data:`repro.lint.flow.dims.UNIT_SPELLINGS`: a
-    power spelling maps to its dB/linear unit, any other known one
-    declares a non-power unit (:data:`NEUTRAL`), unknown ones are None.
-    """
-    qty = parse_unit_annotation(text)
-    if qty is None:
-        return None
-    return qty.scale if qty.dim == POWER else NEUTRAL
-
 
 #: Calls that return their first argument's unit unchanged.
 _PASSTHROUGH = {

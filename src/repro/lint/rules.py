@@ -9,9 +9,8 @@ nondeterministic iteration feeding content-addressed hashes, and
 swallowed simulator errors.
 
 These per-file rules compose with the whole-program passes in
-:mod:`repro.lint.flow`: unit inference (RL010-RL012), RNG taint
-(RL013-RL015), DES sim-time soundness (RL040-RL046, ``--des``), and
-physical-dimension inference (RL050-RL056, ``--dim``).
+:mod:`repro.lint.flow` (``--flow``): unit inference (RL010-RL012)
+and RNG taint (RL013-RL015).
 """
 
 from __future__ import annotations

@@ -57,12 +57,6 @@ from repro.phy.mcs import frame_error_probability, mcs_by_index
 #: noise floor of the default budget, ~-83 dBm).
 NAV_DECODE_THRESHOLD_DBM = -82.0
 
-#: Optional runtime sim-time auditor (a ``repro.sanitize.SimTimeAudit``)
-#: installed by :func:`repro.sanitize.enable` and removed by
-#: :func:`repro.sanitize.disable`.  ``None`` when the sanitizer is off,
-#: so the hot path pays a single global read per event and nothing else.
-_AUDIT = None
-
 
 class Station:
     """A radio endpoint: position, orientation, patterns, power.
@@ -275,8 +269,6 @@ class Simulator:
         NaN, so a NaN timestamp would otherwise enter the heap and
         poison the ordering of every later event.
         """
-        if _AUDIT is not None:
-            _AUDIT.on_schedule(self, delay_s)
         if not math.isfinite(delay_s):
             raise ValueError(
                 f"cannot schedule with a non-finite delay ({delay_s!r})"
@@ -284,19 +276,6 @@ class Simulator:
         if delay_s < 0:
             raise ValueError(f"cannot schedule into the past (delay {delay_s:g} s)")
         heapq.heappush(self._queue, (self._now + delay_s, next(self._counter), callback))
-
-    def schedule_at(self, time_s: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at an absolute simulation time."""
-        if not math.isfinite(time_s):
-            raise ValueError(
-                f"cannot schedule at a non-finite time ({time_s!r})"
-            )
-        if time_s < self._now:
-            raise ValueError(
-                f"cannot schedule into the past: requested t={time_s:g} s "
-                f"but simulation time is already t={self._now:g} s"
-            )
-        self.schedule(time_s - self._now, callback)
 
     def run_until(self, end_s: float) -> None:
         """Process events until simulated time reaches ``end_s``.
@@ -351,8 +330,6 @@ class Simulator:
                 elif not event_next:
                     break
                 time, _, callback = heapq.heappop(queue)
-                if _AUDIT is not None:
-                    _AUDIT.on_event(self, time)
                 self._now = time
                 self.events_processed += 1
                 if profiling:

@@ -159,16 +159,6 @@ def read_bench(path: PathLike) -> Dict:
     return doc
 
 
-def is_bench_doc(doc: object) -> bool:
-    """Cheap structural sniff (used by the lint worklist profile loader)."""
-    return (
-        isinstance(doc, dict)
-        and doc.get("schema_version") == BENCH_SCHEMA_VERSION
-        and isinstance(doc.get("suite"), str)
-        and isinstance(doc.get("entries"), list)
-    )
-
-
 def load_results(results_dir: PathLike) -> Dict[str, Dict]:
     """Suite name -> validated document, over ``BENCH_*.json``, sorted."""
     results: Dict[str, Dict] = {}
@@ -315,7 +305,6 @@ __all__ = [
     "RESULTS_DIRNAME",
     "bench_entry",
     "check_results",
-    "is_bench_doc",
     "load_results",
     "read_bench",
     "render_check",

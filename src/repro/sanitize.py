@@ -1,11 +1,10 @@
 """Runtime sanitizer: dynamic counterpart of ``repro lint --flow``.
 
-The static passes (RL010-RL015, plus ``--des``/``--dim``) catch unit,
-RNG, sim-time and angle mistakes that are visible in the source.  This
-module catches the ones that only show up at runtime: a dB value
-flowing into a linear-domain helper (or vice versa) through data the
-analyzer could not see, and unseeded generators constructed while an
-experiment is running.
+The static passes (RL010-RL015) catch unit and RNG mistakes that are
+visible in the source.  This module catches the ones that only show up
+at runtime: a dB value flowing into a linear-domain helper (or vice
+versa) through data the analyzer could not see, and unseeded
+generators constructed while an experiment is running.
 
 The sanitizer is strictly opt-in and has **zero overhead when
 disabled**: nothing is wrapped at import time.  :func:`enable` swaps
@@ -26,21 +25,6 @@ Checks performed while enabled:
   where linear power is expected trips this.
 * **unseeded RNG** — ``numpy.random.default_rng()`` called with no
   seed, which makes the run irreproducible.
-* **sim-time audit** — the DES event loop violated a sim-time
-  invariant (the dynamic counterpart of the ``--des`` lint pass
-  RL040-RL046): a non-finite or into-the-past delay reached
-  ``Simulator.schedule``, ``_now`` moved backwards, or more than
-  ``REPRO_SANITIZE_STORM_CAP`` events fired at one timestamp (a
-  zero-delay event storm).  See :class:`SimTimeAudit`.
-* **unit audit** — angle-unit misuse that survives the static
-  ``--dim`` pass (RL050-RL056) because the offending value flowed
-  through data: ``math.sin/cos/tan`` called with a suspiciously large
-  argument (``> REPRO_SANITIZE_TRIG_CAP``, default 1e4 — radians
-  never get that big, degrees-by-mistake and garbage do), trig called
-  on a value that a rad→deg conversion just produced, and a
-  deg→rad/rad→deg conversion re-applied to its own recent output
-  (``radians(radians(x))`` — the runtime face of RL056).  See
-  :class:`UnitAudit`.
 
 Each violation records the offending value and a call stack.  In
 ``"warn"`` mode violations are collected (and surfaced as
@@ -63,7 +47,6 @@ from __future__ import annotations
 import atexit
 import functools
 import json
-import math
 import os
 import sys
 import traceback
@@ -88,20 +71,6 @@ NEGATIVE_LINEAR_TOLERANCE = -1e-6
 
 #: Hard cap on stored violations so a hot loop cannot eat memory.
 MAX_RECORDED = 200
-
-#: Default per-timestamp event budget for the sim-time event-storm
-#: watchdog; override with ``REPRO_SANITIZE_STORM_CAP``.  Legitimate
-#: same-timestamp bursts (frame completions waking CSMA waiters) are a
-#: handful of events; a zero-delay self-rescheduling handler crosses
-#: any finite cap immediately.
-DEFAULT_EVENT_STORM_CAP = 1000
-
-#: Largest plausible trig argument in radians; override with
-#: ``REPRO_SANITIZE_TRIG_CAP``.  Physical phases in this toolkit are
-#: wrapped or proportional to path-length/wavelength ratios within a
-#: room — values beyond ~1e4 rad mean degrees (or a raw frequency)
-#: leaked into a trig call.
-DEFAULT_TRIG_ARG_CAP = 1e4
 
 
 class SanitizerError(RuntimeError):
@@ -151,8 +120,6 @@ class _State:
         #: internally; only the outermost call is checked.
         self.depth = 0
         self.report_registered = False
-        #: Live UnitAudit while enabled (None when off).
-        self.unit_audit: Optional["UnitAudit"] = None
 
 
 _STATE = _State()
@@ -273,158 +240,6 @@ def _wrap_dbmath(name: str, original: Callable, check: Callable) -> Callable:
     return wrapper
 
 
-class UnitAudit:
-    """Runtime angle-unit invariants (dynamic RL050/RL056).
-
-    Installed by :func:`enable`, which wraps ``math.sin/cos/tan`` and
-    the deg↔rad conversion family (``math.radians``/``math.degrees``,
-    ``np.deg2rad``/``np.radians``/``np.rad2deg``/``np.degrees``) and
-    rebinds every imported copy; zero overhead when the sanitizer is
-    off — nothing is wrapped at import time.
-
-    Checks:
-
-    * **unit-trig-arg** — a trig call whose scalar argument exceeds
-      :data:`DEFAULT_TRIG_ARG_CAP` (``REPRO_SANITIZE_TRIG_CAP``) in
-      magnitude.  Radians stay small; a degree value scaled by another
-      factor, or a raw frequency, does not.
-    * **unit-trig-degrees** — a trig call whose argument is exactly a
-      value some rad→deg conversion just produced: the classic
-      ``sin(degrees(x))`` flow, visible at runtime even when the two
-      calls live in different modules the static pass cannot connect.
-    * **unit-double-conversion** — a deg→rad (or rad→deg) conversion
-      whose scalar input is exactly a value the *same direction*
-      recently produced: ``radians(radians(x))`` through data.  The
-      opposite direction is a legitimate round trip and never flags.
-
-    Matching uses small rings of recent conversion outputs (exact
-    float equality, near-zero values skipped — converting 0° is
-    common and 0 is direction-less), so the audit is O(1) per call
-    and deterministic for a deterministic run.
-    """
-
-    RING = 8
-
-    def __init__(self, trig_arg_cap: float = DEFAULT_TRIG_ARG_CAP):
-        self.trig_arg_cap = float(trig_arg_cap)
-        self._recent_rad: List[float] = []  #: outputs of deg→rad calls
-        self._recent_deg: List[float] = []  #: outputs of rad→deg calls
-
-    @staticmethod
-    def _scalar(value: object) -> Optional[float]:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None  # arrays and exotic types are not tracked
-        scalar = float(value)
-        return scalar if math.isfinite(scalar) else None
-
-    def _push(self, ring: List[float], result: object) -> None:
-        scalar = self._scalar(result)
-        if scalar is None or abs(scalar) < 1e-9:
-            return
-        ring.append(scalar)
-        if len(ring) > self.RING:
-            del ring[0]
-
-    def on_trig(self, func: str, value: object) -> None:
-        scalar = self._scalar(value)
-        if scalar is None:
-            return
-        if abs(scalar) >= 1e-9 and scalar in self._recent_deg:
-            _record(
-                "unit-trig-degrees",
-                func,
-                value,
-                f"{func}() expects radians but its argument ({scalar:g}) "
-                "is a value a rad→deg conversion just produced — trig on "
-                "degrees",
-            )
-        elif abs(scalar) > self.trig_arg_cap:
-            _record(
-                "unit-trig-arg",
-                func,
-                value,
-                f"{func}() called with |x| = {abs(scalar):g} rad "
-                f"(cap {self.trig_arg_cap:g}, REPRO_SANITIZE_TRIG_CAP) — "
-                "degrees or a raw frequency passed where radians are "
-                "expected?",
-            )
-
-    def on_convert(self, func: str, to_rad: bool, value: object, result: object) -> None:
-        scalar = self._scalar(value)
-        ring = self._recent_rad if to_rad else self._recent_deg
-        if scalar is not None and abs(scalar) >= 1e-9 and scalar in ring:
-            direction = "deg→rad" if to_rad else "rad→deg"
-            _record(
-                "unit-double-conversion",
-                func,
-                value,
-                f"{func}() applied to a value ({scalar:g}) that a "
-                f"{direction} conversion just produced — a double "
-                "conversion (radians(radians(x))-style)",
-            )
-        self._push(ring, result)
-
-
-def _wrap_trig(name: str, original: Callable) -> Callable:
-    @functools.wraps(original)
-    def wrapper(value, *args, **kwargs):
-        audit = _STATE.unit_audit
-        if audit is not None and not _STATE.depth:
-            _STATE.depth += 1
-            try:
-                audit.on_trig(name, value)
-            finally:
-                _STATE.depth -= 1
-        return original(value, *args, **kwargs)
-
-    wrapper.__repro_sanitize_wraps__ = original
-    return wrapper
-
-
-def _wrap_angle_conversion(name: str, original: Callable, to_rad: bool) -> Callable:
-    @functools.wraps(original)
-    def wrapper(value, *args, **kwargs):
-        result = original(value, *args, **kwargs)
-        audit = _STATE.unit_audit
-        if audit is not None and not _STATE.depth:
-            _STATE.depth += 1
-            try:
-                audit.on_convert(name, to_rad, value, result)
-            finally:
-                _STATE.depth -= 1
-        return result
-
-    wrapper.__repro_sanitize_wraps__ = original
-    return wrapper
-
-
-#: (module attr, callable) pairs wrapped by the unit audit.
-_TRIG_FUNCS = ("sin", "cos", "tan")
-_TO_RAD_FUNCS = ("radians", "deg2rad")
-_TO_DEG_FUNCS = ("degrees", "rad2deg")
-
-
-def _unit_audit_wrappers() -> Dict[object, Callable]:
-    wrappers: Dict[object, Callable] = {}
-    for name in _TRIG_FUNCS:
-        original = getattr(math, name)
-        wrappers[original] = _wrap_trig(f"math.{name}", original)
-    for host, prefix in ((math, "math"), (np, "numpy")):
-        for name in _TO_RAD_FUNCS:
-            original = getattr(host, name, None)
-            if original is not None and original not in wrappers:
-                wrappers[original] = _wrap_angle_conversion(
-                    f"{prefix}.{name}", original, to_rad=True
-                )
-        for name in _TO_DEG_FUNCS:
-            original = getattr(host, name, None)
-            if original is not None and original not in wrappers:
-                wrappers[original] = _wrap_angle_conversion(
-                    f"{prefix}.{name}", original, to_rad=False
-                )
-    return wrappers
-
-
 def _wrap_default_rng(original: Callable) -> Callable:
     @functools.wraps(original)
     def wrapper(seed=None, *args, **kwargs):
@@ -449,16 +264,16 @@ def _wrap_default_rng(original: Callable) -> Callable:
 def _install(wrappers: Dict[object, Callable]) -> None:
     """Rebind every module-level reference to a wrapped function.
 
-    Sweeps ``sys.modules`` for repro modules (plus ``math``, ``numpy``,
-    and ``numpy.random`` for the trig/conversion/RNG wrappers) so that
-    ``from repro.analysis.dbmath import db_to_linear`` copies are
-    wrapped too, not just the defining module's attribute.
+    Sweeps ``sys.modules`` for repro modules (plus ``numpy.random`` for
+    the RNG wrapper) so that ``from repro.analysis.dbmath import
+    db_to_linear`` copies are wrapped too, not just the defining
+    module's attribute.
     """
     for mod_name, module in list(sys.modules.items()):
         if module is None:
             continue
         if not (mod_name == "repro" or mod_name.startswith("repro.")
-                or mod_name in ("math", "numpy", "numpy.random")):
+                or mod_name == "numpy.random"):
             continue
         for attr, obj in list(vars(module).items()):
             if not callable(obj):  # module specs etc. are unhashable
@@ -488,18 +303,7 @@ def enable(mode: str = "warn") -> None:
             original, _wrap_dbmath(name, original, _check_linear_domain)
         )
     wrappers[np.random.default_rng] = _wrap_default_rng(np.random.default_rng)
-    wrappers.update(_unit_audit_wrappers())
     _install(wrappers)
-    _STATE.unit_audit = UnitAudit(trig_arg_cap=_trig_cap_from_env())
-    # Install the DES sim-time auditor as a module-level hook rather
-    # than a wrapper: the event loop is the hottest path in the tree,
-    # and a single ``_AUDIT is None`` check is all it costs when off.
-    from repro.mac import simulator as _simulator_mod
-
-    _STATE.patches.append((_simulator_mod, "_AUDIT", _simulator_mod._AUDIT))
-    _simulator_mod._AUDIT = SimTimeAudit(
-        max_events_per_timestamp=_storm_cap_from_env()
-    )
     _STATE.enabled = True
     _STATE.mode = mode
     report_path = os.environ.get("REPRO_SANITIZE_REPORT")
@@ -513,7 +317,6 @@ def disable() -> None:
     for module, attr, original in reversed(_STATE.patches):
         setattr(module, attr, original)
     _STATE.patches.clear()
-    _STATE.unit_audit = None
     _STATE.enabled = False
 
 
@@ -548,121 +351,6 @@ def write_report(path: str) -> None:
             json.dump(report(), fh, indent=2)
     except OSError:  # pragma: no cover - report path unwritable
         pass
-
-
-class SimTimeAudit:
-    """Runtime sim-time invariants for the DES loop (dynamic RL040-046).
-
-    Installed by :func:`enable` as ``repro.mac.simulator._AUDIT`` and
-    called from the two spots that move simulated time: every
-    ``Simulator.schedule`` and every event pop in ``run_until``.  With
-    the sanitizer off the hook is ``None`` and the loop pays one global
-    read per event — nothing is wrapped or subclassed.
-
-    Checks:
-
-    * **sim-schedule-nonfinite** — a NaN/inf delay reached
-      ``schedule()``.  The simulator raises on these too; the audit
-      records the offending call *with its stack* first, which the
-      bare ``ValueError`` cannot show in warn-mode post-mortems.
-    * **sim-schedule-past** — a negative delay (scheduling into the
-      past) reached ``schedule()``.
-    * **sim-time-regression** — ``_now`` moved backwards between
-      processed events; the heap invariant was violated (e.g. a
-      mutated queue or a NaN that slipped in before the guards).
-    * **sim-event-storm** — more than ``max_events_per_timestamp``
-      events fired at one timestamp: the signature of a zero-delay
-      self-rescheduling handler (static rule RL045).  Recorded once
-      per offending timestamp, exactly when the count crosses the cap
-      — deterministic for a deterministic event stream.
-
-    State is tracked per live ``Simulator`` (keyed by ``id``); in
-    ``raise`` mode the first violation raises :class:`SanitizerError`
-    inside the event loop, stopping the storm instead of spinning.
-    """
-
-    def __init__(self, max_events_per_timestamp: int = DEFAULT_EVENT_STORM_CAP):
-        self.max_events_per_timestamp = max(1, int(max_events_per_timestamp))
-        self._last_time: Dict[int, float] = {}
-        self._at_time: Dict[int, int] = {}
-
-    def on_schedule(self, sim: object, delay_s: object) -> None:
-        """Audit one ``Simulator.schedule(delay_s, ...)`` call."""
-        try:
-            delay = float(delay_s)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return  # the simulator's own type error is clearer
-        if delay != delay or delay in (float("inf"), float("-inf")):
-            _record(
-                "sim-schedule-nonfinite",
-                "Simulator.schedule",
-                delay_s,
-                f"schedule() called with a non-finite delay ({delay!r}) — "
-                "a NaN/inf timestamp would poison heap ordering for every "
-                "later event",
-            )
-        elif delay < 0:
-            _record(
-                "sim-schedule-past",
-                "Simulator.schedule",
-                delay_s,
-                f"schedule() called with a negative delay ({delay:g} s) — "
-                "scheduling into the past; clamp with max(0.0, ...) or fix "
-                "the timing arithmetic",
-            )
-
-    def on_event(self, sim: object, time_s: float) -> None:
-        """Audit one event pop at ``time_s`` in ``run_until``."""
-        key = id(sim)
-        last = self._last_time.get(key)
-        if last is None or time_s > last:
-            self._last_time[key] = time_s
-            self._at_time[key] = 1
-            return
-        if time_s < last:
-            self._last_time[key] = time_s
-            self._at_time[key] = 1
-            _record(
-                "sim-time-regression",
-                "Simulator.run_until",
-                time_s,
-                f"simulation time moved backwards ({last:g} s -> "
-                f"{time_s:g} s) — the event heap ordering invariant is "
-                "broken",
-            )
-            return
-        count = self._at_time.get(key, 0) + 1
-        self._at_time[key] = count
-        if count == self.max_events_per_timestamp:
-            _record(
-                "sim-event-storm",
-                "Simulator.run_until",
-                time_s,
-                f"{count} events processed at t={time_s:g} s without time "
-                "advancing — a zero-delay (self-)rescheduling handler is "
-                "storming the queue (cap via REPRO_SANITIZE_STORM_CAP)",
-            )
-
-    def forget(self, sim: object) -> None:
-        """Drop per-simulator state (for long-lived processes)."""
-        self._last_time.pop(id(sim), None)
-        self._at_time.pop(id(sim), None)
-
-
-def _storm_cap_from_env() -> int:
-    raw = os.environ.get("REPRO_SANITIZE_STORM_CAP", "")
-    try:
-        return int(raw) if raw.strip() else DEFAULT_EVENT_STORM_CAP
-    except ValueError:
-        return DEFAULT_EVENT_STORM_CAP
-
-
-def _trig_cap_from_env() -> float:
-    raw = os.environ.get("REPRO_SANITIZE_TRIG_CAP", "")
-    try:
-        return float(raw) if raw.strip() else DEFAULT_TRIG_ARG_CAP
-    except ValueError:
-        return DEFAULT_TRIG_ARG_CAP
 
 
 @dataclass
@@ -819,14 +507,10 @@ def enable_from_env() -> bool:
 
 __all__ = [
     "DB_RANGE",
-    "DEFAULT_EVENT_STORM_CAP",
-    "DEFAULT_TRIG_ARG_CAP",
     "PurityAudit",
     "ReadRecord",
     "SanitizerError",
     "SanitizerWarning",
-    "SimTimeAudit",
-    "UnitAudit",
     "Violation",
     "clear_violations",
     "disable",

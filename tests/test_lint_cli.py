@@ -207,7 +207,9 @@ class TestConfig:
 
     # A misspelling, and a key whose pass was retired: neither may
     # silently fall back to the defaults.
-    @pytest.mark.parametrize("key", ["des-package", "vec-packages"])
+    @pytest.mark.parametrize(
+        "key", ["des-package", "vec-packages", "des-packages", "dim-packages"]
+    )
     def test_unknown_key_exits_two(self, project, capsys, key):
         (project / "pyproject.toml").write_text(
             f'[tool.repro-lint]\n{key} = ["repro.phy"]\n'
@@ -225,10 +227,19 @@ class TestConfig:
             assert f"RL00{i}" in out
         for i in range(10, 16):  # flow rules share the catalog
             assert f"RL0{i}" in out
-        for i in (*range(40, 47), *range(50, 57)):  # --des/--dim too
-            assert f"RL0{i}" in out
-        for i in (*range(20, 26), *range(30, 37)):  # retired codes
+        # retired codes
+        for i in (*range(20, 26), *range(30, 37), *range(40, 47), *range(50, 57)):
             assert f"RL0{i}" not in out
+
+    # Flags of retired passes are argument errors, not silent no-ops.
+    @pytest.mark.parametrize(
+        "flags", [["--des"], ["--dim"], ["--worklist"], ["--profile", "x.json"]]
+    )
+    def test_retired_flag_exits_two(self, project, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flags, "--root", str(project), str(project / "src")])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 class TestFingerprints:
@@ -424,44 +435,14 @@ class TestSelfLint:
         out = capsys.readouterr().out
         assert rc == 0, f"repro lint --flow found new violations:\n{out}"
 
-    def test_src_tree_clean_under_des(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--des",
-                "--baseline",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, f"repro lint --des found new violations:\n{out}"
-
-    def test_src_tree_clean_under_dim(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--dim",
-                "--baseline",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, f"repro lint --dim found new violations:\n{out}"
-
     def test_committed_baseline_not_stale(self, capsys):
         # The baseline is shared across passes, so staleness must be
-        # checked with every pass enabled — a missing pass would make
-        # its entries look dead.
+        # checked with the flow passes enabled — a missing pass would
+        # make its entries look dead.
         rc = main(
             [
                 "lint",
                 "--flow",
-                "--des",
-                "--dim",
                 "--check-baseline",
                 "--root",
                 str(REPO_ROOT),
@@ -470,101 +451,6 @@ class TestSelfLint:
         )
         out = capsys.readouterr().out
         assert rc == 0, f"stale baseline entries:\n{out}"
-
-    def test_des_worklist_deterministic_across_runs(self, capsys):
-        args = [
-            "lint",
-            "--des",
-            "--worklist",
-            "--json",
-            "--root",
-            str(REPO_ROOT),
-            str(REPO_ROOT / "src"),
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        json.loads(first)  # machine-readable
-
-    def test_dim_worklist_deterministic_across_runs(self, capsys):
-        args = [
-            "lint",
-            "--dim",
-            "--worklist",
-            "--json",
-            "--root",
-            str(REPO_ROOT),
-            str(REPO_ROOT / "src"),
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        json.loads(first)  # machine-readable
-
-    def test_dim_worklist_alone_renders_unit_scale_title(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--dim",
-                "--worklist",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.startswith("unit-scale worklist")
-
-    def test_worklist_requires_des_or_dim(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--worklist",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--worklist requires --des and/or --dim" in err
-
-    def test_profile_requires_des_or_dim(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--flow",
-                "--profile",
-                "BENCH_x.json",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--profile requires --des and/or --dim" in err
-
-    def test_combined_des_dim_worklist_merges_codes(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--des",
-                "--dim",
-                "--worklist",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert out.startswith("DES-time/unit-scale worklist")
 
     def test_committed_baseline_is_empty(self):
         # Every per-file and flow finding was fixed in-tree and must

@@ -9,12 +9,13 @@ like the real module.
 
 from repro.lint.config import LintConfig
 from repro.lint.flow import analyze_files
-from repro.lint.flow.dims import UNIT_SPELLINGS
 from repro.lint.flow.units import (
     AMPLITUDE,
     DB,
     DBM,
     LINEAR,
+    NEUTRAL,
+    UNIT_SPELLINGS,
     conflicting,
     join,
     parse_annotation,
@@ -37,6 +38,38 @@ def dbm_to_watts(power_dbm):
 def watts_to_dbm(power_watts):
     return power_watts
 """
+
+
+#: Every ``unit=`` spelling the linter accepts and the lattice element
+#: it declares, recorded from the vocabulary as it stood when the
+#: dimension pass (which used to own it) was retired.
+KNOWN_SPELLINGS = {
+    **dict.fromkeys(["amp", "amplitude", "v", "volts"], AMPLITUDE),
+    **dict.fromkeys(
+        ["attenuation", "db", "dbi", "gain", "loss", "rssi", "sinr", "snr"], DB
+    ),
+    "dbm": DBM,
+    **dict.fromkeys(["lin", "linear", "linear-power", "mw", "watts"], LINEAR),
+    **dict.fromkeys(
+        [
+            "angle", "bits", "bps", "bytes", "cm", "count", "deg", "degrees",
+            "dimensionless", "frac", "fraction", "frequency", "gbps", "ghz",
+            "hz", "idx", "index", "j", "k", "kbps", "kelvin", "khz", "km",
+            "kmh", "length", "m", "mbps", "meters", "mhz", "mm", "mps", "ms",
+            "neutral", "none", "ns", "pct", "prob", "probability", "rad",
+            "radians", "ratio", "s", "seconds", "speed", "time", "us",
+        ],
+        NEUTRAL,
+    ),
+}
+
+#: Spellings valid in an annotation that do not seed a unit as a name
+#: suffix (``x_radians`` carries no dB/linear unit, nor a neutral one).
+ANNOTATION_ONLY = {
+    "angle", "degrees", "dimensionless", "frequency", "kmh", "length",
+    "linear-power", "meters", "mps", "neutral", "none", "radians",
+    "seconds", "speed", "time",
+}
 
 
 def _run(files, config=None):
@@ -67,6 +100,16 @@ class TestLattice:
         assert unit_from_name("noise_lin") == LINEAR
         assert unit_from_name("duration_s") not in (DB, DBM, LINEAR, AMPLITUDE)
         assert unit_from_name("widget") is None
+        assert unit_from_name("tx_power_dbm_") == DBM  # trailing underscore
+        assert unit_from_name("Path_Loss_DB") == DB  # case-insensitive
+        assert unit_from_name("gain") == DB  # bare log word
+        assert unit_from_name("") is None
+        assert unit_from_name(None) is None
+
+    def test_every_suffix_seeds_its_annotation_unit(self):
+        for spelling, unit in KNOWN_SPELLINGS.items():
+            expected = None if spelling in ANNOTATION_ONLY else unit
+            assert unit_from_name(f"x_{spelling}") == expected, spelling
 
 
 class TestRL010:
@@ -188,7 +231,7 @@ class TestRL012:
 
 
 class TestAnnotationVocabulary:
-    """``unit=`` spellings come from the one table in flow.dims."""
+    """``unit=`` spellings come from the one table in flow.units."""
 
     def test_non_power_annotation_declares_the_unit(self):
         source = (
@@ -208,8 +251,12 @@ class TestAnnotationVocabulary:
         assert "amplitude-domain return" in findings[0].message
 
     def test_every_dims_spelling_is_known_here(self):
-        for spelling in UNIT_SPELLINGS:
-            assert parse_annotation(spelling) is not None, spelling
+        assert set(UNIT_SPELLINGS) == set(KNOWN_SPELLINGS)
+        parsed = {spelling: parse_annotation(spelling) for spelling in KNOWN_SPELLINGS}
+        assert parsed == KNOWN_SPELLINGS
+        assert parse_annotation(" dBm ") == DBM
+        assert parse_annotation("Linear-Power") == LINEAR
+        assert parse_annotation("furlongs") is None
 
 
 class TestSuppression:

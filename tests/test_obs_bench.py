@@ -9,7 +9,6 @@ from repro.obs.bench import (
     BENCH_SCHEMA_VERSION,
     bench_entry,
     check_results,
-    is_bench_doc,
     load_results,
     read_bench,
     render_check,
@@ -86,11 +85,6 @@ class TestSchema:
         path.write_text(json.dumps({"events_per_s": 100.0}))
         with pytest.raises(ValueError):
             read_bench(path)
-
-    def test_is_bench_doc_sniff(self):
-        assert is_bench_doc(make_doc())
-        assert not is_bench_doc({"schema_version": 3, "campaign": "x"})
-        assert not is_bench_doc([1, 2])
 
 
 class TestLoadResults:
@@ -248,35 +242,3 @@ class TestBenchCli:
                    "--baseline", str(empty)])
         assert rc == 2
         assert "baseline" in capsys.readouterr().err
-
-
-class TestWorklistProfileIntegration:
-    def test_bench_doc_flattens_to_suite_keys(self, tmp_path):
-        from repro.lint.flow.worklist import load_profile
-
-        path = tmp_path / "BENCH_core.json"
-        write_bench(path, "core", [bench_entry("rate", 5.0, "1/s", "higher")])
-        assert load_profile(path) == {"bench.core.rate": 5.0}
-
-    def test_manifest_flattens_counters_and_profile_counts(self, tmp_path):
-        from repro.lint.flow.worklist import load_profile
-
-        manifest = {
-            "schema_version": 3,
-            "campaign": "beam-patterns",
-            "metrics": {"counters": {"phy.antenna.gain_queries": 42}},
-            "profile": {
-                "handlers": {"Medium.transmit": {"calls": 7, "total_ns": 99}},
-                "spans": {"mac.simulator.run": {
-                    "count": 3, "total_us": 8.0, "self_us": 5.0,
-                }},
-            },
-        }
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        flat = load_profile(path)
-        assert flat["counters.phy.antenna.gain_queries"] == 42.0
-        assert flat["profile.handlers.Medium.transmit.calls"] == 7.0
-        assert flat["profile.spans.mac.simulator.run.count"] == 3.0
-        # Measured times never leak into worklist hotness.
-        assert not any("total_ns" in k or "self_us" in k for k in flat)
