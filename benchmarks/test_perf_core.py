@@ -20,8 +20,11 @@ not gated, because a change that folds many light events into fewer,
 heavier ones (as replaying the TCP pacing did) lowers it while the
 simulation gets faster.  The six-station run gates the medium's
 multi-transmitter path (interference, carrier sensing, NAV) the same
-way.  It deliberately avoids the pytest-benchmark fixture so CI can
-run it with plain pytest.
+way.  The capture round trip gates the measurement pipeline:
+``capture_samples_per_s`` renders and detects a 10 ms, 1e8 S/s capture
+with sparse frames, the shape of the protocol captures behind Table 1
+and Figs 3, 8 and 15.  It deliberately avoids the pytest-benchmark
+fixture so CI can run it with plain pytest.
 """
 
 import math
@@ -78,6 +81,17 @@ def run_interference_20ms():
     t0 = time.perf_counter()
     scenario.run(0.02)
     return scenario, time.perf_counter() - t0
+
+
+def capture_round_trip():
+    """10 ms at 1e8 S/s with 18 frames on air, synthesized and detected."""
+    emissions = [Emission(i * 550e-6 + 40e-6, 20e-6, 0.5) for i in range(18)]
+    trace = synthesize_trace(
+        emissions, duration_s=10e-3, noise_floor_v=0.01,
+        rng=np.random.default_rng(0),
+    )
+    frames = FrameDetector(threshold_v=0.1, merge_gap_s=5e-6).detect(trace)
+    return trace, frames
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +154,14 @@ def test_perf_core_events_per_sec():
         interference_s = min(interference_s, elapsed)
     assert len(scenario.medium.history) > 1_000
 
+    capture_round_trip()
+    capture_s = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        trace, frames = capture_round_trip()
+        capture_s = min(capture_s, time.perf_counter() - t0)
+    assert trace.samples.size == 1_000_000 and len(frames) == 18
+
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
@@ -152,12 +174,16 @@ def test_perf_core_events_per_sec():
         bench_entry("interference_sim_seconds_per_wall_s",
                     round(0.02 / interference_s, 4), "s/s", "higher",
                     tolerance=5.0),
+        bench_entry("capture_samples_per_s",
+                    round(trace.samples.size / capture_s), "samples/s",
+                    "higher", tolerance=5.0),
     ])
 
     print(
         f"\ncore perf: {events} events in {best_s * 1e3:.1f} ms "
         f"-> {events_per_s / 1e6:.2f}M events/s; six stations: "
-        f"{0.02 / interference_s:.3f} sim s per wall s"
+        f"{0.02 / interference_s:.3f} sim s per wall s; capture: "
+        f"{capture_s * 1e3:.1f} ms per 1e6 samples"
     )
 
 

@@ -84,8 +84,9 @@ class FrameDetector:
         above = trace.samples >= threshold
         if not above.any():
             return []
-        # Find run boundaries of the boolean mask.
-        edges = np.flatnonzero(np.diff(above.astype(np.int8)))
+        # Run boundaries of the boolean mask: edge k lies between
+        # samples k and k + 1.
+        edges = np.flatnonzero(above[1:] != above[:-1])
         starts = list(edges[~above[edges]] + 1)
         ends = list(edges[above[edges]] + 1)
         if above[0]:

@@ -168,9 +168,10 @@ class FrameRecord:
     nav_duration_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
+        # Written so that NaN fails both checks.
+        if not (self.duration_s > 0):
             raise ValueError("frame duration must be positive")
-        if self.start_s < 0:
+        if not (self.start_s >= 0):
             raise ValueError("frame start must be non-negative")
 
     @property

@@ -17,8 +17,9 @@ traces whose ground truth we know.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,15 @@ class Emission:
     kind: str = ""
 
     def __post_init__(self) -> None:
+        # A NaN amplitude would pass the sign checks and fill the trace
+        # with NaN samples; a NaN start would fail later, far from here.
+        for name, value in (
+            ("start_s", self.start_s),
+            ("duration_s", self.duration_s),
+            ("amplitude_v", self.amplitude_v),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"emission {name} must be finite, got {value!r}")
         if self.duration_s <= 0:
             raise ValueError("emission duration must be positive")
         if self.amplitude_v < 0:
@@ -123,6 +133,17 @@ def synthesize_trace(
     weak WiHD frame under a strong D5000 frame shows up as the "elevated
     noise floor" of Figure 21a.
 
+    Every sample is ``sqrt(power + noise**2)``, where ``power`` sums the
+    squared envelopes of the emissions covering it (in emission order)
+    and ``noise`` is one Rayleigh draw per sample.  The sum is taken
+    only over the merged spans the emissions cover; every other sample
+    is the noise draw itself.  That is bit-identical to the formula:
+    a correctly rounded square followed by a correctly rounded square
+    root returns ``|n|`` exactly in binary64 unless ``n**2`` underflows,
+    which no noise floor above ~1e-145 V produces.  Frames cover a small
+    share of a typical capture, so the full-length work is only the
+    noise draw.
+
     Args:
         emissions: Frames on the air (any order; may extend outside the
             capture window and will be clipped).
@@ -135,16 +156,25 @@ def synthesize_trace(
             the envelope up/down, modeling TX spectral shaping.  Keeps
             edges slightly soft like real captures.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if noise_floor_v < 0:
-        raise ValueError("noise floor must be non-negative")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be finite and positive, got {duration_s!r}")
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValueError(
+            f"sample rate must be finite and positive, got {sample_rate_hz!r}"
+        )
+    if not (math.isfinite(noise_floor_v) and noise_floor_v >= 0):
+        raise ValueError(
+            f"noise floor must be finite and non-negative, got {noise_floor_v!r}"
+        )
     # Without rng, draw a distinct deterministic fallback stream (noise
     # in separately synthesized traces must stay independent) and warn
     # so callers that forget to thread a campaign seed are surfaced.
     rng = rng if rng is not None else fallback_rng("synthesize_trace")
     n = int(round(duration_s * sample_rate_hz))
-    power = np.zeros(n)  # accumulate in power domain (V^2)
+    # Accumulate in the power domain (V^2).  np.zeros maps pages lazily,
+    # so memory no emission touches is never written.
+    power = np.zeros(n)
+    spans: List[Tuple[int, int]] = []
     end_s = start_s + duration_s
     for em in emissions:
         if em.end_s <= start_s or em.start_s >= end_s:
@@ -160,13 +190,29 @@ def synthesize_trace(
             up = np.linspace(0.0, 1.0, ramp, endpoint=False)
             envelope[:ramp] *= up
             envelope[length - ramp:] *= up[::-1]
+        # Overlaps are summed in emission order: with three or more the
+        # rounding depends on it.
         power[i0:i1] += envelope**2
+        spans.append((i0, i1))
     if noise_floor_v > 0:
-        noise = rng.rayleigh(scale=noise_floor_v, size=n)
+        samples = rng.rayleigh(scale=noise_floor_v, size=n)
     else:
-        noise = np.zeros(n)
-    samples = np.sqrt(power + noise**2)
+        samples = np.zeros(n)
+    for i0, i1 in _merge_spans(spans):
+        noise = samples[i0:i1]
+        np.sqrt(power[i0:i1] + noise**2, out=noise)
     return Trace(samples=samples, sample_rate_hz=sample_rate_hz, start_s=start_s)
+
+
+def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Union of half-open index spans, as sorted disjoint spans."""
+    merged: List[Tuple[int, int]] = []
+    for i0, i1 in sorted(spans):
+        if merged and i0 <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], i1))
+        else:
+            merged.append((i0, i1))
+    return merged
 
 
 def concatenate_traces(traces: Sequence[Trace]) -> Trace:

@@ -1,7 +1,11 @@
 """Unit tests for trace-based frame detection and classification."""
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.frames import (
     DetectedFrame,
@@ -11,7 +15,7 @@ from repro.core.frames import (
     group_bursts,
     split_sources_by_amplitude,
 )
-from repro.phy.signal import Emission, synthesize_trace
+from repro.phy.signal import Emission, Trace, synthesize_trace
 
 
 def trace_of(emissions, duration=1e-3, noise=0.01, seed=0):
@@ -74,6 +78,77 @@ class TestDetection:
             FrameDetector(threshold_v=0.0)
         with pytest.raises(ValueError):
             FrameDetector(auto_factor=1.0)
+
+
+def diff_detect_reference(detector, trace):
+    """``FrameDetector.detect`` with run edges found by ``np.diff``."""
+    threshold = detector.resolve_threshold(trace)
+    above = trace.samples >= threshold
+    if not above.any():
+        return []
+    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
+    starts = list(edges[~above[edges]] + 1)
+    ends = list(edges[above[edges]] + 1)
+    if above[0]:
+        starts.insert(0, 0)
+    if above[-1]:
+        ends.append(above.size)
+    rate = trace.sample_rate_hz
+    merge_gap_samples = int(round(detector.merge_gap_s * rate))
+    merged: List[Tuple[int, int]] = []
+    for s, e in zip(starts, ends):
+        if merged and s - merged[-1][1] <= merge_gap_samples:
+            merged[-1] = (merged[-1][0], e)
+        else:
+            merged.append((s, e))
+    min_samples = max(1, int(round(detector.min_duration_s * rate)))
+    frames = []
+    for s, e in merged:
+        if e - s < min_samples:
+            continue
+        chunk = trace.samples[s:e]
+        frames.append(DetectedFrame(
+            start_s=trace.start_s + s / rate,
+            duration_s=(e - s) / rate,
+            mean_amplitude_v=float(np.mean(chunk)),
+            peak_amplitude_v=float(np.max(chunk)),
+        ))
+    return frames
+
+
+# Runs of (level, samples) at 10 MS/s: the merge gaps 0.5 us and 5 us
+# are 5 and 50 samples, the default minimum duration 10.
+_runs = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.integers(1, 80)), min_size=1, max_size=24,
+)
+
+
+class TestEdgeFinderMatchesDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=_runs,
+        threshold_v=st.sampled_from([None, 0.05, 0.3]),
+        merge_gap_s=st.sampled_from([0.5e-6, 5e-6]),
+        start_s=st.sampled_from([0.0, 1.25e-3]),
+    )
+    @example(runs=[(0.5, 30), (0.0, 20), (0.6, 4)], threshold_v=0.05,
+             merge_gap_s=0.5e-6, start_s=0.0)
+    @example(runs=[(0.0, 30), (0.5, 20), (0.0, 4)], threshold_v=None,
+             merge_gap_s=5e-6, start_s=0.0)
+    @example(runs=[(0.5, 30)], threshold_v=0.05, merge_gap_s=0.5e-6, start_s=0.0)
+    def test_same_frames(self, runs, threshold_v, merge_gap_s, start_s):
+        samples = np.repeat([level for level, _ in runs], [k for _, k in runs])
+        trace = Trace(samples=samples, sample_rate_hz=1e7, start_s=start_s)
+        detector = FrameDetector(threshold_v=threshold_v, merge_gap_s=merge_gap_s)
+        assert detector.detect(trace) == diff_detect_reference(detector, trace)
+
+    def test_noisy_capture(self):
+        ems = [Emission(i * 37e-6, (3 + i % 7) * 2e-6, 0.05 + 0.1 * (i % 3))
+               for i in range(25)]
+        trace = trace_of(ems, seed=4)
+        for detector in (FrameDetector(threshold_v=0.1), FrameDetector(),
+                         FrameDetector(threshold_v=0.1, merge_gap_s=5e-6)):
+            assert detector.detect(trace) == diff_detect_reference(detector, trace)
 
 
 class TestSourceSeparation:

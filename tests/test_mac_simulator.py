@@ -44,6 +44,18 @@ def data_frame(src="a", dst="b", start=0.0, duration=10e-6, mcs=8):
     )
 
 
+class TestFrameRecordValidation:
+    @pytest.mark.parametrize("duration", [0.0, -1e-6, math.nan])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="frame duration must be positive"):
+            data_frame(duration=duration)
+
+    @pytest.mark.parametrize("start", [-1e-6, math.nan])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError, match="frame start must be non-negative"):
+            data_frame(start=start)
+
+
 class TestSimulator:
     def test_events_in_order(self):
         sim = Simulator()
