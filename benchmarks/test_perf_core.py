@@ -9,7 +9,8 @@ simulation speed show up:
 * ray tracing in the conference room (LOS + 1st + 2nd order);
 * the discrete-event MAC (simulated-seconds per wall-second), on one
   saturated link and on the six-station Fig 22 interference scenario;
-* trace synthesis + frame detection round trip.
+* trace synthesis + frame detection round trip;
+* one ray-traced angular profile (Fig 18, location A).
 
 ``test_perf_core_events_per_sec`` additionally writes the simulator's
 speed on the saturated link to ``benchmarks/results/BENCH_core.json``
@@ -23,7 +24,9 @@ multi-transmitter path (interference, carrier sensing, NAV) the same
 way.  The capture round trip gates the measurement pipeline:
 ``capture_samples_per_s`` renders and detects a 10 ms, 1e8 S/s capture
 with sparse frames, the shape of the protocol captures behind Table 1
-and Figs 3, 8 and 15.  It deliberately avoids the pytest-benchmark
+and Figs 3, 8 and 15.  ``angular_orientations_per_s`` gates the angular
+sweeps of Figs 18/19: one 72-step profile of the D5000 pair at location
+A, traced to second order.  It deliberately avoids the pytest-benchmark
 fixture so CI can run it with plain pytest.
 """
 
@@ -94,6 +97,29 @@ def capture_round_trip():
     return trace, frames
 
 
+def angular_profile_setup():
+    """Fig 18 at location A: the location, the D5000 pair and a factory.
+
+    Also returns the profile :func:`measure_room_profiles` measured
+    there, which the timed sweep must reproduce.
+    """
+    from repro.devices.vubiq import VubiqReceiver
+    from repro.experiments.reflections import measure_room_profiles
+    from repro.geometry.room import measurement_locations
+    from repro.phy.antenna import standard_horn_25dbi
+
+    location = measurement_locations()[0]
+    result = measure_room_profiles("d5000", steps=72, max_order=2, locations=[location])
+    tracer = RayTracer(result.room, max_order=2)
+
+    def factory(position, boresight):
+        return VubiqReceiver(
+            position, boresight, antenna=standard_horn_25dbi(), tracer=tracer
+        )
+
+    return location, [result.tx, result.rx], factory, result.profiles["A"]
+
+
 @pytest.fixture(scope="module")
 def array():
     return UniformRectangularArray(
@@ -162,6 +188,19 @@ def test_perf_core_events_per_sec():
         capture_s = min(capture_s, time.perf_counter() - t0)
     assert trace.samples.size == 1_000_000 and len(frames) == 18
 
+    from repro.core.angular import measure_angular_profile
+    from repro.devices.rotation import RotationStage
+
+    location, devices, factory, expected = angular_profile_setup()
+    angular_s = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        profile = measure_angular_profile(
+            location, devices, factory, stage=RotationStage(steps=72)
+        )
+        angular_s = min(angular_s, time.perf_counter() - t0)
+    assert profile.power_dbm.tobytes() == expected.power_dbm.tobytes()
+
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
@@ -177,13 +216,17 @@ def test_perf_core_events_per_sec():
         bench_entry("capture_samples_per_s",
                     round(trace.samples.size / capture_s), "samples/s",
                     "higher", tolerance=5.0),
+        bench_entry("angular_orientations_per_s",
+                    round(profile.orientations_rad.size / angular_s), "orientations/s",
+                    "higher", tolerance=5.0),
     ])
 
     print(
         f"\ncore perf: {events} events in {best_s * 1e3:.1f} ms "
         f"-> {events_per_s / 1e6:.2f}M events/s; six stations: "
         f"{0.02 / interference_s:.3f} sim s per wall s; capture: "
-        f"{capture_s * 1e3:.1f} ms per 1e6 samples"
+        f"{capture_s * 1e3:.1f} ms per 1e6 samples; angular profile: "
+        f"{angular_s * 1e3:.1f} ms per 72 orientations"
     )
 
 

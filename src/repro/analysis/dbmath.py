@@ -135,6 +135,19 @@ def power_sum_db(values_db: Iterable[float]) -> float:
     return float(linear_to_db(np.sum(db_to_linear(values))))
 
 
+def power_sum_db_rows(values_db: ArrayLike) -> np.ndarray:
+    """:func:`power_sum_db` of each row of a 2-D array, bit-equal to it.
+
+    The sum runs along a C-contiguous last axis, so numpy adds each row
+    in the same (pairwise) order as the 1-D sum of :func:`power_sum_db`.
+    A reduction over the first axis adds in another order, which can
+    differ in the last bit once numpy's pairwise summation starts (eight
+    terms on numpy 2.x).
+    """
+    values = np.ascontiguousarray(values_db, dtype=float)
+    return linear_to_db(np.sum(db_to_linear(values), axis=-1))
+
+
 def power_average_db(values_db: Iterable[float]) -> float:
     """Average powers expressed in dB (linear-domain mean, back to dB).
 

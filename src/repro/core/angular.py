@@ -25,7 +25,7 @@ from repro.devices.rotation import RotationStage
 from repro.devices.vubiq import VubiqReceiver
 from repro.geometry.vec import Vec2, angle_between, normalize_angle
 from repro.mac.frames import FrameKind
-from repro.analysis.dbmath import linear_to_db_scalar, power_sum_db
+from repro.analysis.dbmath import linear_to_db_scalar, power_sum_db_rows
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,13 @@ def measure_angular_profile(
     stage = stage if stage is not None else RotationStage(steps=72)
     orientations = list(stage.orientations())
     vubiq: VubiqReceiver = vubiq_factory(location, orientations[0])
-    sweeps = [vubiq.received_power_sweep_dbm(dev, orientations, kind) for dev in devices]
-    powers = [power_sum_db([sweep[i] for sweep in sweeps]) for i in range(len(orientations))]
+    # (device × orientation), summed per orientation along the device axis.
+    sweeps = np.array(
+        [vubiq.received_power_sweep_dbm(dev, orientations, kind) for dev in devices]
+    ).reshape(len(devices), len(orientations))
     return AngularProfile(
         orientations_rad=np.asarray(orientations),
-        power_dbm=np.asarray(powers),
+        power_dbm=power_sum_db_rows(sweeps.T),
         location=location,
     )
 

@@ -38,8 +38,10 @@ class RotationStage:
     ):
         if steps < 4:
             raise ValueError("need at least 4 steps per rotation")
-        if backlash_std_rad < 0:
-            raise ValueError("backlash must be non-negative")
+        if not math.isfinite(start_rad):
+            raise ValueError(f"start_rad must be finite, got {start_rad!r}")
+        if not (math.isfinite(backlash_std_rad) and backlash_std_rad >= 0):
+            raise ValueError(f"backlash must be finite and non-negative, got {backlash_std_rad!r}")
         self.steps = steps
         self.start_rad = start_rad
         self.backlash_std_rad = backlash_std_rad

@@ -18,6 +18,7 @@ reflected path — and renders it into a sampled :class:`Trace`.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.phy.signal import (
     received_amplitude_v,
     synthesize_trace,
 )
-from repro.analysis.dbmath import power_sum_db
+from repro.analysis.dbmath import power_sum_db_rows
 
 #: Received power below this is indistinguishable from the noise floor
 #: and not rendered as an emission.
@@ -102,15 +103,34 @@ class VubiqReceiver:
         """:meth:`received_power_dbm` with the horn at each boresight.
 
         Only the horn's orientation changes between the returned powers,
-        so the room is traced, and each path's transmit gain and arrival
-        bearing computed, once for the whole sweep.
+        so the room is traced, and each path's transmit gain, length,
+        propagation loss, extra loss and arrival bearing computed, once
+        for the whole sweep.
+
+        With a tracer, the powers are one float64 array with a row per
+        boresight and a column per path.  It is evaluated in the
+        left-to-right order of :meth:`LinkBudget.received_power_dbm`,
+        then the TX power offset is added, with
+        :meth:`HornAntenna.gain_toward_array` for the horn.  Each row is
+        power-summed along the C-contiguous last axis
+        (:func:`power_sum_db_rows`).  Every returned power is therefore
+        bit-equal to evaluating each path with
+        :meth:`PropagationPath.received_power_dbm` and summing with
+        :func:`power_sum_db` one boresight at a time.  Without a tracer
+        the single LOS path needs no power sum and is evaluated per
+        boresight.
+
+        Raises:
+            ValueError: If a boresight is NaN or infinite.
         """
+        if not all(map(math.isfinite, boresights_rad)):
+            raise ValueError("boresights must be finite")
         tx_power_offset = device.tx_power_for(kind) - self.budget.tx_power_dbm
-        gain_toward = self.antenna.gain_toward
         if self.tracer is None:
             distance = device.position.distance_to(self.position)
             tx_gain = device.tx_gain_dbi(self.position, kind, subelement)
             bearing = (device.position - self.position).angle()
+            gain_toward = self.antenna.gain_toward
             return [
                 self.budget.received_power_dbm(
                     distance, tx_gain, gain_toward(bearing - boresight)
@@ -122,32 +142,34 @@ class VubiqReceiver:
         paths = self.tracer.trace(device.position, self.position)
         if not paths:
             return [-300.0] * len(boresights_rad)
-        # (path, TX gain at the departure angle of that path, arrival bearing)
-        legs = [
-            (
-                path,
+        budget = self.budget
+        # Per path: EIRP at the departure angle, propagation loss, extra
+        # loss and arrival bearing.
+        eirp = budget.tx_power_dbm + np.array(
+            [
                 device.tx_gain_dbi(
                     device.position + Vec2.unit(path.departure_angle_rad()),
                     kind,
                     subelement,
-                ),
-                path.arrival_angle_rad(),
-            )
-            for path in paths
-        ]
-        return [
-            power_sum_db(
-                [
-                    path.received_power_dbm(
-                        self.budget, tx_gain, gain_toward(arrival - boresight)
-                    )
-                    + tx_power_offset
-                    for path, tx_gain, arrival in legs
-                ]
-            )
-            + self.extra_gain_db
-            for boresight in boresights_rad
-        ]
+                )
+                for path in paths
+            ]
+        )
+        loss = np.array([budget.propagation_loss_db(path.length_m()) for path in paths])
+        extra_loss = np.array([path.extra_loss_db() for path in paths])
+        arrival = np.array([path.arrival_angle_rad() for path in paths])
+        # (boresight × path)
+        rx_gain = self.antenna.gain_toward_array(
+            arrival - np.asarray(boresights_rad, dtype=float)[:, np.newaxis]
+        )
+        powers = (
+            (eirp + rx_gain)
+            - loss
+            - budget.implementation_loss_db
+            - extra_loss
+            + tx_power_offset
+        )
+        return (power_sum_db_rows(powers) + self.extra_gain_db).tolist()
 
     # -- trace generation ------------------------------------------------
 

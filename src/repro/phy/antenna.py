@@ -581,13 +581,19 @@ class HornAntenna:
 
     def __init__(self, gain_dbi: float, hpbw_deg: Optional[float] = None, floor_db: float = -40.0):
         self._gain = float(gain_dbi)
+        if not math.isfinite(self._gain):
+            raise ValueError(f"horn gain must be finite, got {gain_dbi!r}")
         if hpbw_deg is None:
             # Assume equal az/el beam widths for the directivity estimate.
             hpbw_deg = math.sqrt(41_000.0 / db_to_linear_scalar(self._gain))
-        if hpbw_deg <= 0:
-            raise ValueError("HPBW must be positive")
+        if not (math.isfinite(hpbw_deg) and hpbw_deg > 0):
+            raise ValueError(f"HPBW must be positive and finite, got {hpbw_deg!r}")
         self._hpbw = float(hpbw_deg)
         self._floor = float(floor_db)
+        # The floor is relative to boresight: above 0 dB it would lift
+        # the whole pattern and flatten the horn.
+        if not (math.isfinite(self._floor) and self._floor <= 0.0):
+            raise ValueError(f"floor_db must be finite and <= 0, got {floor_db!r}")
 
     @property
     def gain_dbi(self) -> float:
@@ -611,6 +617,26 @@ class HornAntenna:
         off_deg = abs(deg_wrap_180(math.degrees(off_boresight_rad)))
         rel = -3.0 * (2.0 * off_deg / self._hpbw) ** 2
         return self._gain + max(rel, self._floor)
+
+    def gain_toward_array(self, off_boresight_rad: np.ndarray) -> np.ndarray:  # replint: unit=dBi
+        """:meth:`gain_toward` of every element, bit-equal to it.
+
+        The wrap folds ``fmod(degrees, 360)`` into [0, 180] by
+        ``360 - x`` above 180, which is exact and equals the scalar
+        wrap's ``abs(x - 360)``.
+        """
+        angles = np.asarray(off_boresight_rad, dtype=float)
+        off_deg = np.abs(np.fmod(np.degrees(angles.ravel()), 360.0))
+        np.subtract(360.0, off_deg, out=off_deg, where=off_deg > 180.0)
+        ratio = 2.0 * off_deg / self._hpbw
+        rel = -3.0 * (ratio * ratio)
+        # ``**`` on a Python float is libm ``pow``, which rounds about one
+        # square in a thousand one ULP away from ``ratio * ratio``.  Redo
+        # with ``**`` every element that may clear the floor; the rest
+        # are floored either way.
+        lobe = rel > self._floor - 1.0
+        rel[lobe] = [-3.0 * r**2 for r in ratio[lobe].tolist()]
+        return (self._gain + np.maximum(rel, self._floor)).reshape(angles.shape)
 
 
 def open_waveguide() -> HornAntenna:

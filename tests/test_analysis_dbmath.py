@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dbmath import (
     DB_FLOOR,
@@ -14,6 +16,7 @@ from repro.analysis.dbmath import (
     log_distance_loss_db,
     power_average_db,
     power_sum_db,
+    power_sum_db_rows,
     watts_to_dbm,
 )
 
@@ -81,6 +84,26 @@ class TestPowerCombining:
     def test_average_of_empty_raises(self):
         with pytest.raises(ValueError):
             power_average_db([])
+
+
+class TestPowerSumRows:
+    """``power_sum_db_rows`` is ``power_sum_db`` on each row, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 12), terms=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_dimensional_sums(self, rows, terms, seed):
+        # Close powers make every term count in the sum, so a change in
+        # the order of the additions shows in the last bit.
+        values = np.random.default_rng(seed).uniform(-60.0, -50.0, (rows, terms))
+        expected = [power_sum_db(row) for row in values.tolist()]
+        assert power_sum_db_rows(values).tolist() == expected
+
+    def test_transposed_input_sums_rows(self):
+        # A column-major view must still sum each row in 1-D order.
+        values = np.random.default_rng(3).uniform(-60.0, -50.0, (16, 40))
+        expected = [power_sum_db(row) for row in values]
+        assert power_sum_db_rows(np.asfortranarray(values)).tolist() == expected
+        assert power_sum_db_rows(values.T.T).tolist() == expected
 
 
 class TestAmplitudeToDb:

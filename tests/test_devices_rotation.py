@@ -50,6 +50,16 @@ class TestRotationStage:
         with pytest.raises(ValueError):
             RotationStage(backlash_std_rad=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        with pytest.raises(ValueError, match="start_rad"):
+            RotationStage(start_rad=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_backlash_rejected(self, bad):
+        with pytest.raises(ValueError, match="backlash"):
+            RotationStage(backlash_std_rad=bad)
+
 
 class TestSemicirclePositions:
     def test_count_and_radius(self):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.phy.antenna import (
     AntennaPattern,
@@ -238,6 +240,92 @@ class TestHorn:
     def test_invalid_hpbw(self):
         with pytest.raises(ValueError):
             HornAntenna(10.0, hpbw_deg=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gain_dbi": math.nan},
+            {"gain_dbi": math.inf},
+            {"gain_dbi": 25.0, "hpbw_deg": math.nan},
+            {"gain_dbi": 25.0, "hpbw_deg": math.inf},
+            {"gain_dbi": 25.0, "floor_db": math.nan},
+            {"gain_dbi": 25.0, "floor_db": -math.inf},
+            {"gain_dbi": 25.0, "floor_db": 5.0},
+        ],
+    )
+    def test_bad_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            HornAntenna(**kwargs)
+
+    def test_zero_floor_allowed(self):
+        # A 0 dB floor is an isotropic horn, the limit of a valid floor.
+        horn = HornAntenna(10.0, hpbw_deg=30.0, floor_db=0.0)
+        assert horn.gain_toward(math.pi) == 10.0
+
+
+def _ulp_steps(x, steps):
+    """``x`` moved ``steps`` representable doubles up (or down)."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+#: The two horns of the Vubiq rig, and where each reaches its floor
+#: (both are on the floor straight behind).
+HORNS = {"horn_25dbi": standard_horn_25dbi(), "open_waveguide": open_waveguide()}
+FLOOR_EDGES_RAD = [
+    math.radians(
+        horn.hpbw_deg / 2.0 * math.sqrt((horn.gain_dbi - horn.gain_toward(math.pi)) / 3.0)
+    )
+    for horn in HORNS.values()
+]
+
+#: Off-boresight angles: anywhere within ~50 rad, the ±π seam and the
+#: other odd multiples of π (and their ULP neighbours), and the edge of
+#: each horn's floor.
+OFF_BORESIGHT = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.builds(
+        lambda k, steps: _ulp_steps((2 * k + 1) * math.pi, steps),
+        st.integers(-8, 7),
+        st.integers(-3, 3),
+    ),
+    st.builds(
+        lambda edge, sign, delta: sign * (edge + delta),
+        st.sampled_from(FLOOR_EDGES_RAD),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-0.05, 0.05),
+    ),
+)
+
+
+class TestHornGainArray:
+    """The array horn gain equals ``gain_toward`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(HORNS)), angles=st.lists(OFF_BORESIGHT, max_size=40))
+    def test_matches_scalar_gain(self, name, angles):
+        horn = HORNS[name]
+        expected = [horn.gain_toward(a) for a in angles]
+        assert horn.gain_toward_array(np.array(angles, dtype=float)).tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(HORNS))
+    def test_matches_scalar_gain_on_dense_grid(self, name):
+        # ``gain_toward`` squares with libm ``pow``, which rounds about one
+        # square in a thousand differently from a multiply; a dense
+        # main-lobe grid catches an array form that squares by multiplying.
+        horn = HORNS[name]
+        angles = np.linspace(-2.5, 2.5, 20_001)
+        expected = [horn.gain_toward(a) for a in angles.tolist()]
+        assert horn.gain_toward_array(angles).tolist() == expected
+
+    def test_keeps_shape(self):
+        horn = standard_horn_25dbi()
+        grid = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        assert horn.gain_toward_array(grid).shape == (3, 4)
+        assert horn.gain_toward_array(0.3).shape == ()
+        assert float(horn.gain_toward_array(0.3)) == horn.gain_toward(0.3)
 
 
 def _reference_scalar_gain(pattern: AntennaPattern, azimuth_rad: float) -> float:

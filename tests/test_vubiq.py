@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dbmath import power_sum_db
+from repro.core.angular import measure_angular_profile
+from repro.devices.air3c import make_air3c_transmitter
 from repro.devices.rotation import RotationStage
 from repro.devices.vubiq import MIN_DETECTABLE_DBM, VubiqReceiver
 from repro.geometry.materials import get_material
@@ -133,6 +135,50 @@ class TestPowerSweep:
             rotated = [vubiq.rotated_to(b) for b in SWEEP_BORESIGHTS]
             assert sweep == [v.received_power_dbm(device, kind, subelement) for v in rotated]
             assert sweep == [reference_power_dbm(v, device, kind, subelement) for v in rotated]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_boresight_rejected(self, trained_pair, traced, bad):
+        dock, laptop = trained_pair
+        vubiq = VubiqReceiver(
+            Vec2(1.0, 1.0), tracer=RayTracer(SWEEP_ROOM, max_order=1) if traced else None
+        )
+        with pytest.raises(ValueError, match="finite"):
+            vubiq.received_power_sweep_dbm(laptop, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            vubiq.rotated_to(bad).received_power_dbm(laptop)
+
+
+@pytest.fixture(scope="module")
+def third_device():
+    """A WiHD transmitter beside the trained pair, facing into the room."""
+    return make_air3c_transmitter(position=Vec2(1.0, 1.5), orientation_rad=-math.pi / 2)
+
+
+class TestAngularProfileDeviceSum:
+    """A profile sums the device sweeps per orientation, bit for bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(x=st.floats(-0.8, 2.8), y=st.floats(-0.8, 1.8), traced=st.booleans())
+    def test_matches_per_orientation_power_sum(self, trained_pair, third_device, x, y, traced):
+        devices = [*trained_pair, third_device]
+        location = Vec2(x, y)
+        assume(min(location.distance_to(d.position) for d in devices) > 0.05)
+        tracer = RayTracer(SWEEP_ROOM, max_order=2) if traced else None
+
+        def factory(position, boresight):
+            return VubiqReceiver(
+                position, boresight, antenna=standard_horn_25dbi(), tracer=tracer
+            )
+
+        profile = measure_angular_profile(location, devices, factory)
+        vubiq = factory(location, SWEEP_BORESIGHTS[0])
+        sweeps = [vubiq.received_power_sweep_dbm(d, SWEEP_BORESIGHTS) for d in devices]
+        expected = [
+            power_sum_db([sweep[i] for sweep in sweeps]) for i in range(len(SWEEP_BORESIGHTS))
+        ]
+        assert profile.orientations_rad.tolist() == SWEEP_BORESIGHTS
+        assert profile.power_dbm.tolist() == expected
 
 
 class TestEmissionRendering:
