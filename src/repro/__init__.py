@@ -31,14 +31,7 @@ Quick start::
     print(beam.half_power_beam_width_deg(), beam.side_lobe_level_db())
 """
 
-import os as _os
-
 from repro import analysis, core, devices, geometry, mac, phy
-
-if _os.environ.get("REPRO_SANITIZE"):  # opt-in runtime sanitizer
-    from repro import sanitize as _sanitize
-
-    _sanitize.enable_from_env()
 
 __version__ = "1.0.0"
 

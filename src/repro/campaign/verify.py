@@ -11,8 +11,8 @@ two properties the campaign engine's results rest on:
    (wall-clock timings, attempt counts, cached-vs-completed status).
 
 2. **Cache purity** — every cell is executed in-process under
-   :class:`repro.sanitize.PurityAudit`, which records each
-   environment/file/clock read.  Any read not derivable from the
+   :class:`PurityAudit`, which records each environment/file/clock
+   read.  Any read not derivable from the
    scenario spec means the content-addressed cache key does not
    capture all inputs.
    A third run replays the shuffled-parallel results through a fresh
@@ -26,8 +26,10 @@ same byte-identity a persisted ``results.jsonl`` would show.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -82,6 +84,147 @@ def canonical_profile(result: CampaignResult) -> str:
     return json.dumps(
         strip_time_fields(profile), sort_keys=True, separators=(",", ":")
     )
+
+
+@dataclass
+class ReadRecord:
+    """One out-of-spec input read observed during a purity audit."""
+
+    kind: str  #: ``env`` | ``file`` | ``clock``
+    detail: str  #: variable name, file path, or clock function
+
+    def to_dict(self) -> Dict[str, str]:
+        return {"kind": self.kind, "detail": self.detail}
+
+
+class _AuditEnviron:
+    """``os.environ`` stand-in that records every lookup.
+
+    Wraps the real mapping, so reads still return live values — the
+    audit observes, it does not isolate.  ``os.getenv`` resolves
+    ``environ`` through the :mod:`os` module globals at call time, so
+    replacing the attribute covers it too.
+    """
+
+    def __init__(self, real, audit: "PurityAudit"):
+        self._real = real
+        self._audit = audit
+
+    def _note(self, key: object) -> None:
+        self._audit.note("env", str(key))
+
+    def __getitem__(self, key):
+        self._note(key)
+        return self._real[key]
+
+    def get(self, key, default=None):
+        self._note(key)
+        return self._real.get(key, default)
+
+    def __contains__(self, key):
+        self._note(key)
+        return key in self._real
+
+    def __setitem__(self, key, value):
+        self._real[key] = value
+
+    def __delitem__(self, key):
+        del self._real[key]
+
+    def __iter__(self):
+        return iter(self._real)
+
+    def __len__(self):
+        return len(self._real)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class PurityAudit:
+    """Record every environment/file/clock read inside a ``with`` block.
+
+    The purity check ``repro campaign verify`` runs: a campaign cell's
+    result must be a function of its :class:`ScenarioSpec` alone, or
+    the content-addressed cache can serve poisoned entries.  Usage::
+
+        with PurityAudit() as audit:
+            cell(seed=0, repetition=0, **params)
+        audit.records   # out-of-spec reads the cell performed
+        audit.digest()  # order-independent hash of those reads
+
+    Patches ``os.environ`` (covering ``os.getenv``), ``builtins.open``
+    and ``io.open`` (covering ``pathlib.Path.read_text``), and
+    ``time.time``/``time.time_ns``.  Known blind spots, by design:
+    ``datetime.datetime.now`` (immutable C type, unpatchable) and
+    module imports (``importlib`` reads via ``io.open_code``) — lint
+    rule RL002 flags the former statically, and import-time reads do
+    not vary per scenario.
+
+    ``allowed_env`` names environment variables the spec machinery
+    itself is permitted to read (e.g. ``REPRO_CACHE_DIR``); they are
+    not recorded.
+    """
+
+    def __init__(self, allowed_env: Tuple[str, ...] = ()):
+        self.allowed_env = frozenset(allowed_env)
+        self.records: List[ReadRecord] = []
+        self._patches: List[Tuple[object, str, object]] = []
+
+    def note(self, kind: str, detail: str) -> None:
+        if kind == "env" and detail in self.allowed_env:
+            return
+        self.records.append(ReadRecord(kind=kind, detail=detail))
+
+    def digest(self) -> str:
+        """Order-independent hash of the recorded reads."""
+        lines = sorted(f"{r.kind}:{r.detail}" for r in self.records)
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+    def _patch(self, obj: object, attr: str, replacement: object) -> None:
+        self._patches.append((obj, attr, getattr(obj, attr)))
+        setattr(obj, attr, replacement)
+
+    def __enter__(self) -> "PurityAudit":
+        import builtins
+        import io
+        import time as time_mod
+
+        audit = self
+
+        real_open = builtins.open
+
+        @functools.wraps(real_open)
+        def open_wrapper(file, *args, **kwargs):
+            mode = kwargs.get("mode", args[0] if args else "r")
+            if "r" in str(mode) or "+" in str(mode):
+                audit.note("file", str(file))
+            return real_open(file, *args, **kwargs)
+
+        real_time = time_mod.time
+        real_time_ns = time_mod.time_ns
+
+        @functools.wraps(real_time)
+        def time_wrapper():
+            audit.note("clock", "time.time")
+            return real_time()
+
+        @functools.wraps(real_time_ns)
+        def time_ns_wrapper():
+            audit.note("clock", "time.time_ns")
+            return real_time_ns()
+
+        self._patch(os, "environ", _AuditEnviron(os.environ, self))
+        self._patch(builtins, "open", open_wrapper)
+        self._patch(io, "open", open_wrapper)
+        self._patch(time_mod, "time", time_wrapper)
+        self._patch(time_mod, "time_ns", time_ns_wrapper)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for obj, attr, original in reversed(self._patches):
+            setattr(obj, attr, original)
+        self._patches.clear()
 
 
 @dataclass
@@ -198,8 +341,6 @@ def _audit_cells(
     The cell is resolved *before* the audit window opens so import-time
     file access (module loading) is not charged to the cell.
     """
-    from repro.sanitize import PurityAudit
-
     audits: List[CellAudit] = []
     for spec in campaign.expand()[:limit]:
         fn = resolve_cell(spec.experiment)

@@ -20,8 +20,7 @@ Usage::
     python -m repro obs diff <run_a> <run_b>
     python -m repro obs bench report
     python -m repro obs bench check --baseline <dir>
-    python -m repro lint [--flow] [--baseline] [--json] [paths...]
-    python -m repro sanitize -- python -m repro nlos
+    python -m repro lint [--baseline] [--json] [paths...]
 
 Each subcommand runs a time-scaled version of the corresponding
 measurement (Section 3.2 setups) and prints the headline rows.  The
@@ -41,8 +40,7 @@ shuffled shard submission must merge to byte-identical result stores
 ``lint`` runs the domain-aware static analysis (:mod:`repro.lint`):
 AST rules RL001-RL008 covering determinism (unseeded RNG, wall-clock
 reads, frozen-spec mutation, unordered hashing) and dB-unit safety
-(inline conversions, log/linear mixing, float equality); ``--flow``
-adds the whole-program unit/RNG passes (RL010-RL015).
+(inline conversions, log/linear mixing, float equality).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import pathlib
 import sys
 from typing import Optional, Sequence
@@ -512,47 +509,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    import json
-    import subprocess
-    import tempfile
-
-    cmd = list(args.cmd)
-    if cmd and cmd[0] == "--":
-        cmd = cmd[1:]
-    if not cmd:
-        print("repro sanitize: no command given (usage: repro sanitize -- <cmd> ...)",
-              file=sys.stderr)
-        return 2
-    with tempfile.TemporaryDirectory(prefix="repro-sanitize-") as tmp:
-        report_path = os.path.join(tmp, "report.json")
-        env = dict(os.environ)
-        env["REPRO_SANITIZE"] = args.mode
-        env["REPRO_SANITIZE_REPORT"] = report_path
-        proc = subprocess.run(cmd, env=env)
-        try:
-            with open(report_path, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except (OSError, ValueError):
-            report = None
-    if report is None:
-        print("repro sanitize: child wrote no report (does it import repro?)",
-              file=sys.stderr)
-        return proc.returncode or 2
-    total = report.get("total", 0)
-    for violation in report.get("violations", []):
-        print(f"{violation['check']}: {violation['message']}")
-        for frame in violation.get("stack", [])[-6:]:
-            print(f"    {frame}")
-    shown = len(report.get("violations", []))
-    if total > shown:
-        print(f"... and {total - shown} more (capped)")
-    print(f"sanitizer: {total} violation(s), child exit {proc.returncode}")
-    if proc.returncode:
-        return proc.returncode
-    return 1 if total else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -766,16 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_lint_arguments(p)
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "sanitize",
-        help="run a command under the runtime unit/RNG sanitizer",
-    )
-    p.add_argument("--mode", choices=["warn", "raise"], default="warn",
-                   help="collect violations (warn) or fail at the call site (raise)")
-    p.add_argument("cmd", nargs=argparse.REMAINDER,
-                   help="command to run, after a literal -- separator")
-    p.set_defaults(func=_cmd_sanitize)
     return parser
 
 

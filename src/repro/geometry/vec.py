@@ -106,7 +106,7 @@ class Vec2:
 
     @staticmethod
     def from_polar(
-        radius: float,  # replint: unit=m
+        radius: float,
         radians: float,
     ) -> "Vec2":
         """Construct from polar coordinates."""

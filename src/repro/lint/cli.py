@@ -7,15 +7,8 @@ Exit codes (stable, for CI):
 * ``2`` — operational error (unreadable baseline, unknown config key,
   bad arguments)
 
-``--flow`` additionally runs the whole-program passes
-(:mod:`repro.lint.flow`): symbol table + call graph construction, then
-interprocedural dB/linear unit inference (RL010-RL012) and RNG taint
-tracking (RL013-RL015).  Flow findings merge into the same output,
-baseline, and exit-code machinery as the per-file rules.
-
-``--jobs N`` lints files in N pool processes (per-file rules only —
-the flow passes need the whole program in one address space); finding
-order is byte-identical for any N.
+``--jobs N`` lints files in N pool processes; finding order is
+byte-identical for any N.
 
 ``--check-baseline`` inverts the baseline question: instead of
 subtracting known findings, it fails (exit 1) when the baseline holds
@@ -70,12 +63,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
 
     findings = lint_paths(paths, root, config, jobs=max(1, args.jobs))
-    flow_stats = None
-    if args.flow:
-        from repro.lint.flow import analyze_paths
-
-        flow_findings, flow_stats = analyze_paths(paths, root, config)
-        findings = sorted([*findings, *flow_findings], key=Finding.sort_key)
     baseline_path = root / config.baseline
 
     if args.write_baseline:
@@ -103,8 +90,6 @@ def run_lint(args: argparse.Namespace) -> int:
             "baselined": baselined,
             "fingerprint_version": baseline_mod.BASELINE_VERSION,
         }
-        if flow_stats is not None:
-            doc["flow"] = flow_stats.to_dict()
         if args.stats:
             doc["stats"] = _stats_dict(findings, paths, config, duration_s)
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -116,7 +101,7 @@ def run_lint(args: argparse.Namespace) -> int:
             summary += f", {baselined} baselined"
         print(summary)
         if args.stats:
-            _print_stats(findings, paths, config, duration_s, flow_stats)
+            _print_stats(findings, paths, config, duration_s)
     return 1 if findings else 0
 
 
@@ -160,18 +145,12 @@ def _stats_dict(findings, paths, config, duration_s) -> dict:
     }
 
 
-def _print_stats(findings, paths, config, duration_s, flow_stats) -> None:
+def _print_stats(findings, paths, config, duration_s) -> None:
     stats = _stats_dict(findings, paths, config, duration_s)
     print("-- stats --")
     for code, count in stats["by_rule"].items():
         print(f"  {code}: {count}")
     print(f"  files analyzed: {stats['files_analyzed']}")
-    if flow_stats is not None:
-        print(
-            f"  flow: {flow_stats.modules} modules, "
-            f"{flow_stats.functions} functions, "
-            f"{flow_stats.call_edges} call edges"
-        )
     print(f"  wall time: {stats['wall_time_s']:.3f} s")
 
 
@@ -182,18 +161,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to lint (default: <root>/src)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the whole-program passes (unit inference RL010-012, "
-        "RNG taint RL013-015)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="lint files in N pool processes (per-file rules only; "
-        "deterministic output for any N)",
+        help="lint files in N pool processes (deterministic output for any N)",
     )
     parser.add_argument(
         "--baseline",
@@ -214,7 +186,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="machine-readable output (findings, count, baselined, flow)",
+        help="machine-readable output (findings, count, baselined)",
     )
     parser.add_argument(
         "--stats",
@@ -234,13 +206,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def list_rules() -> int:
-    from repro.lint.flow import FLOW_RULES
-
-    catalog = {code: (cls.name, cls.summary) for code, cls in RULES.items()}
-    catalog.update(FLOW_RULES)
-    for code in sorted(catalog):
-        name, summary = catalog[code]
-        print(f"{code}  {name:<26} {summary}")
+    for code, cls in sorted(RULES.items()):
+        print(f"{code}  {cls.name:<26} {cls.summary}")
     return 0
 
 

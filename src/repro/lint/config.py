@@ -6,16 +6,13 @@ Settings live in ``pyproject.toml`` under ``[tool.repro-lint]``::
     disable = []                       # rule codes switched off globally
     baseline = "lint-baseline.json"    # committed baseline location
     exclude = ["*/build/*"]            # path globs never scanned
-    physics-packages = ["repro.phy"]   # where RL005 applies
-    wall-clock-packages = ["repro.mac"]  # where RL002 applies
-    rng-entry-points = []              # modules exempt from RL001
-    dbmath-modules = ["repro.analysis.dbmath"]  # RL003's own home
-    flow-unit-packages = ["repro.phy", "repro.mac"]  # RL012 scope
-    flow-rng-packages = ["repro.phy", "repro.mac"]   # RL013/RL015 scope
-    clock-modules = ["repro.obs.clock"]  # sanctioned clock shims
 
     [tool.repro-lint.per-file-ignores]
     "src/repro/campaign/telemetry.py" = ["RL002"]
+
+The package scopes the rules apply to (RL002's wall-clock packages and
+clock shim, RL003's dbmath home, RL005's physics packages) are module
+constants next to each rule in :mod:`repro.lint.rules`.
 
 An unknown key raises ``ValueError`` (``repro lint`` exits 2 naming
 it), so a misspelled or retired key never silently falls back to a
@@ -42,50 +39,6 @@ except ModuleNotFoundError:  # pragma: no cover - py<3.11 fallback
     except ModuleNotFoundError:
         _toml = None  # type: ignore[assignment]
 
-#: Packages whose code must read time from the DES clock, not the wall
-#: clock (RL002 scope).
-DEFAULT_WALL_CLOCK_PACKAGES = (
-    "repro.mac",
-    "repro.phy",
-    "repro.core",
-    "repro.experiments",
-    "repro.devices",
-    "repro.campaign",
-    "repro.obs",
-)
-
-#: The sanctioned clock shims — the only modules allowed to read the
-#: wall/monotonic clock.  RL002 skips them entirely, so every *other*
-#: clock read in the tree still fires.
-DEFAULT_CLOCK_MODULES = ("repro.obs.clock",)
-
-#: Packages doing link-budget / geometry math where float equality
-#: comparisons are suspect (RL005 scope).
-DEFAULT_PHYSICS_PACKAGES = (
-    "repro.phy",
-    "repro.core",
-    "repro.geometry",
-    "repro.analysis",
-)
-
-#: Modules allowed to contain inline dB conversions (the helpers
-#: themselves).
-DEFAULT_DBMATH_MODULES = ("repro.analysis.dbmath",)
-
-#: Packages whose *public* API must declare units by suffix or
-#: ``# replint: unit=...`` annotation (RL012 scope).
-DEFAULT_FLOW_UNIT_PACKAGES = ("repro.phy", "repro.mac")
-
-#: Packages whose functions are checked for RNG injection and dropped
-#: seed chains (RL013/RL015 scope).
-DEFAULT_FLOW_RNG_PACKAGES = (
-    "repro.phy",
-    "repro.mac",
-    "repro.core",
-    "repro.experiments",
-    "repro.devices",
-    "repro.campaign",
-)
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -95,13 +48,6 @@ class LintConfig:
     per_file_ignores: Tuple[Tuple[str, frozenset], ...] = ()
     baseline: str = "lint-baseline.json"
     exclude: Tuple[str, ...] = ()
-    wall_clock_packages: Tuple[str, ...] = DEFAULT_WALL_CLOCK_PACKAGES
-    physics_packages: Tuple[str, ...] = DEFAULT_PHYSICS_PACKAGES
-    rng_entry_points: Tuple[str, ...] = ()
-    dbmath_modules: Tuple[str, ...] = DEFAULT_DBMATH_MODULES
-    flow_unit_packages: Tuple[str, ...] = DEFAULT_FLOW_UNIT_PACKAGES
-    flow_rng_packages: Tuple[str, ...] = DEFAULT_FLOW_RNG_PACKAGES
-    clock_modules: Tuple[str, ...] = DEFAULT_CLOCK_MODULES
 
     def is_ignored(self, rel_path: str, code: str) -> bool:
         """True if ``code`` is switched off for ``rel_path`` by config."""
@@ -112,11 +58,6 @@ class LintConfig:
             ):
                 return True
         return False
-
-
-def module_in(module: str, packages: Tuple[str, ...]) -> bool:
-    """True if a dotted module name falls under any listed package."""
-    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
 
 
 def find_root(start: pathlib.Path) -> pathlib.Path:
@@ -136,9 +77,9 @@ def _codes(raw: object) -> frozenset:
     return frozenset(str(c).upper() for c in raw)
 
 
-def _strings(raw: object, default: Tuple[str, ...]) -> Tuple[str, ...]:
+def _strings(raw: object) -> Tuple[str, ...]:
     if not isinstance(raw, (list, tuple)):
-        return default
+        return ()
     return tuple(str(s) for s in raw)
 
 
@@ -183,20 +124,5 @@ def load_config(root: pathlib.Path) -> LintConfig:
         disable=_codes(section.get("disable", [])),
         per_file_ignores=ignores,
         baseline=str(section.get("baseline", "lint-baseline.json")),
-        exclude=_strings(section.get("exclude", []), ()),
-        wall_clock_packages=_strings(
-            section.get("wall-clock-packages"), DEFAULT_WALL_CLOCK_PACKAGES
-        ),
-        physics_packages=_strings(
-            section.get("physics-packages"), DEFAULT_PHYSICS_PACKAGES
-        ),
-        rng_entry_points=_strings(section.get("rng-entry-points"), ()),
-        dbmath_modules=_strings(section.get("dbmath-modules"), DEFAULT_DBMATH_MODULES),
-        flow_unit_packages=_strings(
-            section.get("flow-unit-packages"), DEFAULT_FLOW_UNIT_PACKAGES
-        ),
-        flow_rng_packages=_strings(
-            section.get("flow-rng-packages"), DEFAULT_FLOW_RNG_PACKAGES
-        ),
-        clock_modules=_strings(section.get("clock-modules"), DEFAULT_CLOCK_MODULES),
+        exclude=_strings(section.get("exclude", [])),
     )

@@ -18,8 +18,7 @@ colliding into interchangeable baseline entries.
 Inline suppressions use ``# replint: disable=RL003`` on the first line
 of the flagged statement: comma-separated ``RLnnn`` codes or ``all``,
 optionally followed by a free-form reason
-(``# replint: disable=RL003,RL004 legacy fixture``).  Both the per-file
-rules and the flow passes report through one :class:`FindingSink`.
+(``# replint: disable=RL003,RL004 legacy fixture``).
 """
 
 from __future__ import annotations
@@ -108,45 +107,12 @@ def parse_suppressions(lines: Sequence[str]) -> Dict[int, frozenset]:
     return out
 
 
-class FindingSink:
-    """Finding collector applying config disables, per-file ignores, and
-    inline suppressions — the one filter every engine reports through."""
+class FileContext:
+    """Per-file state shared by every rule during the single pass.
 
-    def __init__(self, config: LintConfig):
-        self.config = config
-        self.findings: List[Finding] = []
-        self.suppressed_count = 0
-
-    def add(
-        self, source, node: ast.AST, code: str, message: str, context: str = ""
-    ) -> None:
-        """Record a finding in ``source`` (anything with ``rel_path``,
-        ``lines`` and ``suppressions``) unless it is suppressed or
-        configured away."""
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        if code in self.config.disable or self.config.is_ignored(source.rel_path, code):
-            return
-        codes = source.suppressions.get(lineno)
-        if codes is not None and (code.upper() in codes or "ALL" in codes):
-            self.suppressed_count += 1
-            return
-        lines = source.lines
-        self.findings.append(
-            Finding(
-                path=source.rel_path,
-                line=lineno,
-                col=col + 1,
-                code=code,
-                message=message,
-                line_text=lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else "",
-                context=context,
-            )
-        )
-
-
-class FileContext(FindingSink):
-    """Per-file state shared by every rule during the single pass."""
+    Rules report through :meth:`report`, which applies config
+    disables, per-file ignores and inline suppressions.
+    """
 
     def __init__(
         self,
@@ -156,7 +122,8 @@ class FileContext(FindingSink):
         tree: ast.Module,
         config: LintConfig,
     ):
-        super().__init__(config)
+        self.config = config
+        self.findings: List[Finding] = []
         self.rel_path = rel_path
         self.module = module
         self.source = source
@@ -184,7 +151,26 @@ class FileContext(FindingSink):
         return ".".join(parts)
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
-        self.add(self, node, code, message, self.scope_name())
+        """Record a finding at ``node`` unless it is suppressed or
+        configured away."""
+        if code in self.config.disable or self.config.is_ignored(self.rel_path, code):
+            return
+        lineno = getattr(node, "lineno", 1)
+        codes = self.suppressions.get(lineno)
+        if codes is not None and (code.upper() in codes or "ALL" in codes):
+            return
+        lines = self.lines
+        self.findings.append(
+            Finding(
+                path=self.rel_path,
+                line=lineno,
+                col=getattr(node, "col_offset", 0) + 1,
+                code=code,
+                message=message,
+                line_text=lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else "",
+                context=self.scope_name(),
+            )
+        )
 
 
 class Rule:

@@ -8,18 +8,22 @@ unit mixing, float equality in link-budget code, frozen-spec mutation,
 nondeterministic iteration feeding content-addressed hashes, and
 swallowed simulator errors.
 
-These per-file rules compose with the whole-program passes in
-:mod:`repro.lint.flow` (``--flow``): unit inference (RL010-RL012)
-and RNG taint (RL013-RL015).
+A rule that applies to only part of the tree names its scope in a
+module constant next to it (e.g. :data:`WALL_CLOCK_PACKAGES`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
-from repro.lint.config import module_in
 from repro.lint.engine import FileContext, ImportMap, Rule, register
+
+
+def module_in(module: str, packages: Tuple[str, ...]) -> bool:
+    """True if a dotted module name falls under any listed package."""
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
+
 
 # ---------------------------------------------------------------------------
 # RL001 — unseeded / global RNG
@@ -66,9 +70,6 @@ class UnseededRngRule(Rule):
     name = "unseeded-rng"
     summary = "module-global or unseeded RNG breaks run reproducibility"
     node_types = (ast.Call,)
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not module_in(ctx.module, ctx.config.rng_entry_points)
 
     def begin_file(self, ctx: FileContext) -> None:
         self._imports = ImportMap.scan(ctx.tree)
@@ -134,6 +135,23 @@ _TIME_FUNCS = {
 }
 _DATETIME_FUNCS = {"now", "utcnow", "today"}
 
+#: Packages whose code must read time from the DES clock, not the wall
+#: clock.
+WALL_CLOCK_PACKAGES = (
+    "repro.mac",
+    "repro.phy",
+    "repro.core",
+    "repro.experiments",
+    "repro.devices",
+    "repro.campaign",
+    "repro.obs",
+)
+
+#: The sanctioned clock shim — the only module allowed to read the
+#: wall/monotonic clock.  RL002 skips it entirely, so every *other*
+#: clock read in the tree still fires.
+CLOCK_MODULES = ("repro.obs.clock",)
+
 
 @register
 class WallClockRule(Rule):
@@ -143,11 +161,11 @@ class WallClockRule(Rule):
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # The sanctioned clock shim(s) are exempt *by name* — they are
-        # the single doorway everything else must go through.
-        if module_in(ctx.module, ctx.config.clock_modules):
+        # The sanctioned clock shim is exempt *by name* — it is the
+        # single doorway everything else must go through.
+        if module_in(ctx.module, CLOCK_MODULES):
             return False
-        return module_in(ctx.module, ctx.config.wall_clock_packages)
+        return module_in(ctx.module, WALL_CLOCK_PACKAGES)
 
     def begin_file(self, ctx: FileContext) -> None:
         self._imports = ImportMap.scan(ctx.tree)
@@ -195,6 +213,11 @@ class WallClockRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+#: Modules allowed to contain inline dB conversions (the helpers
+#: themselves).
+DBMATH_MODULES = ("repro.analysis.dbmath",)
+
+
 def _is_log10_call(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -218,7 +241,7 @@ class InlineDbMathRule(Rule):
     node_types = (ast.BinOp,)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return not module_in(ctx.module, ctx.config.dbmath_modules)
+        return not module_in(ctx.module, DBMATH_MODULES)
 
     def visit(self, node: ast.BinOp, ctx: FileContext) -> None:
         if isinstance(node.op, ast.Mult):
@@ -314,6 +337,15 @@ class UnitMixingRule(Rule):
 # RL005 — float equality in physics modules
 # ---------------------------------------------------------------------------
 
+#: Packages doing link-budget / geometry math where float equality
+#: comparisons are suspect.
+PHYSICS_PACKAGES = (
+    "repro.phy",
+    "repro.core",
+    "repro.geometry",
+    "repro.analysis",
+)
+
 
 @register
 class FloatEqualityRule(Rule):
@@ -323,7 +355,7 @@ class FloatEqualityRule(Rule):
     node_types = (ast.Compare,)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return module_in(ctx.module, ctx.config.physics_packages)
+        return module_in(ctx.module, PHYSICS_PACKAGES)
 
     def visit(self, node: ast.Compare, ctx: FileContext) -> None:
         operands = [node.left, *node.comparators]

@@ -107,7 +107,7 @@ class AssociationManager:
         self.timing = timing
         # Forwarding ``rng`` here would perturb the trainer's historical
         # noise stream; the default trainer stays on its own fixed seed.
-        self.trainer = trainer if trainer is not None else SectorSweepTrainer(budget=budget)  # replint: disable=RL015
+        self.trainer = trainer if trainer is not None else SectorSweepTrainer(budget=budget)
         self.on_associated = on_associated
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = AssociationStats()

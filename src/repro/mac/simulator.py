@@ -130,7 +130,7 @@ class Station:
         pattern = self.control_pattern if control else self.data_pattern
         return pattern.gain_dbi(bearing)
 
-    def tx_power_for(self, kind: FrameKind) -> float:  # replint: unit=dBm
+    def tx_power_for(self, kind: FrameKind) -> float:
         """Conducted power used for a frame of the given kind."""
         if kind.uses_wide_pattern():
             return self.tx_power_dbm + self.control_power_boost_db

@@ -106,7 +106,7 @@ class MobilityStats:
     distance_travelled_m: float = 0.0
 
     @property
-    def retrains_total(self) -> int:  # replint: unit=none
+    def retrains_total(self) -> int:
         return (
             self.retrains_periodic
             + self.retrains_snr

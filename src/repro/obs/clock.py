@@ -4,12 +4,13 @@ Simulation and campaign code must never call :func:`time.time`,
 :func:`time.perf_counter`, etc. directly: wall-clock reads in the
 physics/MAC layers are nondeterminism bugs (lint rule RL002), and
 clock reads inside cache-keyed cells make cached results unsound
-(``repro campaign verify`` audits for them).  Observability, however, legitimately needs real timestamps
-for span durations and run manifests.
+(``repro campaign verify`` audits for them).  Observability, however,
+legitimately needs real timestamps for span durations and run
+manifests.
 
-This module is that single sanctioned doorway.  It is exempted *by
-name* in the lint configuration (``[tool.repro-lint]
-clock-modules``), so every other clock read in the tree still fires.
+This module is that single sanctioned doorway.  RL002 exempts it *by
+name* (``repro.lint.rules.CLOCK_MODULES``), so every other clock read
+in the tree still fires.
 Code that needs time imports these helpers::
 
     from repro.obs import clock

@@ -30,12 +30,15 @@ class Histogram:
     ``counts`` has ``len(bounds) + 1`` entries.
     """
 
-    __slots__ = ("bounds", "counts", "count", "total")
+    __slots__ = ("bounds", "declared", "counts", "count", "total")
 
     def __init__(self, bounds: Sequence[float]):
         if not bounds or list(bounds) != sorted(bounds):
             raise ValueError(f"histogram bounds must be sorted, got {bounds!r}")
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
+        #: The immutable tuple the bounds were last validated from, so
+        #: an observation passing that same object skips revalidation.
+        self.declared: Optional[tuple] = bounds if isinstance(bounds, tuple) else None
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -85,11 +88,14 @@ class MetricsRegistry:
         if hist is None:
             hist = Histogram(buckets)
             self.histograms[name] = hist
-        elif hist.bounds != tuple(float(b) for b in buckets):
-            raise ValueError(
-                f"histogram {name!r} re-declared with different buckets: "
-                f"{hist.bounds} vs {tuple(buckets)}"
-            )
+        elif buckets is not hist.declared:
+            if hist.bounds != tuple(float(b) for b in buckets):
+                raise ValueError(
+                    f"histogram {name!r} re-declared with different buckets: "
+                    f"{hist.bounds} vs {tuple(buckets)}"
+                )
+            if isinstance(buckets, tuple):
+                hist.declared = buckets
         hist.observe(value)
         self.ops += 1
 

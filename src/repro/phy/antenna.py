@@ -87,11 +87,11 @@ class AntennaPattern:
         return self._az.copy()
 
     @property
-    def gains_dbi(self) -> np.ndarray:  # replint: unit=dBi
+    def gains_dbi(self) -> np.ndarray:
         """Gain at each grid angle, in dBi."""
         return self._gain.copy()
 
-    def gain_dbi(self, azimuth_rad):  # replint: unit=dBi
+    def gain_dbi(self, azimuth_rad):
         """Gain toward one direction or an array of directions, in dBi.
 
         Periodic linear interpolation on the stored grid.  A python
@@ -121,7 +121,7 @@ class AntennaPattern:
         """Maximum gain over all directions."""
         return float(np.max(self._gain))
 
-    def normalized_db(self) -> np.ndarray:  # replint: unit=dB
+    def normalized_db(self) -> np.ndarray:
         """Pattern relative to its own peak (0 dB at the main lobe)."""
         return self._gain - self.peak_gain_dbi()
 
@@ -611,14 +611,14 @@ class HornAntenna:
         rel = np.maximum(rel, self._floor)
         return AntennaPattern(az, self._gain + rel)
 
-    def gain_toward(self, off_boresight_rad: float) -> float:  # replint: unit=dBi
+    def gain_toward(self, off_boresight_rad: float) -> float:
         """Gain (dBi) toward a direction off the horn's boresight."""
         # Wrap into [0, 180]: the horn is symmetric in azimuth.
         off_deg = abs(deg_wrap_180(math.degrees(off_boresight_rad)))
         rel = -3.0 * (2.0 * off_deg / self._hpbw) ** 2
         return self._gain + max(rel, self._floor)
 
-    def gain_toward_array(self, off_boresight_rad: np.ndarray) -> np.ndarray:  # replint: unit=dBi
+    def gain_toward_array(self, off_boresight_rad: np.ndarray) -> np.ndarray:
         """:meth:`gain_toward` of every element, bit-equal to it.
 
         The wrap folds ``fmod(degrees, 360)`` into [0, 180] by

@@ -127,7 +127,7 @@ class BlockageEvent:
     tx: Vec2
     rx: Vec2
 
-    def loss_at(self, t_s: float) -> float:  # replint: unit=dB
+    def loss_at(self, t_s: float) -> float:
         """Extra link loss at an instant, dB."""
         return path_blockage_loss_db(
             self.blocker.position(t_s),

@@ -17,38 +17,6 @@ from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.geometry.vec import Vec2
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--sanitize",
-        action="store_true",
-        default=False,
-        help="run the whole suite under the repro.sanitize runtime sanitizer "
-        "and fail the session if any unit/RNG violation is recorded",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _session_sanitizer(request):
-    """Opt-in runtime sanitizer across the whole test session."""
-    if not request.config.getoption("--sanitize"):
-        yield
-        return
-    from repro import sanitize
-
-    sanitize.enable("warn")
-    sanitize.clear_violations()
-    yield
-    found = sanitize.violations()
-    sanitize.disable()
-    if found:
-        details = "\n\n".join(v.render() for v in found[:10])
-        pytest.fail(
-            f"sanitizer recorded {len(found)} violation(s) during the session:\n"
-            f"{details}",
-            pytrace=False,
-        )
-
-
 @pytest.fixture(scope="session")
 def dock():
     """A D5000 dock at the origin facing +x (session-shared)."""

@@ -11,12 +11,12 @@ import pytest
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.verify import (
     VOLATILE_ROW_KEYS,
+    PurityAudit,
     canonical_rows,
     rows_digest,
     verify_campaign,
 )
 from repro.cli import main
-from repro.sanitize import PurityAudit
 
 DOUBLE = "tests.campaign_cells:double_cell"
 ENV = "tests.campaign_cells:env_reading_cell"

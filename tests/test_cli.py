@@ -67,6 +67,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_retired_sanitize_command_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sanitize", "--", "python", "-c", "pass"])
+        assert exc.value.code == 2
+        assert "sanitize" in capsys.readouterr().err
+
 
 class TestCommands:
     """Each command runs end to end and prints its headline rows."""

@@ -205,10 +205,23 @@ class TestConfig:
         rc = main(["lint", "--root", str(project), str(project / "src")])
         assert rc == 0
 
-    # A misspelling, and a key whose pass was retired: neither may
-    # silently fall back to the defaults.
+    # A misspelling, a key whose pass was retired, and a scope that is
+    # now a rule constant: none may silently fall back to the defaults.
     @pytest.mark.parametrize(
-        "key", ["des-package", "vec-packages", "des-packages", "dim-packages"]
+        "key",
+        [
+            "des-package",
+            "vec-packages",
+            "des-packages",
+            "dim-packages",
+            "flow-unit-packages",
+            "flow-rng-packages",
+            "clock-modules",
+            "wall-clock-packages",
+            "physics-packages",
+            "dbmath-modules",
+            "rng-entry-points",
+        ],
     )
     def test_unknown_key_exits_two(self, project, capsys, key):
         (project / "pyproject.toml").write_text(
@@ -225,15 +238,20 @@ class TestConfig:
         out = capsys.readouterr().out
         for i in range(1, 9):
             assert f"RL00{i}" in out
-        for i in range(10, 16):  # flow rules share the catalog
-            assert f"RL0{i}" in out
         # retired codes
-        for i in (*range(20, 26), *range(30, 37), *range(40, 47), *range(50, 57)):
+        for i in (
+            *range(10, 16),
+            *range(20, 26),
+            *range(30, 37),
+            *range(40, 47),
+            *range(50, 57),
+        ):
             assert f"RL0{i}" not in out
 
     # Flags of retired passes are argument errors, not silent no-ops.
     @pytest.mark.parametrize(
-        "flags", [["--des"], ["--dim"], ["--worklist"], ["--profile", "x.json"]]
+        "flags",
+        [["--des"], ["--dim"], ["--worklist"], ["--profile", "x.json"], ["--flow"]],
     )
     def test_retired_flag_exits_two(self, project, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -297,46 +315,6 @@ class TestStats:
         assert doc["stats"]["by_rule"] == {"RL001": 1}
         assert doc["stats"]["files_analyzed"] == 1
         assert doc["stats"]["wall_time_s"] >= 0
-
-
-class TestFlowCli:
-    FLOW_DIRTY = "def strength(x_db):\n    return x_db + 3.0\n"
-
-    def test_flow_findings_reported(self, project, capsys):
-        write_module(project, "toy.py", self.FLOW_DIRTY)
-        rc = main(["lint", "--flow", "--root", str(project), str(project / "src")])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "RL012" in out
-
-    def test_flow_json_section(self, project, capsys):
-        write_module(project, "toy.py", self.FLOW_DIRTY)
-        rc = main(
-            ["lint", "--flow", "--json", "--root", str(project), str(project / "src")]
-        )
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["flow"]["by_rule"] == {"RL012": 1}
-        assert doc["flow"]["modules"] == 1
-        assert doc["flow"]["functions"] == 1
-
-    def test_flow_findings_baselinable(self, project, capsys):
-        write_module(project, "toy.py", self.FLOW_DIRTY)
-        main(
-            ["lint", "--flow", "--write-baseline", "--root", str(project),
-             str(project / "src")]
-        )
-        rc = main(
-            ["lint", "--flow", "--baseline", "--root", str(project),
-             str(project / "src")]
-        )
-        assert rc == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_without_flow_flag_flow_rules_silent(self, project):
-        write_module(project, "toy.py", self.FLOW_DIRTY)
-        rc = main(["lint", "--root", str(project), str(project / "src")])
-        assert rc == 0
 
 
 class TestJobs:
@@ -421,28 +399,10 @@ class TestSelfLint:
         out = capsys.readouterr().out
         assert rc == 0, f"repro lint found new violations:\n{out}"
 
-    def test_src_tree_clean_under_flow(self, capsys):
-        rc = main(
-            [
-                "lint",
-                "--flow",
-                "--baseline",
-                "--root",
-                str(REPO_ROOT),
-                str(REPO_ROOT / "src"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, f"repro lint --flow found new violations:\n{out}"
-
     def test_committed_baseline_not_stale(self, capsys):
-        # The baseline is shared across passes, so staleness must be
-        # checked with the flow passes enabled — a missing pass would
-        # make its entries look dead.
         rc = main(
             [
                 "lint",
-                "--flow",
                 "--check-baseline",
                 "--root",
                 str(REPO_ROOT),
@@ -453,8 +413,7 @@ class TestSelfLint:
         assert rc == 0, f"stale baseline entries:\n{out}"
 
     def test_committed_baseline_is_empty(self):
-        # Every per-file and flow finding was fixed in-tree and must
-        # stay fixed: the committed baseline grandfathers nothing.
+        # Every finding was fixed in-tree and must stay fixed: the committed baseline grandfathers nothing.
         baseline = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
         assert baseline["entries"] == []
         assert baseline["by_code"] == {}

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import LintConfig, lint_source, rules
 
 
 def run(source, module="repro.phy.fixture", rel_path=None, config=None):
@@ -122,17 +122,6 @@ class TestRL001:
         )
         assert codes(found) == []
 
-    def test_entry_point_allowlist_silences(self):
-        config = LintConfig(rng_entry_points=("repro.phy.fixture",))
-        found = run(
-            """
-            import random
-            x = random.random()
-            """,
-            config=config,
-        )
-        assert codes(found) == []
-
     def test_suppression_comment_silences(self):
         found = run(
             """
@@ -234,20 +223,14 @@ class TestClockModuleExemption:
         found = run(self.CLOCK_SOURCE, module="repro.obs.trace")
         assert codes(found) == ["RL002"]
 
-    def test_shim_fires_when_exemption_removed(self):
-        found = run(
-            self.CLOCK_SOURCE,
-            module="repro.obs.clock",
-            config=LintConfig(clock_modules=()),
-        )
+    def test_shim_fires_when_exemption_removed(self, monkeypatch):
+        monkeypatch.setattr(rules, "CLOCK_MODULES", ())
+        found = run(self.CLOCK_SOURCE, module="repro.obs.clock")
         assert codes(found) == ["RL002"]
 
-    def test_custom_shim_module_honored(self):
-        found = run(
-            self.CLOCK_SOURCE,
-            module="repro.mac.myclock",
-            config=LintConfig(clock_modules=("repro.mac.myclock",)),
-        )
+    def test_custom_shim_module_honored(self, monkeypatch):
+        monkeypatch.setattr(rules, "CLOCK_MODULES", ("repro.mac.myclock",))
+        found = run(self.CLOCK_SOURCE, module="repro.mac.myclock")
         assert codes(found) == []
 
     def test_des_clock_clean(self):

@@ -110,6 +110,18 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             reg.merge_snapshot(other.snapshot())
 
+    def test_histogram_buckets_checked_beyond_the_declaring_tuple(self):
+        # Reusing the declaring tuple skips revalidation; any other
+        # object is still compared by value.
+        buckets = (1.0, 2.0)
+        reg = MetricsRegistry()
+        reg.observe("h", 1, buckets=buckets)
+        reg.observe("h", 3, buckets=buckets)
+        reg.observe("h", 2, buckets=[1, 2])
+        with pytest.raises(ValueError, match="re-declared"):
+            reg.observe("h", 1, buckets=(1.0, 4.0))
+        assert reg.snapshot()["histograms"]["h"]["counts"] == [1, 1, 1]
+
     def test_merge_mismatch_is_loud_deterministic_and_nonmutating(self):
         reg = MetricsRegistry()
         reg.add("n", 1)

@@ -5,6 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.experiments.beam_patterns import measure_laptop_pattern
+from repro.experiments.frame_level import (
+    capture_with_vubiq,
+    run_idle_wigig,
+    run_wigig_tcp,
+)
+from repro.experiments.long_run import run_long_term
+from repro.experiments.range_vs_distance import (
+    phy_rate_timeseries,
+    throughput_vs_distance,
+)
 from repro.phy.channel import ShadowingProcess
 from repro.phy.signal import Emission, synthesize_trace
 from repro.seeding import FallbackSeedWarning, fallback_rng
@@ -69,3 +80,65 @@ class TestSynthesizeTraceFallback:
                 noise_floor_v=0.01,
                 rng=np.random.default_rng(2),
             )
+
+
+def _frames(setup):
+    return [(r.start_s, r.duration_s, r.kind.name, r.source) for r in setup.medium.history]
+
+
+def _idle_capture(seed):
+    setup = run_idle_wigig(duration_s=0.01, seed=seed)
+    return capture_with_vubiq(setup, 0.0, 0.002, seed=seed).samples.tolist()
+
+
+def _long_run(seed):
+    return run_long_term(duration_s=20 * 60.0, sample_period_s=30.0, seed=seed)
+
+
+def _rate_timeseries(seed):
+    return phy_rate_timeseries(8.0, duration_s=120.0, sample_period_s=2.0, seed=seed)
+
+
+def _distance_sweep(seed):
+    runs, average = throughput_vs_distance(
+        distances_m=(10.0, 13.0, 16.0), runs=2, seed=seed
+    )
+    return [r.throughput_bps.tolist() for r in runs], average.tolist()
+
+
+def _laptop_pattern(seed):
+    return measure_laptop_pattern(positions=8, seed=seed).power_dbm.tolist()
+
+
+def _wigig_tcp(seed):
+    return _frames(run_wigig_tcp(duration_s=0.005, seed=seed))
+
+
+class TestSeedReach:
+    """An experiment's ``seed`` must reach every random draw it makes.
+
+    Each entry point runs twice with one seed and once with another,
+    with a missing ``rng=`` hand-off turned into an error: equal seeds
+    must give equal results (no OS entropy, no shared stream carried
+    between calls) and different seeds different ones (no hard-coded
+    seed).
+    """
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            _rate_timeseries,
+            _distance_sweep,
+            _long_run,
+            _laptop_pattern,
+            _wigig_tcp,
+            _idle_capture,
+        ],
+        ids=lambda fn: fn.__name__.lstrip("_"),
+    )
+    def test_seed_determines_result(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FallbackSeedWarning)
+            first, again, other = entry(1), entry(1), entry(2)
+        assert first == again
+        assert first != other
