@@ -15,15 +15,17 @@ import os
 import time
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.registry import get_campaign
 from repro.campaign.runner import run_campaign
-from repro.experiments.beam_patterns import semicircle_campaign_spec
 
 POSITIONS = 48
 SEEDS = (0, 1)
 
 
 def _spec():
-    return semicircle_campaign_spec(positions=POSITIONS, seeds=SEEDS)
+    return get_campaign("beam-patterns").with_overrides(
+        {"positions": POSITIONS}, seeds=SEEDS
+    )
 
 
 def test_perf_campaign_parallel_and_cached(tmp_path):

@@ -1,15 +1,16 @@
-"""Sharded parallel campaign engine with content-addressed caching.
+"""Campaign engine: ordered parallel execution with content-addressed caching.
 
 The paper's measurement workflow — hundreds of rotation-stage
 positions, distance sweeps, repeated trace captures, offline analysis
-— is campaign-shaped.  This package runs such campaigns at scale:
+— is campaign-shaped.  Every campaign cell is a deterministic function
+of its parameters and seed, and this package runs such campaigns:
 
 * :mod:`repro.campaign.spec` — declarative, content-addressed
   :class:`ScenarioSpec`/:class:`CampaignSpec` grids with deterministic
-  expansion and shard assignment;
-* :mod:`repro.campaign.runner` — a process-pool engine with
-  per-scenario timeouts, bounded-backoff retries, and graceful
-  degradation (failed cells are recorded, not fatal);
+  expansion;
+* :mod:`repro.campaign.runner` — maps cells over 1 or N processes in
+  expansion order, with per-scenario timeouts; failed cells are
+  recorded, not fatal;
 * :mod:`repro.campaign.cache` — an on-disk result cache keyed by
   SHA-256 of the canonical spec plus a code-version salt, so re-runs
   only compute changed cells;
@@ -19,16 +20,14 @@ positions, distance sweeps, repeated trace captures, offline analysis
   the :mod:`repro.io` conventions;
 * :mod:`repro.campaign.registry` — the experiment-cell registry and
   the built-in campaign catalog behind ``python -m repro campaign``;
-* :mod:`repro.campaign.verify` — the shard-determinism and
+* :mod:`repro.campaign.verify` — the worker-count-determinism and
   cache-purity prover behind ``python -m repro campaign verify``.
 """
 
 from repro.campaign.cache import CACHE_SALT, ResultCache, default_cache_root
 from repro.campaign.registry import (
     builtin_campaigns,
-    campaign_names,
     get_campaign,
-    register_cell,
     resolve_cell,
 )
 from repro.campaign.runner import (
@@ -44,7 +43,6 @@ from repro.campaign.telemetry import (
     MANIFEST_SCHEMA_VERSION,
     RunTelemetry,
     read_manifest,
-    upgrade_manifest,
 )
 from repro.campaign.verify import (
     VerifyReport,
@@ -67,7 +65,6 @@ __all__ = [
     "ScenarioTimeout",
     "VerifyReport",
     "builtin_campaigns",
-    "campaign_names",
     "canonical_metrics",
     "canonical_rows",
     "canonicalize",
@@ -76,8 +73,6 @@ __all__ = [
     "load_manifest",
     "load_results",
     "read_manifest",
-    "upgrade_manifest",
-    "register_cell",
     "resolve_cell",
     "rows_digest",
     "run_campaign",

@@ -21,7 +21,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.campaign.spec import ScenarioSpec
 from repro.obs import clock
@@ -30,7 +30,7 @@ PathLike = Union[str, pathlib.Path]
 
 #: Code-version salt mixed into every cache key.  Bump when the
 #: semantics of any registered cell change: old entries then miss.
-CACHE_SALT = "repro-campaign-v1"
+CACHE_SALT = "repro-campaign-v2"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -115,47 +115,7 @@ class ResultCache:
     def contains(self, spec: ScenarioSpec) -> bool:
         return self.path_for(spec).is_file()
 
-    # -- maintenance -----------------------------------------------------------
-
-    def _entries(self) -> List[pathlib.Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("??/*.json"))
-
     def entry_count(self) -> int:
-        return len(self._entries())
-
-    def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self._entries())
-
-    def prune(self, max_entries: int) -> int:
-        """Evict oldest entries (by mtime) down to ``max_entries``.
-
-        Returns the number of entries removed.
-        """
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        entries = self._entries()
-        excess = len(entries) - max_entries
-        if excess <= 0:
+        if not self.root.is_dir():
             return 0
-        entries.sort(key=lambda p: p.stat().st_mtime)
-        removed = 0
-        for path in entries[:excess]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def clear(self) -> int:
-        """Remove every entry; returns the number removed."""
-        removed = 0
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return sum(1 for _ in self.root.glob("??/*.json"))

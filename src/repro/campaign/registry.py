@@ -18,7 +18,7 @@ run telemetry (events per worker-second).
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.campaign.spec import CampaignSpec
 
@@ -30,13 +30,6 @@ CELLS: Dict[str, str] = {
     "mobility_vehicular": "repro.experiments.mobility:vehicular_cell",
     "mobility_handover": "repro.experiments.mobility:handover_cell",
 }
-
-
-def register_cell(name: str, dotted_path: str) -> None:
-    """Register (or replace) a cell name -> dotted path mapping."""
-    if ":" not in dotted_path:
-        raise ValueError("dotted path must look like 'package.module:function'")
-    CELLS[name] = dotted_path
 
 
 def resolve_cell(name: str) -> Callable[..., Dict]:
@@ -116,10 +109,6 @@ def builtin_campaigns() -> Dict[str, CampaignSpec]:
             "AP contact time (DES)",
         ),
     }
-
-
-def campaign_names() -> List[str]:
-    return sorted(builtin_campaigns())
 
 
 def get_campaign(name: str) -> CampaignSpec:

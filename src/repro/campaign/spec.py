@@ -4,13 +4,13 @@ The paper's workflow is campaign-shaped: hundreds of rotation-stage
 positions, distance sweeps, repeated captures, analyzed offline.  A
 :class:`CampaignSpec` describes such a sweep declaratively — one
 experiment cell function, a base parameter set, a grid of swept axes,
-and the seeds to repeat each cell with — and expands deterministically
+and the seeds to run each cell with — and expands deterministically
 into :class:`ScenarioSpec` cells.
 
 Scenarios are *content addressed*: :meth:`ScenarioSpec.digest` is a
 SHA-256 over the canonicalized spec, stable across processes and
 Python versions (unlike ``hash()``), which is what makes the on-disk
-result cache and the deterministic shard assignment work.
+result cache work.
 """
 
 from __future__ import annotations
@@ -75,14 +75,11 @@ class ScenarioSpec:
         params: Keyword arguments for the cell, JSON-style data only.
         seed: RNG seed passed to the cell (cells must be deterministic
             given their seed for caching to be sound).
-        repetition: Repetition index, part of the identity so repeated
-            cells with the same seed still address distinct results.
     """
 
     experiment: str
     params: Tuple[Tuple[str, Any], ...] = ()
     seed: int = 0
-    repetition: int = 0
 
     def __post_init__(self) -> None:
         raw = self.params
@@ -105,7 +102,6 @@ class ScenarioSpec:
         doc = {
             "experiment": self.experiment,
             "params": {k: _thaw(v) for k, v in self.params},
-            "repetition": self.repetition,
             "seed": self.seed,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -117,20 +113,6 @@ class ScenarioSpec:
         h.update(b"\n")
         h.update(self.canonical().encode("utf-8"))
         return h.hexdigest()
-
-    def shard(self, num_shards: int) -> int:
-        """Deterministic shard assignment in ``[0, num_shards)``.
-
-        Derived from the unsalted content digest, so the assignment is
-        stable across processes, runs, and cache-salt bumps.
-        """
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        return int(self.digest()[:16], 16) % num_shards
-
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.experiment}({inner}) seed={self.seed} rep={self.repetition}"
 
 
 @dataclass(frozen=True)
@@ -148,7 +130,6 @@ class CampaignSpec:
     base_params: Tuple[Tuple[str, Any], ...] = ()
     grid: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     seeds: Tuple[int, ...] = (0,)
-    repetitions: int = 1
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -166,8 +147,6 @@ class CampaignSpec:
         )
         object.__setattr__(self, "grid", frozen_grid)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
 
@@ -201,7 +180,6 @@ class CampaignSpec:
             base_params=tuple(base.items()),
             grid=tuple((k, tuple(v)) for k, v in grid.items()),
             seeds=tuple(seeds) if seeds is not None else self.seeds,
-            repetitions=self.repetitions,
             description=self.description,
         )
 
@@ -209,15 +187,15 @@ class CampaignSpec:
         cells = 1
         for _, values in self.grid:
             cells *= len(values)
-        return cells * len(self.seeds) * self.repetitions
+        return cells * len(self.seeds)
 
     def expand(self) -> List[ScenarioSpec]:
         """Deterministic expansion into scenario cells.
 
         Order: grid axes sorted by name, values in declaration order,
-        seeds outermost-last, repetitions innermost — the same input
-        always yields the same list, which the runner and the
-        bit-for-bit serial/parallel equivalence tests rely on.
+        seeds innermost — the same input always yields the same list,
+        which the runner and the bit-for-bit serial/parallel
+        equivalence tests rely on.
         """
         axes = [(name, values) for name, values in self.grid]
         base = self.base_param_dict()
@@ -228,23 +206,10 @@ class CampaignSpec:
             for (axis, _), value in zip(axes, combo):
                 params[axis] = _thaw(value)
             for seed in self.seeds:
-                for rep in range(self.repetitions):
-                    scenarios.append(
-                        ScenarioSpec(
-                            experiment=self.experiment,
-                            params=params,
-                            seed=seed,
-                            repetition=rep,
-                        )
-                    )
+                scenarios.append(
+                    ScenarioSpec(experiment=self.experiment, params=params, seed=seed)
+                )
         return scenarios
-
-    def shards(self, num_shards: int) -> List[List[ScenarioSpec]]:
-        """Partition the expansion into ``num_shards`` deterministic shards."""
-        out: List[List[ScenarioSpec]] = [[] for _ in range(num_shards)]
-        for scenario in self.expand():
-            out[scenario.shard(num_shards)].append(scenario)
-        return out
 
     def canonical(self) -> str:
         doc = {
@@ -253,7 +218,6 @@ class CampaignSpec:
             "base_params": {k: _thaw(v) for k, v in self.base_params},
             "grid": {k: [_thaw(v) for v in values] for k, values in self.grid},
             "seeds": list(self.seeds),
-            "repetitions": self.repetitions,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

@@ -4,8 +4,8 @@ A campaign run writes two artifacts into its output directory:
 
 * ``results.jsonl`` — one row per scenario cell (the
   :meth:`~repro.campaign.runner.CampaignResult.result_rows` schema:
-  digest, experiment, params, seed, repetition, shard, status,
-  attempts, elapsed_s, result, error), via the same JSON-lines
+  digest, experiment, params, seed, status, elapsed_s, result,
+  error), via the same JSON-lines
   conventions as :mod:`repro.io`;
 * ``manifest.json`` — the run telemetry
   (:meth:`~repro.campaign.telemetry.RunTelemetry.write_manifest`).
@@ -67,11 +67,6 @@ def write_run(result: CampaignResult, out_dir: PathLike) -> pathlib.Path:
 
 
 def load_manifest(run_dir: PathLike) -> Dict:
-    """Read a run directory's manifest, upgrading older schemas.
-
-    This is the v1-reader shim: manifests written before the
-    observability release (schema 1) load fine and come back upgraded
-    to the current schema with ``metrics``/``spans_file`` set to
-    ``None`` (see :func:`repro.campaign.telemetry.upgrade_manifest`).
-    """
+    """Read a run directory's manifest (current schema only; see
+    :func:`repro.campaign.telemetry.read_manifest`)."""
     return read_manifest(pathlib.Path(run_dir) / MANIFEST_FILENAME)

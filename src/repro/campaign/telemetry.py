@@ -20,12 +20,14 @@ from repro.obs import clock
 
 PathLike = Union[str, pathlib.Path]
 
-#: Bump when the manifest layout changes incompatibly.  v2 adds the
+#: Bump when the manifest layout changes incompatibly.  v2 added the
 #: ``metrics`` section (deterministic merged obs counters) and the
-#: ``spans_file`` pointer to the Chrome trace-event export.  v3 adds
-#: the ``profile`` section (merged handler attribution + span
-#: self-time aggregates consumed by ``repro obs top`` / ``obs diff``).
-MANIFEST_SCHEMA_VERSION = 3
+#: ``spans_file`` pointer to the Chrome trace-event export; v3 the
+#: ``profile`` section (merged handler attribution + span self-time
+#: aggregates consumed by ``repro obs top`` / ``obs diff``).  v4 drops
+#: the retry count, the per-worker cell counts and the per-failure
+#: attempt count.
+MANIFEST_SCHEMA_VERSION = 4
 
 MANIFEST_FILENAME = "manifest.json"
 
@@ -47,11 +49,9 @@ class RunTelemetry:
     cached: int = 0
     failed: int = 0
     timeouts: int = 0
-    retries: int = 0
     wall_clock_s: float = 0.0
     worker_time_s: float = 0.0
     events_simulated: int = 0
-    shard_sizes: List[int] = field(default_factory=list)
     failures: List[Dict] = field(default_factory=list)
     started_unix: Optional[float] = None
     finished_unix: Optional[float] = None
@@ -86,7 +86,6 @@ class RunTelemetry:
         digest: str,
         experiment: str,
         error: str,
-        attempts: int,
         timed_out: bool = False,
     ) -> None:
         self.failed += 1
@@ -97,13 +96,9 @@ class RunTelemetry:
                 "digest": digest,
                 "experiment": experiment,
                 "error": error,
-                "attempts": attempts,
                 "timed_out": timed_out,
             }
         )
-
-    def record_retry(self) -> None:
-        self.retries += 1
 
     # -- derived ---------------------------------------------------------------
 
@@ -155,7 +150,6 @@ class RunTelemetry:
                 "cached": self.cached,
                 "failed": self.failed,
                 "timeouts": self.timeouts,
-                "retries": self.retries,
             },
             "timing": {
                 "wall_clock_s": self.wall_clock_s,
@@ -167,7 +161,6 @@ class RunTelemetry:
                 "events_per_second": self.events_per_second(),
             },
             "cache_hit_ratio": self.cache_hit_ratio(),
-            "shard_sizes": list(self.shard_sizes),
             "failures": list(self.failures),
             "metrics": self.metrics,
             "spans_file": self.spans_file,
@@ -198,35 +191,18 @@ class RunTelemetry:
         return ", ".join(parts)
 
 
-def upgrade_manifest(manifest: Dict) -> Dict:
-    """Upgrade an older manifest dict to the current schema in place.
-
-    v1 manifests predate observability: they gain ``metrics`` and
-    ``spans_file`` as ``None``.  v2 manifests predate profiling: they
-    gain ``profile`` as ``None``.  Unknown (newer or garbage) versions
-    raise — a reader must not silently misinterpret them.
-    """
-    version = manifest.get("schema_version")
-    if version in (1, 2):
-        manifest.setdefault("metrics", None)
-        manifest.setdefault("spans_file", None)
-        manifest.setdefault("profile", None)
-        manifest["schema_version"] = MANIFEST_SCHEMA_VERSION
-        return manifest
-    if version != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported manifest schema version {version} "
-            f"(expected <= {MANIFEST_SCHEMA_VERSION})"
-        )
-    return manifest
-
-
 def read_manifest(path: PathLike) -> Dict:
     """Load a manifest written by :meth:`RunTelemetry.write_manifest`.
 
-    Accepts the current schema plus v1/v2 (upgraded on read via
-    :func:`upgrade_manifest`); anything else raises ``ValueError``.
+    Any schema version but the current one raises ``ValueError`` — a
+    reader must not silently misinterpret another layout.
     """
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return upgrade_manifest(manifest)
+    version = manifest.get("schema_version")
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported manifest schema version {version} "
+            f"(expected {MANIFEST_SCHEMA_VERSION})"
+        )
+    return manifest

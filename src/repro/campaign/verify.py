@@ -1,14 +1,14 @@
-"""Shard-determinism and cache-purity verification.
+"""Worker-count-determinism and cache-purity verification.
 
 ``repro campaign verify <name>`` *proves*, rather than assumes, the
 two properties the campaign engine's results rest on:
 
-1. **Shard determinism** — the campaign is run twice without a cache,
-   once serially (``workers=1``, the reference path) and once on a
-   process pool with the submission order deterministically shuffled
-   (worst-case completion reordering).  The merged result stores must
-   be byte-for-byte identical after dropping run-volatile fields
-   (wall-clock timings, attempt counts, cached-vs-completed status).
+1. **Worker-count determinism** — the campaign is run twice without a
+   cache, once serially (``workers=1``, the reference path) and once
+   on a process pool with the submission order deterministically
+   shuffled (worst-case completion reordering).  The merged result
+   stores must be byte-for-byte identical after dropping run-volatile
+   fields (wall-clock timings, cached-vs-completed status).
 
 2. **Cache purity** — every cell is executed in-process under
    :class:`PurityAudit`, which records each environment/file/clock
@@ -18,6 +18,10 @@ two properties the campaign engine's results rest on:
    A third run replays the shuffled-parallel results through a fresh
    cache and asserts a serial re-run is served entirely from cache
    with identical values.
+
+A failed cell fails the verification outright: identical failure rows
+"match", and an all-hits check over no cached cells holds vacuously,
+so neither says anything about a campaign whose cells do not run.
 
 The comparison canonicalizes rows exactly like the JSONL store
 (sorted keys, compact separators), so "byte-identical" here is the
@@ -41,11 +45,9 @@ from repro.campaign.spec import CampaignSpec
 from repro.obs.prof import strip_time_fields
 
 #: Row fields that legitimately differ between runs of a deterministic
-#: campaign: wall-clock timings, retry counts, whether a result came
-#: from the cache or fresh execution, and the shard assignment (which
-#: is ``digest mod workers`` — a property of the run topology, not of
-#: the result).  Everything else must be byte-identical.
-VOLATILE_ROW_KEYS = ("elapsed_s", "attempts", "status", "shard")
+#: campaign: wall-clock timings and whether a result came from the
+#: cache or fresh execution.  Everything else must be byte-identical.
+VOLATILE_ROW_KEYS = ("elapsed_s", "status")
 
 
 def canonical_rows(result: CampaignResult) -> str:
@@ -149,7 +151,7 @@ class PurityAudit:
     the content-addressed cache can serve poisoned entries.  Usage::
 
         with PurityAudit() as audit:
-            cell(seed=0, repetition=0, **params)
+            cell(seed=0, **params)
         audit.records   # out-of-spec reads the cell performed
         audit.digest()  # order-independent hash of those reads
 
@@ -278,11 +280,14 @@ class VerifyReport:
     cache_digest: str = ""
     cache_ok: bool = True
     first_divergence: str = ""
+    failed: int = 0
+    first_failure: str = ""
 
     @property
     def ok(self) -> bool:
         return (
-            self.determinism_ok
+            self.failed == 0
+            and self.determinism_ok
             and self.metrics_ok
             and self.profile_ok
             and self.purity_ok
@@ -313,6 +318,8 @@ class VerifyReport:
             "cache_digest": self.cache_digest,
             "cache_ok": self.cache_ok,
             "first_divergence": self.first_divergence,
+            "failed": self.failed,
+            "first_failure": self.first_failure,
             "ok": self.ok,
         }
 
@@ -347,7 +354,7 @@ def _audit_cells(
         entry = CellAudit(digest=spec.digest(), experiment=spec.experiment)
         with PurityAudit(allowed_env=allowed_env) as audit:
             try:
-                fn(seed=spec.seed, repetition=spec.repetition, **spec.param_dict())
+                fn(seed=spec.seed, **spec.param_dict())
             except Exception as exc:
                 entry.error = f"{type(exc).__name__}: {exc}"
         entry.reads = [r.to_dict() for r in audit.records]
@@ -365,7 +372,7 @@ def verify_campaign(
     cache_check: bool = True,
     allowed_env: Tuple[str, ...] = (),
 ) -> VerifyReport:
-    """Prove workers=1 ≡ workers=N-with-shuffled-shards for a campaign."""
+    """Prove workers=1 ≡ workers=N-with-shuffled-submission for a campaign."""
     report = VerifyReport(
         campaign=campaign.name,
         scenarios=campaign.scenario_count(),
@@ -413,6 +420,7 @@ def verify_campaign(
     report.profile_serial_digest = rows_digest(serial_profile)
     report.profile_parallel_digest = rows_digest(parallel_profile)
     report.profile_ok = serial_profile == parallel_profile
+    legs = [serial, parallel]
 
     if cache_check:
         report.cache_checked = True
@@ -428,7 +436,18 @@ def verify_campaign(
         replay_text = canonical_rows(replay)
         report.cache_digest = rows_digest(replay_text)
         report.cache_ok = report.cache_all_hits and replay_text == serial_text
+        legs.append(replay)
 
+    failed = {}
+    for leg in legs:
+        for outcome in leg.failures():
+            failed.setdefault(outcome.digest, outcome)
+    report.failed = len(failed)
+    if failed:
+        first = next(iter(failed.values()))
+        report.first_failure = (
+            f"{first.spec.experiment} {first.digest[:12]}: {first.error}"
+        )
     return report
 
 
@@ -450,6 +469,8 @@ def render_report(report: VerifyReport) -> str:
     ]
     if report.first_divergence:
         lines.append(f"  first divergence: {report.first_divergence}")
+    if report.failed:
+        lines.append(f"  failed cells: {report.failed}, first: {report.first_failure}")
     if report.audited:
         lines.append(
             f"  purity audit: {report.audited} cell(s), "

@@ -28,14 +28,15 @@ full, asserted reproductions live in ``benchmarks/``.  Every
 subcommand takes ``--seed`` so runs are reproducible from the command
 line; the defaults match the historical per-experiment seeds.
 
-``campaign`` drives the sharded parallel engine
-(:mod:`repro.campaign`): ``run`` executes a built-in campaign across
-worker processes with content-addressed result caching and writes
-``results.jsonl`` plus a ``manifest.json`` run manifest; ``status``
-shows how much of a campaign the cache already covers; ``verify``
-proves the engine's determinism claim — workers=1 and workers=N with
-shuffled shard submission must merge to byte-identical result stores
-— and audits cells for reads outside the spec-derived cache key.
+``campaign`` drives the parallel engine (:mod:`repro.campaign`):
+``run`` executes a built-in campaign across worker processes with
+content-addressed result caching and writes ``results.jsonl`` plus a
+``manifest.json`` run manifest; ``status`` shows how much of a
+campaign the cache already covers; ``verify`` proves the engine's
+determinism claim — workers=1 and workers=N with shuffled submission
+must merge to byte-identical result stores — and audits cells for
+reads outside the spec-derived cache key.  A campaign name or
+``--set`` key the cell does not accept exits 2 before any cell runs.
 
 ``lint`` runs the domain-aware static analysis (:mod:`repro.lint`):
 AST rules RL001-RL008 covering determinism (unseeded RNG, wall-clock
@@ -270,11 +271,37 @@ def _parse_override(text: str):
     return key, raw
 
 
+class _CampaignInputError(Exception):
+    """A campaign name or ``--set`` key no cell accepts (exit 2)."""
+
+
+def _check_overrides(spec, overrides) -> None:
+    """Reject ``--set`` keys the campaign's cell has no keyword for."""
+    import inspect
+
+    from repro.campaign import resolve_cell
+
+    if "seed" in overrides:
+        raise _CampaignInputError("seed is not a --set parameter; use --seed N")
+    params = inspect.signature(resolve_cell(spec.experiment)).parameters
+    accepted = sorted(name for name in params if name != "seed")
+    for key in overrides:
+        if key not in accepted:
+            raise _CampaignInputError(
+                f"campaign {spec.name} has no parameter {key!r} "
+                f"(accepted: {', '.join(accepted)})"
+            )
+
+
 def _campaign_spec_from_args(args: argparse.Namespace):
     from repro.campaign import get_campaign
 
-    spec = get_campaign(args.name)
+    try:
+        spec = get_campaign(args.name)
+    except KeyError as exc:
+        raise _CampaignInputError(exc.args[0]) from None
     overrides = dict(args.set or [])
+    _check_overrides(spec, overrides)
     seeds = None
     if args.seed is not None:
         seeds = tuple(args.seed + i for i in range(len(spec.seeds)))
@@ -310,7 +337,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         cache=cache,
         workers=args.workers,
         timeout_s=args.timeout,
-        retries=args.retries,
         trace=args.trace,
         profile=args.profile,
     )
@@ -331,7 +357,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"DES: {t.events_simulated} events, {eps:,.0f} events/s")
     for failure in t.failures:
         print(f"FAILED {failure['digest'][:12]} {failure['experiment']}: "
-              f"{failure['error']} (attempts {failure['attempts']})")
+              f"{failure['error']}")
     print(f"results: {out_dir / 'results.jsonl'}")
     print(f"manifest: {out_dir / 'manifest.json'}")
     if t.spans_file:
@@ -498,7 +524,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    return args.campaign_func(args)
+    try:
+        return args.campaign_func(args)
+    except _CampaignInputError as exc:
+        print(f"repro campaign: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -582,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="sharded parallel campaign engine (list/run/status/verify)",
+        help="parallel campaign engine (list/run/status/verify)",
     )
     csub = p.add_subparsers(dest="campaign_command", required=True)
 
@@ -606,8 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (1 = serial in-process)")
     c.add_argument("--timeout", type=float, default=None,
                    help="per-scenario timeout in seconds")
-    c.add_argument("--retries", type=int, default=2,
-                   help="retries for transient cell failures")
     c.add_argument("--no-cache", action="store_true",
                    help="compute every cell, bypassing the result cache")
     c.add_argument("--output", default=None,
@@ -627,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser(
         "verify",
-        help="prove workers=1 ≡ workers=N with shuffled shards and "
+        help="prove workers=1 ≡ workers=N with shuffled submission and "
         "audit cache purity",
     )
     campaign_target_options(c)

@@ -19,7 +19,7 @@ from typing import List
 
 from repro.core.beams import BeamPatternCampaign, MeasuredPattern
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
-from repro.experiments.common import derive_seed, misalignment_70deg
+from repro.experiments.common import misalignment_70deg
 from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind
 
@@ -145,23 +145,20 @@ def pattern_cell(
     setup: str,
     positions: int = 100,
     seed: int = 0,
-    repetition: int = 0,
 ) -> dict:
     """One cell of the semicircle campaign: measure one setup.
 
-    This is the unit the campaign engine shards, caches, and retries;
-    ``seed`` and ``repetition`` make repeated measurements distinct
-    cache entries.  Returns the :class:`PatternMetrics` fields as
-    JSON-style data.
+    This is the unit the campaign engine runs and caches; ``seed``
+    makes repeated measurements distinct cache entries.  Returns the
+    :class:`PatternMetrics` fields as JSON-style data.
     """
-    cell_seed = seed if repetition == 0 else derive_seed(seed, "rep", repetition)
     if setup == "laptop":
-        measured = measure_laptop_pattern(positions=positions, seed=cell_seed)
+        measured = measure_laptop_pattern(positions=positions, seed=seed)
     elif setup == "dock_aligned":
-        measured = measure_dock_pattern(0.0, positions=positions, seed=cell_seed)
+        measured = measure_dock_pattern(0.0, positions=positions, seed=seed)
     elif setup == "dock_rotated_70":
         measured = measure_dock_pattern(
-            misalignment_70deg(), positions=positions, seed=cell_seed
+            misalignment_70deg(), positions=positions, seed=seed
         )
     else:
         raise ValueError(f"unknown pattern setup {setup!r} (want one of {PATTERN_SETUPS})")
@@ -175,56 +172,3 @@ def pattern_cell(
         "peak_power_dbm": metrics.peak_power_dbm,
         "gap_depth_db": metrics.gap_depth_db,
     }
-
-
-def semicircle_campaign_spec(
-    positions: int = 100, seeds: tuple = (0, 1, 2)
-) -> "CampaignSpec":
-    """The Figure 17 semicircle sweep as a campaign grid."""
-    from repro.campaign.spec import CampaignSpec
-
-    return CampaignSpec(
-        name="beam-patterns",
-        experiment="beam_pattern",
-        base_params={"positions": positions},
-        grid={"setup": PATTERN_SETUPS},
-        seeds=tuple(seeds),
-        description="Figure 17 semicircle beam-pattern sweep",
-    )
-
-
-def directional_pattern_report_campaign(
-    positions: int = 100,
-    workers: int = 1,
-    cache=None,
-) -> List[PatternMetrics]:
-    """The Figure 17 report executed through the campaign engine.
-
-    Same rows as :func:`directional_pattern_report` but computed
-    through the engine: sharded across ``workers`` and served from
-    ``cache`` when one is given.  All three setups use campaign seed 0
-    (the legacy path seeds them 0/1/2), so the numbers differ from the
-    legacy report by the placement jitter draw — deterministically.
-    """
-    from repro.campaign.runner import run_campaign
-
-    rows: List[PatternMetrics] = []
-    spec = semicircle_campaign_spec(positions=positions, seeds=(0,))
-    result = run_campaign(spec, cache=cache, workers=workers)
-    by_setup = {}
-    for outcome in result.outcomes:
-        if not outcome.ok:
-            raise RuntimeError(f"pattern cell failed: {outcome.error}")
-        by_setup[outcome.result["setup"]] = outcome.result
-    for setup in PATTERN_SETUPS:
-        data = by_setup[setup]
-        rows.append(
-            PatternMetrics(
-                label=data["label"],
-                hpbw_deg=data["hpbw_deg"],
-                side_lobe_db=data["side_lobe_db"],
-                peak_power_dbm=data["peak_power_dbm"],
-                gap_depth_db=data["gap_depth_db"],
-            )
-        )
-    return rows

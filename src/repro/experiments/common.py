@@ -198,9 +198,9 @@ def misalignment_70deg() -> float:
 def derive_seed(base: int, *components) -> int:
     """A stable sub-seed from a base seed plus distinguishing labels.
 
-    Campaign cells repeat experiments over (seed, repetition) pairs
-    and must stay deterministic across processes, so ad-hoc arithmetic
-    like ``seed + 1000 * rep`` (collision-prone) won't do.  This
+    Sub-streams of one cell (e.g. the sweep RNG of a mobility run)
+    must stay deterministic across processes, so ad-hoc arithmetic
+    like ``seed + 1000`` (collision-prone) won't do.  This
     hashes the base and components (ints or strings) through SHA-256
     and returns a 31-bit seed — the same inputs give the same seed on
     every platform and process.

@@ -32,7 +32,7 @@ from repro.devices.air3c import make_air3c_receiver, make_air3c_transmitter
 from repro.devices.base import RadioDevice
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
 from repro.devices.vubiq import VubiqReceiver
-from repro.experiments.common import derive_seed, misalignment_70deg
+from repro.experiments.common import misalignment_70deg
 from repro.geometry.vec import Vec2
 from repro.mac.coupling import DeviceCoupling
 from repro.mac.frames import FrameKind, FrameRecord
@@ -307,7 +307,6 @@ def interference_cell(
     warmup_s: float = 0.1,
     with_wihd: bool = True,
     seed: int = 10,
-    repetition: int = 0,
 ) -> dict:
     """One campaign cell of the Figure 22 sweep (full DES run).
 
@@ -318,7 +317,7 @@ def interference_cell(
         wihd_offset_m=wihd_offset_m,
         rotated=rotated,
         with_wihd=with_wihd,
-        seed=seed if repetition == 0 else derive_seed(seed, "rep", repetition),
+        seed=seed,
     )
     point = measure_interference_point(
         scenario, wihd_offset_m, duration_s=duration_s, warmup_s=warmup_s

@@ -209,7 +209,6 @@ def vehicular_cell(
     *,
     speed_kmh: float,
     seed: int = 0,
-    repetition: int = 0,
     lane_offset_m: float = 4.0,
     approach_m: float = 12.0,
     update_interval_s: float = 2e-3,
@@ -222,7 +221,7 @@ def vehicular_cell(
         speed_kmh=speed_kmh,
         lane_offset_m=lane_offset_m,
         approach_m=approach_m,
-        seed=seed if repetition == 0 else derive_seed(seed, "rep", repetition),
+        seed=seed,
         update_interval_s=update_interval_s,
         window_bytes=window_bytes,
     )
@@ -404,7 +403,6 @@ def handover_cell(
     *,
     policy: str,
     seed: int = 0,
-    repetition: int = 0,
     num_aps: int = 3,
     speed_mps: float = PEDESTRIAN_SPEED_MPS,
     update_interval_s: float = 5e-3,
@@ -421,7 +419,7 @@ def handover_cell(
         policy=policy_factory(),
         num_aps=num_aps,
         speed_mps=speed_mps,
-        seed=seed if repetition == 0 else derive_seed(seed, "rep", repetition),
+        seed=seed,
         update_interval_s=update_interval_s,
     )
     result = run_corridor_walk(scenario)

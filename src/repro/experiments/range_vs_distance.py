@@ -174,7 +174,6 @@ def distance_cell(
     *,
     distance_m: float,
     seed: int = 0,
-    repetition: int = 0,
     run_shadow_std_db: float = 3.0,
     jitter_std_db: float = 0.5,
 ) -> dict:
@@ -190,9 +189,9 @@ def distance_cell(
     offset = float(
         np.random.default_rng(seed).normal(0.0, run_shadow_std_db)
     )
-    cell_rng = np.random.default_rng(
-        [seed, repetition, int(round(distance_m * 1000))]
-    )
+    # [seed, 0, mm] is fixed seed material: changing it would change
+    # every cell's jitter draw, and with it the cached results.
+    cell_rng = np.random.default_rng([seed, 0, int(round(distance_m * 1000))])
     jitter = float(cell_rng.normal(0.0, jitter_std_db))
     snr = link_snr_db(distance_m, shadow_db=offset + jitter)
     mcs = select_mcs(snr)
@@ -213,69 +212,6 @@ def distance_cell(
         "mcs_index": mcs.index,
         "broke": False,
     }
-
-
-def range_campaign_spec(
-    distances_m: Sequence[float] = tuple(np.arange(1.0, 21.0, 1.0)),
-    runs: int = 10,
-    seed: int = 0,
-) -> "CampaignSpec":
-    """The Figure 13 sweep as a campaign grid: one cell per
-    (distance, run-seed) pair."""
-    from repro.campaign.spec import CampaignSpec
-
-    return CampaignSpec(
-        name="range-vs-distance",
-        experiment="range_point",
-        grid={"distance_m": tuple(float(d) for d in distances_m)},
-        seeds=tuple(seed + i for i in range(runs)),
-        description="Figure 13 TCP throughput vs link length",
-    )
-
-
-def throughput_vs_distance_campaign(
-    distances_m: Sequence[float] = tuple(np.arange(1.0, 21.0, 1.0)),
-    runs: int = 10,
-    seed: int = 0,
-    workers: int = 1,
-    cache=None,
-) -> Tuple[List[DistanceRun], np.ndarray]:
-    """The Figure 13 sweep executed through the campaign engine.
-
-    Same return shape as :func:`throughput_vs_distance`, but each
-    (distance, run) point is an independently sharded, cached cell —
-    re-running the sweep with one extra distance only computes the new
-    column.  The per-run offsets are derived from the run seed (not a
-    shared RNG stream), so the numbers differ from the legacy serial
-    path deterministically.
-    """
-    from repro.campaign.runner import run_campaign
-
-    if runs < 1:
-        raise ValueError("need at least one run")
-    spec = range_campaign_spec(distances_m=distances_m, runs=runs, seed=seed)
-    result = run_campaign(spec, cache=cache, workers=workers)
-    cells: dict = {}
-    for outcome in result.outcomes:
-        if not outcome.ok:
-            raise RuntimeError(f"distance cell failed: {outcome.error}")
-        cells[(outcome.spec.seed, outcome.result["distance_m"])] = outcome.result
-    dist = np.asarray([float(d) for d in distances_m])
-    all_runs: List[DistanceRun] = []
-    for run_seed in spec.seeds:
-        tputs = [cells[(run_seed, float(d))]["throughput_bps"] for d in dist]
-        cliff = next(
-            (float(d) for d, t in zip(dist, tputs) if t == 0.0), None
-        )
-        all_runs.append(
-            DistanceRun(
-                distances_m=dist.copy(),
-                throughput_bps=np.asarray(tputs),
-                cliff_m=cliff,
-            )
-        )
-    average = np.mean(np.vstack([r.throughput_bps for r in all_runs]), axis=0)
-    return all_runs, average
 
 
 def cliff_statistics(runs: Sequence[DistanceRun]) -> Tuple[float, float]:

@@ -4,7 +4,7 @@
 tree, enforcing the two properties everything downstream depends on:
 
 * **determinism** — the campaign engine's content-addressed cache and
-  SHA-256 sharding are sound only if cells are bit-for-bit functions
+  worker-count invariance are sound only if cells are bit-for-bit functions
   of their spec and seed (RL001 unseeded RNG, RL002 wall-clock reads,
   RL006 frozen-spec mutation, RL007 unordered iteration into hashes,
   RL008 swallowed errors);

@@ -4,7 +4,8 @@ The export format is the JSON *object* flavor of the trace-event
 spec: ``{"traceEvents": [...], "displayTimeUnit": "ms", ...}``.  Each
 span is a complete event (``ph="X"``) with microsecond ``ts``/``dur``;
 process-name metadata events (``ph="M"``) label pid 0 as the campaign
-parent and pid ``shard+1`` as that shard's worker timeline.
+parent and pids 1..N as the timelines of the worker processes that ran
+cells.
 
 :func:`validate_trace` is the exporter schema the CI smoke test
 checks emitted traces against — it returns a list of human-readable
@@ -29,7 +30,7 @@ def build_trace_doc(events: List[Dict], label: str = "") -> Dict:
     """Wrap raw events in a Perfetto-loadable trace-event document.
 
     Adds ``process_name`` metadata for every pid present so the
-    Perfetto UI shows "campaign" / "shard N" track groups instead of
+    Perfetto UI shows "campaign" / "worker N" track groups instead of
     bare pids.
     """
     events = [dict(e) for e in events]
@@ -39,7 +40,7 @@ def build_trace_doc(events: List[Dict], label: str = "") -> Dict:
     pids = sorted({int(e["pid"]) for e in events})
     metadata = []
     for pid in pids:
-        name = "campaign" if pid == 0 else f"shard {pid - 1}"
+        name = "campaign" if pid == 0 else f"worker {pid}"
         metadata.append(
             {
                 "name": "process_name",

@@ -3,7 +3,8 @@
 A span is a ``with``-block timed via :mod:`repro.obs.clock` and
 buffered as a dict already shaped like a Chrome trace-event complete
 event (``ph="X"``, microsecond ``ts``/``dur``) minus the ``pid``,
-which the campaign runner assigns at merge time (one pid per shard).
+which the campaign runner assigns at merge time (one pid per worker
+process).
 
 The buffer is bounded: past :data:`MAX_EVENTS` the recorder counts
 drops instead of growing without limit, so tracing a pathological run

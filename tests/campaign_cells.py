@@ -7,45 +7,55 @@ because worker processes resolve cells by dotted path —
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
 
-def double_cell(*, value: int = 1, scale: int = 2, seed: int = 0, repetition: int = 0):
+def double_cell(*, value: int = 1, scale: int = 2, seed: int = 0):
     """Deterministic arithmetic cell: the engine-equivalence workhorse."""
-    return {
-        "value": value * scale,
-        "seed": seed,
-        "repetition": repetition,
-    }
+    return {"value": value * scale, "seed": seed}
 
 
-def flaky_cell(*, marker_dir: str, seed: int = 0, repetition: int = 0):
-    """Fails on the first attempt per (seed, repetition), then succeeds.
+def counted_failure(*, marker_dir: str, sleep_s: float = 0.0, seed: int = 0):
+    """Appends one line per run to a marker file, sleeps, then raises.
 
-    The attempt marker lives on disk so the retry can land in any
-    worker process and still see that a first attempt happened.
+    The marker lives on disk so runs in any worker process are counted.
     """
-    marker = os.path.join(marker_dir, f"attempt-{seed}-{repetition}")
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("attempted\n")
-        raise RuntimeError("transient failure on first attempt")
-    return {"ok": True, "seed": seed, "repetition": repetition}
+    with open(os.path.join(marker_dir, "runs"), "a", encoding="utf-8") as fh:
+        fh.write(f"{seed}\n")
+    time.sleep(sleep_s)
+    raise RuntimeError("this cell fails every time it runs")
 
 
-def always_fails(*, seed: int = 0, repetition: int = 0):
+def pool_killer(*, value: int = 1, seed: int = 0):
+    """Kills its process when run in a pool worker; a plain cell otherwise.
+
+    ``os._exit`` in a worker breaks the whole process pool, which is
+    how the runner's serial fallback gets exercised.
+    """
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return {"value": value, "seed": seed}
+
+
+def always_fails(*, seed: int = 0):
     """A permanently broken cell — exercises graceful degradation."""
     raise ValueError("this cell always fails")
 
 
-def slow_cell(*, sleep_s: float = 5.0, seed: int = 0, repetition: int = 0):
+def scalar_cell(*, seed: int = 0):
+    """Breaks the cell contract: returns an int, not a dict."""
+    return seed
+
+
+def slow_cell(*, sleep_s: float = 5.0, seed: int = 0):
     """Sleeps past any reasonable per-scenario timeout."""
     time.sleep(sleep_s)
     return {"slept_s": sleep_s}
 
 
-def env_reading_cell(*, seed: int = 0, repetition: int = 0):
+def env_reading_cell(*, seed: int = 0):
     """Impure on purpose: result depends on an environment variable.
 
     The purity auditor (``repro campaign verify``) must catch this —
@@ -53,22 +63,22 @@ def env_reading_cell(*, seed: int = 0, repetition: int = 0):
     caching this cell would be unsound.
     """
     scale = int(os.getenv("REPRO_TEST_SCALE", "1"))
-    return {"value": seed * scale, "repetition": repetition}
+    return {"value": seed * scale}
 
 
-def clock_reading_cell(*, seed: int = 0, repetition: int = 0):
+def clock_reading_cell(*, seed: int = 0):
     """Impure on purpose: folds the wall clock into the result."""
-    return {"value": seed, "stamp": time.time(), "repetition": repetition}
+    return {"value": seed, "stamp": time.time()}
 
 
-def file_reading_cell(*, calib_path: str, seed: int = 0, repetition: int = 0):
+def file_reading_cell(*, calib_path: str, seed: int = 0):
     """Impure on purpose: reads a file outside the spec hash."""
     with open(calib_path, "r", encoding="utf-8") as fh:
         offset = float(fh.read().strip() or "0")
-    return {"value": seed + offset, "repetition": repetition}
+    return {"value": seed + offset}
 
 
-def des_cell(*, ticks: int = 50, seed: int = 0, repetition: int = 0):
+def des_cell(*, ticks: int = 50, seed: int = 0):
     """Drives the discrete-event simulator and reports its event count."""
     from repro.mac.simulator import Simulator
 
@@ -88,7 +98,7 @@ def des_cell(*, ticks: int = 50, seed: int = 0, repetition: int = 0):
     }
 
 
-def device_pair_cell(*, distance_m: float = 2.0, seed: int = 0, repetition: int = 0):
+def device_pair_cell(*, distance_m: float = 2.0, seed: int = 0):
     """Builds the default dock and laptop and reports their beam coupling."""
     from repro.devices import make_d5000_dock, make_e7440_laptop
     from repro.geometry.vec import Vec2
@@ -98,4 +108,4 @@ def device_pair_cell(*, distance_m: float = 2.0, seed: int = 0, repetition: int 
     dock.train_toward(laptop.position)
     laptop.train_toward(dock.position)
     coupling_dbi = dock.tx_gain_dbi(laptop.position) + laptop.tx_gain_dbi(dock.position)
-    return {"coupling_dbi": coupling_dbi, "repetition": repetition}
+    return {"coupling_dbi": coupling_dbi}

@@ -80,33 +80,7 @@ class TestMaintenance:
         for i in range(n):
             cache.put(ScenarioSpec("exp", {"i": i}), {"v": i})
 
-    def test_entry_count_and_clear(self, cache):
+    def test_entry_count(self, cache):
+        assert cache.entry_count() == 0
         self.fill(cache, 5)
         assert cache.entry_count() == 5
-        assert cache.size_bytes() > 0
-        assert cache.clear() == 5
-        assert cache.entry_count() == 0
-
-    def test_prune_evicts_oldest(self, cache):
-        import os
-        import time
-
-        specs = [ScenarioSpec("exp", {"i": i}) for i in range(4)]
-        now = time.time()
-        for i, s in enumerate(specs):
-            path = cache.put(s, {"v": i})
-            # Deterministic mtimes: spec 0 oldest.
-            os.utime(path, (now - 100 + i, now - 100 + i))
-        assert cache.prune(2) == 2
-        assert cache.entry_count() == 2
-        assert cache.get(specs[0]) is None
-        assert cache.get(specs[3]) == {"v": 3}
-
-    def test_prune_noop_under_limit(self, cache):
-        self.fill(cache, 2)
-        assert cache.prune(5) == 0
-        assert cache.entry_count() == 2
-
-    def test_prune_rejects_negative(self, cache):
-        with pytest.raises(ValueError):
-            cache.prune(-1)

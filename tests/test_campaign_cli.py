@@ -1,18 +1,25 @@
-"""End-to-end tests for ``python -m repro campaign`` and the migrated
-sweeps — including the acceptance scenario: the beam-pattern semicircle
-sweep runs across 2 workers, a second invocation is served >= 90% from
-cache, and the manifest reports counts, cache hits, failures, and
-wall-clock.
+"""End-to-end tests for ``python -m repro campaign`` — including the
+acceptance scenario: the beam-pattern semicircle sweep runs across 2
+workers, a second invocation is served >= 90% from cache, and the
+manifest reports counts, cache hits, failures, and wall-clock.
 """
 
 import json
+import pathlib
+import shlex
 
-import numpy as np
 import pytest
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.telemetry import read_manifest
 from repro.cli import main
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+#: ``--set`` overrides that shrink each README campaign to seconds.
+README_SHRINK = {
+    "beam-patterns": ["--set", "positions=8"],
+    "range-vs-distance": [],
+}
 
 
 @pytest.fixture()
@@ -45,9 +52,50 @@ class TestCampaignCli:
         assert "beam-patterns" in out
         assert "range-vs-distance" in out
 
-    def test_unknown_campaign_raises(self):
-        with pytest.raises(KeyError):
-            main(["campaign", "run", "no-such-campaign"])
+    @pytest.mark.parametrize("command", ["run", "verify", "status"])
+    @pytest.mark.parametrize(
+        "extra, needle",
+        [
+            (["no-such-campaign"], "available: beam-patterns, interference"),
+            (["beam-patterns", "--set", "position=8"], "'position'"),
+            (["range-vs-distance", "--set", "runs=10"], "accepted: distance_m"),
+            (["beam-patterns", "--set", "seed=3"], "use --seed"),
+        ],
+        ids=["unknown-campaign", "unknown-key", "runs-key", "seed-key"],
+    )
+    def test_bad_input_exits_two_before_any_cell(
+        self, command, extra, needle, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "never-written"
+        args = ["campaign", command, *extra, "--cache-dir", str(tmp_path / "c")]
+        if command == "run":
+            args += ["--output", str(out_dir)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert needle in captured.err
+        assert not out_dir.exists()
+        assert not (tmp_path / "c").exists()
+
+    def test_readme_campaign_commands_run(self, tmp_path, capsys):
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("## Running campaigns"):]
+        block = section[section.index("```bash"):].split("```")[1]
+        commands = [
+            shlex.split(line.split("#")[0])[3:]
+            for line in block.splitlines()
+            if line.startswith("python -m repro campaign")
+        ]
+        assert [c[1] for c in commands] == ["list", "run", "status", "run", "verify"]
+        for i, argv in enumerate(commands):
+            if len(argv) > 2:
+                argv += README_SHRINK[argv[2]]
+                argv += ["--cache-dir", str(tmp_path / "cache")]
+            if argv[1] == "run":
+                argv += ["--output", str(tmp_path / f"run{i}")]
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
     def test_beam_patterns_two_workers_then_cached(
         self, cache_dir, tmp_path, capsys
@@ -63,7 +111,6 @@ class TestCampaignCli:
         assert manifest["scenarios"]["failed"] == 0
         assert manifest["failures"] == []
         assert manifest["timing"]["wall_clock_s"] > 0
-        assert sum(manifest["shard_sizes"]) == 9
 
         # Second invocation: served >= 90% from cache.
         second_out = tmp_path / "run2"
@@ -149,7 +196,7 @@ class TestObsCli:
 
     def test_trace_flag_produces_manifest_and_trace(self, capsys, traced_run):
         manifest = read_manifest(traced_run / "manifest.json")
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert manifest["spans_file"] == "trace.json"
         assert (traced_run / "trace.json").is_file()
         counters = manifest["metrics"]["counters"]
@@ -209,52 +256,3 @@ class TestObsCli:
         report = capsys.readouterr().out
         assert "no metrics recorded" in report
         assert "no trace.json" in report
-
-
-class TestMigratedSweeps:
-    def test_pattern_report_matches_engine_output(self, tmp_path):
-        from repro.experiments.beam_patterns import (
-            directional_pattern_report_campaign,
-        )
-
-        cache = ResultCache(tmp_path / "cache")
-        serial = directional_pattern_report_campaign(positions=16, workers=1)
-        parallel = directional_pattern_report_campaign(
-            positions=16, workers=2, cache=cache
-        )
-        assert serial == parallel
-        # And the cache now short-circuits a third run.
-        cached = directional_pattern_report_campaign(
-            positions=16, workers=1, cache=cache
-        )
-        assert cached == serial
-        labels = [row.label for row in serial]
-        assert labels == ["laptop", "dock aligned", "dock rotated 70"]
-
-    def test_range_campaign_matches_serial_and_caches(self, tmp_path):
-        from repro.experiments.range_vs_distance import (
-            cliff_statistics,
-            throughput_vs_distance_campaign,
-        )
-
-        cache = ResultCache(tmp_path / "cache")
-        distances = tuple(float(d) for d in range(4, 20, 2))
-        serial_runs, serial_avg = throughput_vs_distance_campaign(
-            distances_m=distances, runs=6, seed=3, workers=1
-        )
-        parallel_runs, parallel_avg = throughput_vs_distance_campaign(
-            distances_m=distances, runs=6, seed=3, workers=2, cache=cache
-        )
-        assert np.array_equal(serial_avg, parallel_avg)
-        for a, b in zip(serial_runs, parallel_runs):
-            assert np.array_equal(a.throughput_bps, b.throughput_bps)
-            assert a.cliff_m == b.cliff_m
-        # Runs share an offset per seed: each run has one cliff beyond
-        # which the link stays dead.
-        lo, hi = cliff_statistics(serial_runs)
-        assert 4.0 <= lo <= hi <= 20.0
-        # Cached re-run computes nothing new.
-        rerun, rerun_avg = throughput_vs_distance_campaign(
-            distances_m=distances, runs=6, seed=3, workers=1, cache=cache
-        )
-        assert np.array_equal(rerun_avg, serial_avg)

@@ -1,9 +1,9 @@
 """Property test: the campaign engine is worker-count invariant.
 
 For any grid/seed combination, ``workers=1`` and ``workers=4`` (with
-shuffled shard submission) must produce byte-identical result stores
-once run-topology metadata (shard, timing) is projected away — the
-same projection ``repro campaign verify`` enforces in CI.
+a shuffled submission order) must produce byte-identical result stores
+once run metadata (status, timing) is projected away — the same
+projection ``repro campaign verify`` enforces in CI.
 """
 
 import json

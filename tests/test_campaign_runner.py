@@ -1,4 +1,4 @@
-"""Tests for the campaign engine: sharding, caching, timeouts, retries.
+"""Tests for the campaign engine: ordering, caching, timeouts, failures.
 
 The cells live in :mod:`tests.campaign_cells` so worker processes can
 resolve them by dotted path like production cells.
@@ -10,9 +10,12 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.telemetry import read_manifest
+from repro.campaign.verify import canonical_rows
 
 DOUBLE = "tests.campaign_cells:double_cell"
-FLAKY = "tests.campaign_cells:flaky_cell"
+COUNTED = "tests.campaign_cells:counted_failure"
+KILLER = "tests.campaign_cells:pool_killer"
+SCALAR = "tests.campaign_cells:scalar_cell"
 BROKEN = "tests.campaign_cells:always_fails"
 SLOW = "tests.campaign_cells:slow_cell"
 DES = "tests.campaign_cells:des_cell"
@@ -63,12 +66,20 @@ class TestParallelEngine:
             o.digest for o in parallel.outcomes
         ]
 
-    def test_shard_sizes_cover_all_scenarios(self):
-        result = run_campaign(double_campaign(), workers=2)
-        assert sum(result.telemetry.shard_sizes) == 8
-        assert len(result.telemetry.shard_sizes) == 2
-        shards = {o.shard for o in result.outcomes}
-        assert shards <= {0, 1}
+    def test_shuffled_submission_keeps_expansion_order(self):
+        spec = double_campaign(values=tuple(range(6)))
+        shuffled = CampaignRunner(spec, workers=2, shuffle_seed=5).run()
+        assert [o.spec for o in shuffled.outcomes] == spec.expand()
+        assert canonical_rows(shuffled) == canonical_rows(run_campaign(spec))
+
+    def test_broken_pool_falls_back_to_serial(self):
+        """A worker that dies breaks the pool; the rest run in-process."""
+        spec = CampaignSpec(
+            name="killer", experiment=KILLER, grid={"value": (1, 2, 3)}, seeds=(0, 1)
+        )
+        parallel = run_campaign(spec, workers=2)
+        assert all(o.status == "completed" for o in parallel.outcomes)
+        assert canonical_rows(parallel) == canonical_rows(run_campaign(spec))
 
 
 class TestCaching:
@@ -92,14 +103,14 @@ class TestCaching:
     def test_failed_cells_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         spec = CampaignSpec(name="broken", experiment=BROKEN, seeds=(0,))
-        run_campaign(spec, cache=cache, retries=0)
+        run_campaign(spec, cache=cache)
         assert cache.entry_count() == 0
 
 
 class TestFailureHandling:
     def test_failures_recorded_not_fatal(self):
         spec = CampaignSpec(name="broken", experiment=BROKEN, seeds=(0, 1))
-        result = run_campaign(spec, retries=0)
+        result = run_campaign(spec)
         assert len(result.failures()) == 2
         t = result.telemetry
         assert t.failed == 2
@@ -110,35 +121,27 @@ class TestFailureHandling:
         good = run_campaign(double_campaign(values=(1,), seeds=(0,)))
         assert good.telemetry.completed == 1
 
-    def test_transient_failure_retried(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_runs_exactly_once(self, tmp_path, workers):
         spec = CampaignSpec(
-            name="flaky",
-            experiment=FLAKY,
+            name="counted",
+            experiment=COUNTED,
             base_params={"marker_dir": str(tmp_path)},
-            seeds=(0, 1),
+            seeds=(0,),
         )
-        result = run_campaign(spec, retries=2, backoff_s=0.01)
-        assert all(o.status == "completed" for o in result.outcomes)
-        assert result.telemetry.retries == 2
-        assert all(o.attempts == 2 for o in result.outcomes)
+        result = run_campaign(spec, workers=workers)
+        assert result.outcomes[0].status == "failed"
+        assert "fails every time" in result.outcomes[0].error
+        assert (tmp_path / "runs").read_text() == "0\n"
 
-    def test_transient_failure_retried_in_workers(self, tmp_path):
+    def test_non_dict_result_is_a_failure(self):
         spec = CampaignSpec(
-            name="flaky",
-            experiment=FLAKY,
-            base_params={"marker_dir": str(tmp_path)},
-            seeds=(0, 1, 2),
+            name="bad-return", experiment=SCALAR, seeds=(0,)
         )
-        result = run_campaign(spec, workers=2, retries=2, backoff_s=0.01)
-        assert all(o.status == "completed" for o in result.outcomes)
-        assert result.telemetry.retries == 3
-
-    def test_retries_bounded(self, tmp_path):
-        spec = CampaignSpec(name="broken", experiment=BROKEN, seeds=(0,))
-        result = run_campaign(spec, retries=2, backoff_s=0.01)
-        outcome = result.outcomes[0]
-        assert outcome.status == "failed"
-        assert outcome.attempts == 3  # 1 try + 2 retries
+        result = run_campaign(spec)
+        assert result.outcomes[0].status == "failed"
+        assert "returned int, expected dict" in result.outcomes[0].error
+        assert result.telemetry.failed == 1
 
 
 class TestTimeouts:
@@ -168,13 +171,17 @@ class TestTimeouts:
         assert result.telemetry.timeouts == 2
         assert result.telemetry.wall_clock_s < 4.0
 
-    def test_timeouts_are_not_retried(self):
+    def test_timeouts_are_not_retried(self, tmp_path):
         spec = CampaignSpec(
-            name="slow", experiment=SLOW, base_params={"sleep_s": 5.0}, seeds=(0,)
+            name="slow-counted",
+            experiment=COUNTED,
+            base_params={"marker_dir": str(tmp_path), "sleep_s": 5.0},
+            seeds=(0,),
         )
-        result = run_campaign(spec, timeout_s=0.3, retries=3)
-        assert result.outcomes[0].attempts == 1
-        assert result.telemetry.retries == 0
+        result = run_campaign(spec, timeout_s=0.3)
+        assert "ScenarioTimeout" in result.outcomes[0].error
+        assert result.telemetry.timeouts == 1
+        assert (tmp_path / "runs").read_text() == "0\n"
 
 
 class TestTelemetry:
@@ -204,18 +211,15 @@ class TestTelemetry:
         import json
 
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"schema_version": 999}))
-        with pytest.raises(ValueError):
-            read_manifest(path)
+        for version in (3, 999):
+            path.write_text(json.dumps({"schema_version": version}))
+            with pytest.raises(ValueError, match="unsupported manifest schema"):
+                read_manifest(path)
 
 
 class TestRunnerValidation:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(double_campaign(), retries=-1)
-
     def test_unknown_cell_fails_gracefully(self):
         spec = CampaignSpec(name="nope", experiment="no_such_cell", seeds=(0,))
-        result = run_campaign(spec, retries=0)
+        result = run_campaign(spec)
         assert result.outcomes[0].status == "failed"
         assert "no_such_cell" in result.outcomes[0].error

@@ -1,4 +1,4 @@
-"""Tests for campaign/scenario specs: hashing, expansion, sharding."""
+"""Tests for campaign/scenario specs: hashing and expansion."""
 
 import os
 import subprocess
@@ -45,11 +45,10 @@ class TestScenarioSpec:
         assert a.digest() == b.digest()
 
     def test_identity_fields_distinguish(self):
-        base = ScenarioSpec("exp", {"x": 1}, seed=0, repetition=0)
+        base = ScenarioSpec("exp", {"x": 1}, seed=0)
         assert base.digest() != ScenarioSpec("exp2", {"x": 1}).digest()
         assert base.digest() != ScenarioSpec("exp", {"x": 2}).digest()
         assert base.digest() != ScenarioSpec("exp", {"x": 1}, seed=1).digest()
-        assert base.digest() != ScenarioSpec("exp", {"x": 1}, repetition=1).digest()
 
     def test_salt_changes_digest(self):
         spec = ScenarioSpec("exp", {"x": 1})
@@ -75,14 +74,6 @@ class TestScenarioSpec:
     def test_param_dict_roundtrip(self):
         spec = ScenarioSpec("exp", {"grid": [1, 2], "name": "a"})
         assert spec.param_dict() == {"grid": [1, 2], "name": "a"}
-
-    def test_shard_in_range_and_deterministic(self):
-        spec = ScenarioSpec("exp", {"x": 5})
-        shards = {spec.shard(4) for _ in range(10)}
-        assert len(shards) == 1
-        assert 0 <= shards.pop() < 4
-        with pytest.raises(ValueError):
-            spec.shard(0)
 
 
 class TestCampaignSpec:
@@ -110,24 +101,6 @@ class TestCampaignSpec:
         b = [s.digest() for s in self.grid_spec().expand()]
         assert a == b
 
-    def test_shards_partition_the_expansion(self):
-        spec = self.grid_spec()
-        shards = spec.shards(3)
-        assert len(shards) == 3
-        flat = [s for shard in shards for s in shard]
-        assert sorted(s.digest() for s in flat) == sorted(
-            s.digest() for s in spec.expand()
-        )
-        # Assignment is digest-driven, hence identical across calls.
-        assert [[s.digest() for s in shard] for shard in shards] == [
-            [s.digest() for s in shard] for shard in spec.shards(3)
-        ]
-
-    def test_repetitions_expand(self):
-        spec = CampaignSpec(name="t", experiment="exp", seeds=(0,), repetitions=3)
-        reps = [s.repetition for s in spec.expand()]
-        assert reps == [0, 1, 2]
-
     def test_with_overrides_pins_axis_and_merges_base(self):
         spec = self.grid_spec().with_overrides({"a": 9, "new": 1}, seeds=(5,))
         assert spec.grid_dict()["a"] == [9]
@@ -145,5 +118,3 @@ class TestCampaignSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             CampaignSpec(name="t", experiment="exp", seeds=())
-        with pytest.raises(ValueError):
-            CampaignSpec(name="t", experiment="exp", repetitions=0)

@@ -11,7 +11,6 @@ from repro.campaign.telemetry import (
     MANIFEST_SCHEMA_VERSION,
     RunTelemetry,
     read_manifest,
-    upgrade_manifest,
 )
 from repro.io import load_jsonl, save_jsonl
 
@@ -80,7 +79,7 @@ class TestWriteRun:
 
 
 class TestManifestSchema:
-    def test_v3_schema_locked(self, result, tmp_path):
+    def test_v4_schema_locked(self, result, tmp_path):
         # The manifest is the contract external tooling reads; lock the
         # exact top-level key set so additions are deliberate (and
         # versioned), mirroring the lint --json schema lock.
@@ -97,18 +96,16 @@ class TestManifestSchema:
             "profile",
             "scenarios",
             "schema_version",
-            "shard_sizes",
             "spans_file",
             "started_unix",
             "timing",
             "workers",
         ]
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 3
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 4
         assert sorted(manifest["scenarios"]) == [
             "cached",
             "completed",
             "failed",
-            "retries",
             "timeouts",
             "total",
         ]
@@ -119,56 +116,19 @@ class TestManifestSchema:
         ]
         assert sorted(manifest["des"]) == ["events_per_second", "events_simulated"]
 
-    def test_v1_manifest_upgraded_on_read(self, tmp_path):
-        # A pre-observability manifest (schema 1, no metrics/spans_file)
-        # must stay readable: the shim upgrades it in place.
-        v1 = {
-            "schema_version": 1,
-            "campaign": "legacy",
-            "campaign_digest": "abc",
-            "workers": 2,
-            "scenarios": {"total": 4, "completed": 4, "cached": 0, "failed": 0},
-            "timing": {"wall_clock_s": 1.0, "worker_time_s": 1.5},
-        }
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(v1))
-        manifest = read_manifest(path)
-        assert manifest["schema_version"] == 3
-        assert manifest["metrics"] is None
-        assert manifest["spans_file"] is None
-        assert manifest["profile"] is None
-        assert manifest["campaign"] == "legacy"
-
-    def test_v2_manifest_upgraded_on_read(self, tmp_path):
-        # A pre-profiling manifest (schema 2, metrics but no profile)
-        # must stay readable: the shim upgrades it in place.
-        v2 = {
-            "schema_version": 2,
-            "campaign": "legacy-v2",
-            "campaign_digest": "def",
-            "workers": 1,
-            "scenarios": {"total": 1, "completed": 1, "cached": 0, "failed": 0},
-            "timing": {"wall_clock_s": 0.5, "worker_time_s": 0.5},
-            "metrics": {"counters": {"n": 1}, "gauges": {}, "histograms": {}},
-            "spans_file": None,
-        }
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(v2))
-        manifest = read_manifest(path)
-        assert manifest["schema_version"] == 3
-        assert manifest["metrics"]["counters"] == {"n": 1}
-        assert manifest["profile"] is None
-
     def test_load_manifest_is_the_run_dir_shim(self, result, tmp_path):
         out = write_run(result, tmp_path / "run")
         manifest = load_manifest(out)
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert "metrics" in manifest and "spans_file" in manifest
         assert "profile" in manifest
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError, match="unsupported manifest schema"):
-            upgrade_manifest({"schema_version": 999})
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        for version in (1, 2, 3, 999):
+            path.write_text(json.dumps({"schema_version": version}))
+            with pytest.raises(ValueError, match="unsupported manifest schema"):
+                read_manifest(path)
 
 
 class TestEventsPerSecond:

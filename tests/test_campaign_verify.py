@@ -1,4 +1,4 @@
-"""``repro campaign verify``: shard determinism + cache-purity audit.
+"""``repro campaign verify``: worker-count determinism + cache-purity audit.
 
 Cells live in :mod:`tests.campaign_cells` so worker processes resolve
 them by dotted path exactly like production cells.
@@ -40,7 +40,7 @@ class TestPurityAudit:
         from tests.campaign_cells import double_cell
 
         with PurityAudit() as audit:
-            double_cell(value=2, seed=1, repetition=0)
+            double_cell(value=2, seed=1)
         assert audit.records == []
 
     def test_env_read_recorded(self, monkeypatch):
@@ -118,7 +118,7 @@ class TestCanonicalRows:
         assert report.determinism_ok
         serial_rows = canonical_rows  # sanity: importable + callable
         assert callable(serial_rows)
-        assert set(VOLATILE_ROW_KEYS) == {"elapsed_s", "attempts", "status", "shard"}
+        assert set(VOLATILE_ROW_KEYS) == {"elapsed_s", "status"}
 
     def test_rows_digest_stable(self):
         assert rows_digest("x") == rows_digest("x")
@@ -180,9 +180,12 @@ class TestVerifyCampaign:
         report = verify_campaign(
             spec, workers=2, audit=False, cache_check=False
         )
-        # Failures are recorded, not fatal — and identically so.
+        # Failures are recorded identically in both legs, but a campaign
+        # whose cells fail does not verify.
         assert report.determinism_ok
-        assert report.ok
+        assert not report.ok
+        assert report.failed == 2
+        assert "always fails" in report.first_failure
 
     def test_audit_limit_respected(self):
         report = verify_campaign(
@@ -210,6 +213,7 @@ class TestVerifyCampaign:
             "cache_all_hits",
             "cache_digest",
             "cache_ok",
+            "failed",
             "ok",
         ):
             assert key in doc
@@ -259,3 +263,26 @@ class TestVerifyCli:
         assert doc["ok"] is True
         assert doc["determinism_ok"] is True
         assert doc["audited"] == 0
+        assert doc["failed"] == 0
+
+    def test_cli_fails_when_cells_fail(self, capsys):
+        """Identical failure rows must not read as a PASS."""
+        rc = main(
+            [
+                "campaign",
+                "verify",
+                "beam-patterns",
+                "--set",
+                "positions=8",
+                "--set",
+                "setup=no-such-setup",
+                "--workers",
+                "2",
+                "--no-audit",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "failed cells: 3" in out
+        assert "no-such-setup" in out
+        assert "verify: FAIL" in out

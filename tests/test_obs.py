@@ -314,7 +314,7 @@ class TestDroppedSpans:
         run_dir.mkdir()
         write_trace(run_dir / TRACE_FILENAME, spans, label="demo")
         manifest = {
-            "schema_version": 3,
+            "schema_version": 4,
             "campaign": "demo",
             "workers": 1,
             "scenarios": {"total": 1},

@@ -71,7 +71,7 @@ class TestMetricsCollection:
             grid={},
             seeds=(0,),
         )
-        result = run_campaign(spec, metrics=True, retries=0)
+        result = run_campaign(spec, metrics=True)
         assert result.telemetry.failed == 1
         assert result.telemetry.metrics["counters"]["campaign.cells.failed"] == 1
         assert not obs.STATE.enabled
@@ -129,14 +129,20 @@ class TestTraceCollection:
         assert result.telemetry.spans_file == "trace.json"
         names = {e["name"] for e in result.trace_events}
         assert "campaign.run" in names
-        assert "campaign.shard" in names
-        assert "campaign.cell.await" in names
-        # In-cell spans ride the shard timeline (pid = shard + 1);
-        # runner-side events stay on the campaign parent (pid 0).
-        cell_pids = {
+        assert "campaign.cell" in names
+        # Cell spans ride their worker's timeline (pids 1..N, numbered
+        # in first-seen order); the run span stays on pid 0.
+        cell_pids = [
+            e["pid"] for e in result.trace_events if e["name"] == "campaign.cell"
+        ]
+        assert len(cell_pids) == result.telemetry.scenarios_total
+        assert cell_pids[0] == 1
+        assert set(cell_pids) == set(range(1, max(cell_pids) + 1))
+        assert max(cell_pids) <= 2
+        sim_pids = {
             e["pid"] for e in result.trace_events if e["name"] == "mac.simulator.run"
         }
-        assert cell_pids and all(pid >= 1 for pid in cell_pids)
+        assert sim_pids and sim_pids <= set(cell_pids)
         run_pids = {
             e["pid"] for e in result.trace_events if e["name"] == "campaign.run"
         }
@@ -149,7 +155,7 @@ class TestTraceCollection:
         doc = read_trace(out / "trace.json")
         assert validate_trace(doc) == []
         manifest = load_manifest(out)
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert manifest["spans_file"] == "trace.json"
         assert manifest["metrics"]["counters"]["campaign.cells.total"] == 4
 

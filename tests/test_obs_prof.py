@@ -225,7 +225,7 @@ class TestCampaignProfile:
         assert profile["spans"]["mac.simulator.run"]["count"] == 4
         out = write_run(result, tmp_path / "run")
         manifest = load_manifest(out)
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert manifest["profile"] == profile
 
     def test_serial_and_parallel_profiles_count_identical(self):
