@@ -26,8 +26,10 @@ way.  The capture round trip gates the measurement pipeline:
 with sparse frames, the shape of the protocol captures behind Table 1
 and Figs 3, 8 and 15.  ``angular_orientations_per_s`` gates the angular
 sweeps of Figs 18/19: one 72-step profile of the D5000 pair at location
-A, traced to second order.  It deliberately avoids the pytest-benchmark
-fixture so CI can run it with plain pytest.
+A, traced to second order.  ``room_traces_per_s`` gates the tracer
+alone: the second-order conference-room trace set of Fig 18, from each
+of the D5000 pair to each of the six locations A..F.  It deliberately
+avoids the pytest-benchmark fixture so CI can run it with plain pytest.
 """
 
 import math
@@ -120,6 +122,18 @@ def angular_profile_setup():
     return location, [result.tx, result.rx], factory, result.profiles["A"]
 
 
+def room_trace_legs(devices):
+    """Fig 18's trace set: ``(device position, location)`` for each
+    device at each of the six locations A..F."""
+    from repro.geometry.room import measurement_locations
+
+    return [
+        (device.position, location)
+        for location in measurement_locations()
+        for device in devices
+    ]
+
+
 @pytest.fixture(scope="module")
 def array():
     return UniformRectangularArray(
@@ -201,6 +215,17 @@ def test_perf_core_events_per_sec():
         angular_s = min(angular_s, time.perf_counter() - t0)
     assert profile.power_dbm.tobytes() == expected.power_dbm.tobytes()
 
+    tracer = RayTracer(conference_room(), max_order=2)
+    legs = room_trace_legs(devices)
+    repeats = 20
+    traces_s = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            paths = [tracer.trace(tx, rx) for tx, rx in legs]
+        traces_s = min(traces_s, time.perf_counter() - t0)
+    assert any(p.order == 2 for leg in paths for p in leg)
+
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
@@ -219,6 +244,9 @@ def test_perf_core_events_per_sec():
         bench_entry("angular_orientations_per_s",
                     round(profile.orientations_rad.size / angular_s), "orientations/s",
                     "higher", tolerance=5.0),
+        bench_entry("room_traces_per_s",
+                    round(len(legs) * repeats / traces_s), "traces/s",
+                    "higher", tolerance=5.0),
     ])
 
     print(
@@ -226,7 +254,8 @@ def test_perf_core_events_per_sec():
         f"-> {events_per_s / 1e6:.2f}M events/s; six stations: "
         f"{0.02 / interference_s:.3f} sim s per wall s; capture: "
         f"{capture_s * 1e3:.1f} ms per 1e6 samples; angular profile: "
-        f"{angular_s * 1e3:.1f} ms per 72 orientations"
+        f"{angular_s * 1e3:.1f} ms per 72 orientations; room traces: "
+        f"{traces_s / (len(legs) * repeats) * 1e6:.0f} us per trace"
     )
 
 

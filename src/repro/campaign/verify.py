@@ -3,21 +3,21 @@
 ``repro campaign verify <name>`` *proves*, rather than assumes, the
 two properties the campaign engine's results rest on:
 
-1. **Worker-count determinism** — the campaign is run twice without a
-   cache, once serially (``workers=1``, the reference path) and once
-   on a process pool with the submission order deterministically
-   shuffled (worst-case completion reordering).  The merged result
-   stores must be byte-for-byte identical after dropping run-volatile
-   fields (wall-clock timings, cached-vs-completed status).
+1. **Worker-count determinism** — the campaign is run twice with no
+   cached result to serve, once serially (``workers=1``, the reference
+   path) and once on a process pool with the submission order
+   deterministically shuffled (worst-case completion reordering).  The
+   merged result stores must be byte-for-byte identical after dropping
+   run-volatile fields (wall-clock timings, cached-vs-completed status).
 
 2. **Cache purity** — every cell is executed in-process under
    :class:`PurityAudit`, which records each environment/file/clock
    read.  Any read not derivable from the
    scenario spec means the content-addressed cache key does not
    capture all inputs.
-   A third run replays the shuffled-parallel results through a fresh
-   cache and asserts a serial re-run is served entirely from cache
-   with identical values.
+   The shuffled-parallel run stores its results in a fresh cache, and
+   a serial replay must then be served entirely from that cache with
+   identical values.
 
 A failed cell fails the verification outright: identical failure rows
 "match", and an all-hits check over no cached cells holds vacuously,
@@ -391,18 +391,27 @@ def verify_campaign(
     # between the serial reference and the shuffled parallel run, and
     # the ``profile`` section's count-derived projection (handler
     # names, call counts, span counts — never the wall times) must
-    # match too.
+    # match too.  The parallel leg fills the replay cache as it goes:
+    # the cache starts empty, so every cell still executes and its
+    # telemetry matches the uncached serial leg's.
     serial = CampaignRunner(
         campaign, cache=None, workers=1, metrics=True, profile=True
     ).run()
-    parallel = CampaignRunner(
-        campaign,
-        cache=None,
-        workers=workers,
-        shuffle_seed=shuffle_seed,
-        metrics=True,
-        profile=True,
-    ).run()
+    with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
+        cache = ResultCache(tmp) if cache_check else None
+        parallel = CampaignRunner(
+            campaign,
+            cache=cache,
+            workers=workers,
+            shuffle_seed=shuffle_seed,
+            metrics=True,
+            profile=True,
+        ).run()
+        replay = (
+            CampaignRunner(campaign, cache=cache, workers=1).run()
+            if cache is not None
+            else None
+        )
     serial_text = canonical_rows(serial)
     parallel_text = canonical_rows(parallel)
     report.serial_digest = rows_digest(serial_text)
@@ -422,14 +431,8 @@ def verify_campaign(
     report.profile_ok = serial_profile == parallel_profile
     legs = [serial, parallel]
 
-    if cache_check:
+    if replay is not None:
         report.cache_checked = True
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            cache = ResultCache(tmp)
-            CampaignRunner(
-                campaign, cache=cache, workers=workers, shuffle_seed=shuffle_seed
-            ).run()
-            replay = CampaignRunner(campaign, cache=cache, workers=1).run()
         report.cache_all_hits = all(
             o.status == "cached" for o in replay.outcomes if o.ok
         )

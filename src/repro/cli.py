@@ -369,40 +369,54 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return 0 if any(o.ok for o in result.outcomes) else 1
 
 
+def _run_manifest(run_dir: pathlib.Path) -> Optional[dict]:
+    """A run directory's manifest, or None after a one-line stderr error.
+
+    A missing ``manifest.json``, one of another schema version and one
+    that is not JSON all print ``error: ...`` naming ``run_dir``.
+    """
+    from repro.campaign.store import load_manifest
+
+    if not (run_dir / "manifest.json").is_file():
+        print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
+        return None
+    try:
+        return load_manifest(run_dir)
+    except ValueError as exc:
+        print(f"error: {run_dir}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs.report import report_run
 
     run_dir = pathlib.Path(args.run_dir)
-    if not (run_dir / "manifest.json").is_file():
-        print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
+    manifest = _run_manifest(run_dir)
+    if manifest is None:
         return 2
-    print(report_run(run_dir, as_json=args.json), end="" if args.json else "\n")
+    print(report_run(run_dir, manifest, as_json=args.json), end="" if args.json else "\n")
     return 0
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from repro.campaign.store import load_manifest
     from repro.obs.prof import render_top
 
-    run_dir = pathlib.Path(args.run_dir)
-    if not (run_dir / "manifest.json").is_file():
-        print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
+    manifest = _run_manifest(pathlib.Path(args.run_dir))
+    if manifest is None:
         return 2
-    print(render_top(load_manifest(run_dir), limit=args.limit))
+    print(render_top(manifest, limit=args.limit))
     return 0
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.campaign.store import load_manifest
     from repro.obs.prof import diff_manifests, render_diff
 
     manifests = []
     for run_dir in (args.run_a, args.run_b):
-        run_dir = pathlib.Path(run_dir)
-        if not (run_dir / "manifest.json").is_file():
-            print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
+        manifest = _run_manifest(pathlib.Path(run_dir))
+        if manifest is None:
             return 2
-        manifests.append(load_manifest(run_dir))
+        manifests.append(manifest)
     diff = diff_manifests(manifests[0], manifests[1])
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
@@ -448,15 +462,13 @@ def _cmd_obs_bench_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.campaign.store import load_manifest
     from repro.obs.export import TRACE_FILENAME, read_trace, validate_trace
     from repro.obs.report import dropped_span_count
 
     run_dir = pathlib.Path(args.run_dir)
-    if not (run_dir / "manifest.json").is_file():
-        print(f"error: no manifest.json in {run_dir}", file=sys.stderr)
+    manifest = _run_manifest(run_dir)
+    if manifest is None:
         return 2
-    manifest = load_manifest(run_dir)
     trace_path = run_dir / (manifest.get("spans_file") or TRACE_FILENAME)
     if not trace_path.is_file():
         print(f"error: no trace file at {trace_path} "

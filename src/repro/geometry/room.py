@@ -8,11 +8,12 @@ reflectors, blockage elements, and shielding absorbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.materials import Material, get_material
-from repro.geometry.segments import EPSILON, Segment, ray_segment_intersection
+from repro.geometry.segments import EPSILON, Segment, WallRow, wall_row
 from repro.geometry.vec import Vec2
 
 
@@ -43,6 +44,18 @@ class Room:
     Walls and obstacle plates are both treated as potential reflectors
     and potential blockers; the distinction only matters for
     construction convenience.
+
+    The room keeps a wall table, :attr:`table`: one
+    :class:`~repro.geometry.segments.WallRow` of plain floats per
+    surface, built once here and extended by :meth:`add_obstacle`.
+    Every ray query (:meth:`blockage_loss_db`, :meth:`path_is_clear`,
+    :meth:`first_hit`) runs the one ray-wall loop :meth:`ray_hits` over
+    it.  That loop does the float operations of
+    :func:`~repro.geometry.segments.ray_segment_intersection` in the
+    same order, so every distance and loss is bit-equal to tracing with
+    :class:`Vec2`.  Surfaces to ignore are matched by identity, never
+    by equality: two plates with equal endpoints and material are
+    still two surfaces.
     """
 
     def __init__(self, walls: Iterable[Segment], obstacles: Iterable[Obstacle] = ()):
@@ -53,6 +66,7 @@ class Room:
         self._surfaces: Tuple[Segment, ...] = tuple(self._walls) + tuple(
             o.segment for o in self._obstacles
         )
+        self._table: Tuple[WallRow, ...] = tuple(map(wall_row, self._surfaces))
 
     @property
     def walls(self) -> Sequence[Segment]:
@@ -67,10 +81,45 @@ class Room:
         """All reflective/blocking segments (walls + obstacle plates)."""
         return self._surfaces
 
+    @property
+    def table(self) -> Tuple[WallRow, ...]:
+        """The wall table: one float row per surface, in surface order."""
+        return self._table
+
     def add_obstacle(self, obstacle: Obstacle) -> None:
         """Place an additional obstacle into the room."""
         self._obstacles.append(obstacle)
         self._surfaces += (obstacle.segment,)
+        self._table += (wall_row(obstacle.segment),)
+
+    def ray_hits(
+        self,
+        ox: float,
+        oy: float,
+        ux: float,
+        uy: float,
+        ignore_ids: Collection[int] = (),
+    ) -> Iterator[Tuple[float, WallRow]]:
+        """Every surface the ray from ``(ox, oy)`` along ``(ux, uy)`` hits.
+
+        Yields ``(t, row)`` in table order, where ``t`` is what
+        :func:`ray_segment_intersection` returns for that surface (the
+        travel distance for a unit direction); misses are skipped.
+        Surfaces whose ``id()`` is in ``ignore_ids`` are skipped too.
+        """
+        for row in self._table:
+            ax, ay, sx, sy, _, _, _, seg = row
+            if ignore_ids and id(seg) in ignore_ids:
+                continue
+            denom = ux * sy - uy * sx
+            if abs(denom) < EPSILON:
+                continue
+            qpx = ax - ox
+            qpy = ay - oy
+            t = (qpx * sy - qpy * sx) / denom
+            u = (qpx * uy - qpy * ux) / denom
+            if t > EPSILON and -EPSILON <= u <= 1.0 + EPSILON:
+                yield t, row
 
     def first_hit(
         self,
@@ -86,13 +135,11 @@ class Room:
         outdoor semicircle setup).
         """
         unit = direction.normalized()
+        skip = () if ignore is None else (id(ignore),)
         best: Optional[Tuple[float, Segment]] = None
-        for seg in self.surfaces:
-            if ignore is not None and seg is ignore:
-                continue
-            t = ray_segment_intersection(origin, unit, seg)
-            if t is not None and (best is None or t < best[0]):
-                best = (t, seg)
+        for t, row in self.ray_hits(origin.x, origin.y, unit.x, unit.y, skip):
+            if best is None or t < best[0]:
+                best = (t, row.segment)
         return best
 
     def path_is_clear(
@@ -108,17 +155,14 @@ class Room:
         reflected path legitimately touches).  Endpoints touching a
         surface (within ``tol`` meters) do not count as blockage.
         """
-        delta = b - a
-        total = delta.length()
+        dx = b.x - a.x
+        dy = b.y - a.y
+        total = math.hypot(dx, dy)
         if total < EPSILON:
             return True
-        unit = delta / total
-        ignored = set(map(id, ignore))
-        for seg in self.surfaces:
-            if id(seg) in ignored:
-                continue
-            t = ray_segment_intersection(a, unit, seg)
-            if t is not None and tol < t < total - tol:
+        skip = set(map(id, ignore))
+        for t, _ in self.ray_hits(a.x, a.y, dx / total, dy / total, skip):
+            if tol < t < total - tol:
                 return False
         return True
 
@@ -130,20 +174,31 @@ class Room:
         effectively kills a link while a thin wooden panel merely
         attenuates it.
         """
-        delta = b - a
-        total = delta.length()
+        return self.leg_loss_db(a.x, a.y, b.x, b.y, set(map(id, ignore)))
+
+    def leg_loss_db(
+        self,
+        ax: float,
+        ay: float,
+        bx: float,
+        by: float,
+        ignore_ids: Collection[int] = (),
+    ) -> float:
+        """:meth:`blockage_loss_db` of the leg ``(ax, ay) -> (bx, by)``.
+
+        The float form the ray tracer calls; ``ignore_ids`` holds the
+        ``id()`` of each surface to skip.
+        """
+        dx = bx - ax
+        dy = by - ay
+        total = math.hypot(dx, dy)
         if total < EPSILON:
             return 0.0
-        unit = delta / total
-        ignored = set(map(id, ignore))
         loss = 0.0
         tol = 1e-6
-        for seg in self.surfaces:
-            if id(seg) in ignored:
-                continue
-            t = ray_segment_intersection(a, unit, seg)
-            if t is not None and tol < t < total - tol:
-                loss += seg.material.penetration_loss_db
+        for t, row in self.ray_hits(ax, ay, dx / total, dy / total, ignore_ids):
+            if tol < t < total - tol:
+                loss += row.penetration_loss_db
         return loss
 
     @staticmethod

@@ -4,13 +4,20 @@ These are the building blocks of the image-method ray tracer: walls are
 segments, reflection points are segment/segment intersections, and
 virtual (image) sources are produced by mirroring points across wall
 lines.
+
+The tracer's inner loops run on :class:`WallRow`, a segment unpacked
+into plain floats once, instead of on :class:`Vec2` temporaries.  The
+float forms (:func:`mirror_xy`, the ray loop of
+:meth:`repro.geometry.room.Room.ray_hits`) do the same float
+operations in the same order as :meth:`Segment.mirror_point` and
+:func:`ray_segment_intersection`, so their results are bit-equal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 from repro.geometry.materials import Material, MATERIALS
 from repro.geometry.vec import Vec2
@@ -82,6 +89,44 @@ class Segment:
         t = (p - self.a).dot(ab) / ab.length_squared()
         t = min(1.0, max(0.0, t))
         return p.distance_to(self.point_at(t))
+
+
+class WallRow(NamedTuple):
+    """A :class:`Segment` as the plain floats the ray tracer reads."""
+
+    ax: float
+    ay: float
+    #: ``b - a``.
+    sx: float
+    sy: float
+    #: Unit direction, as :meth:`Segment.direction`.
+    dx: float
+    dy: float
+    penetration_loss_db: float
+    segment: Segment
+
+
+def wall_row(segment: Segment) -> WallRow:
+    """Unpack ``segment`` into a :class:`WallRow`."""
+    a, b = segment.a, segment.b
+    sx = b.x - a.x
+    sy = b.y - a.y
+    norm = math.hypot(sx, sy)
+    return WallRow(
+        a.x, a.y, sx, sy, sx / norm, sy / norm,
+        segment.material.penetration_loss_db, segment,
+    )
+
+
+def mirror_xy(row: WallRow, px: float, py: float) -> Tuple[float, float]:
+    """:meth:`Segment.mirror_point` of ``(px, py)``, bit-equal, on floats."""
+    ax, ay, _, _, dx, dy, _, _ = row
+    apx = px - ax
+    apy = py - ay
+    dot = apx * dx + apy * dy
+    alx = dx * dot
+    aly = dy * dot
+    return (ax + alx) - (apx - alx), (ay + aly) - (apy - aly)
 
 
 def segment_intersection(

@@ -167,12 +167,10 @@ def render_report_json(manifest: Dict, trace_doc: Optional[Dict]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def report_run(run_dir: PathLike, as_json: bool = False) -> str:
-    """Build the report for a run directory (manifest + optional trace)."""
-    from repro.campaign.store import load_manifest
-
+def report_run(run_dir: PathLike, manifest: Dict, as_json: bool = False) -> str:
+    """Build the report for a run directory from its loaded ``manifest``
+    and, when the run was traced, its trace file."""
     run_dir = pathlib.Path(run_dir)
-    manifest = load_manifest(run_dir)
     trace_path = run_dir / (manifest.get("spans_file") or TRACE_FILENAME)
     trace_doc = read_trace(trace_path) if trace_path.exists() else None
     if as_json:

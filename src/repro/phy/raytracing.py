@@ -18,16 +18,29 @@ image method:
 Each path carries its total length, per-bounce reflection losses,
 blockage penetration losses, and its departure/arrival angles, which
 the link evaluation combines with the antenna patterns at both ends.
+
+The enumeration runs on plain floats.  Images, reflection points and
+leg losses are computed from the room's wall table
+(:attr:`repro.geometry.room.Room.table`, one float row per surface);
+:class:`Vec2` is built only for the ``points`` of each returned path.
+Surfaces a leg touches are excluded from its blockage by identity
+(``id()``), never by equality.  Every float operation keeps the order
+and grouping of the :class:`Vec2`/:class:`Segment` methods it replaces
+(``math.hypot`` for lengths, the same epsilons), so paths, losses and
+the profiles built from them are bit-equal to a tracer written with
+:meth:`Segment.mirror_point` and
+:func:`~repro.geometry.segments.ray_segment_intersection`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.geometry.room import Room
-from repro.geometry.segments import Segment
+from repro.geometry.segments import Segment, WallRow, mirror_xy
 from repro.geometry.vec import Vec2
 from repro.phy.channel import LinkBudget, friis_path_loss_db, oxygen_absorption_db
 
@@ -62,12 +75,13 @@ class PropagationPath:
         """Total unfolded path length."""
         total = 0.0
         for a, b in zip(self.points, self.points[1:]):
-            total += a.distance_to(b)
+            total += math.hypot(a.x - b.x, a.y - b.y)
         return total
 
     def departure_angle_rad(self) -> float:
         """Angle of the first leg leaving the transmitter (global frame)."""
-        return (self.points[1] - self.points[0]).angle()
+        tx, first = self.points[0], self.points[1]
+        return math.atan2(first.y - tx.y, first.x - tx.x)
 
     def arrival_angle_rad(self) -> float:
         """Direction the signal arrives *from*, seen at the receiver.
@@ -76,7 +90,8 @@ class PropagationPath:
         point (or the TX for LOS) — the angle at which a rotating horn
         at the RX location would see this path's energy.
         """
-        return (self.points[-2] - self.points[-1]).angle()
+        last, rx = self.points[-2], self.points[-1]
+        return math.atan2(last.y - rx.y, last.x - rx.x)
 
     def extra_loss_db(self) -> float:
         """Combined reflection + penetration loss of the path."""
@@ -153,60 +168,49 @@ class RayTracer:
 
     # -- internals ----------------------------------------------------
 
-    def _penetration_between(self, a: Vec2, b: Vec2, touched: Sequence[Segment]) -> Optional[float]:
-        """Penetration loss of leg a->b, or None if above the cutoff."""
-        loss = self._room.blockage_loss_db(a, b, ignore=touched)
+    def _penetration_between(
+        self, ax: float, ay: float, bx: float, by: float, touched: Tuple[int, ...]
+    ) -> Optional[float]:
+        """Penetration loss of leg a->b, or None if above the cutoff.
+
+        ``touched`` holds the ``id()`` of the surfaces the path bounces
+        off at either end of the leg; they do not block it.
+        """
+        loss = self._room.leg_loss_db(ax, ay, bx, by, touched)
         if loss > self._max_penetration:
             return None
         return loss
 
     def _trace_los(self, tx: Vec2, rx: Vec2) -> Optional[PropagationPath]:
-        loss = self._penetration_between(tx, rx, ())
+        loss = self._penetration_between(tx.x, tx.y, rx.x, rx.y, ())
         if loss is None:
             return None
         return PropagationPath(
             points=(tx, rx), surfaces=(), reflection_loss_db=0.0, penetration_loss_db=loss
         )
 
-    def _reflection_point(self, image: Vec2, target: Vec2, wall: Segment) -> Optional[Vec2]:
-        """Where the image->target line crosses the wall, if on-segment."""
-        d = target - image
-        length = d.length()
-        if length < 1e-12:
-            return None
-        # Solve intersection of the infinite image->target line with the
-        # wall segment; the hit must lie within the segment.
-        w = wall.b - wall.a
-        denom = d.cross(w)
-        if abs(denom) < 1e-12:
-            return None
-        qp = wall.a - image
-        t = qp.cross(w) / denom
-        u = qp.cross(d) / denom
-        if t <= 1e-9 or t >= 1.0 - 1e-9:
-            return None
-        if u < 0.0 or u > 1.0:
-            return None
-        return image + d * t
-
     def _trace_first_order(self, tx: Vec2, rx: Vec2) -> List[PropagationPath]:
         paths: List[PropagationPath] = []
-        for wall in self._room.surfaces:
-            image = wall.mirror_point(tx)
-            hit = self._reflection_point(image, rx, wall)
+        txx, txy, rxx, rxy = tx.x, tx.y, rx.x, rx.y
+        for row in self._room.table:
+            ix, iy = mirror_xy(row, txx, txy)
+            hit = _reflection_point(ix, iy, rxx, rxy, row)
             if hit is None:
                 continue
+            hx, hy = hit
+            wall = row.segment
             # Both legs must be clear of other obstructions; the wall
             # itself legitimately touches the path at the bounce.
-            leg1 = self._penetration_between(tx, hit, (wall,))
+            touched = (id(wall),)
+            leg1 = self._penetration_between(txx, txy, hx, hy, touched)
             if leg1 is None:
                 continue
-            leg2 = self._penetration_between(hit, rx, (wall,))
+            leg2 = self._penetration_between(hx, hy, rxx, rxy, touched)
             if leg2 is None:
                 continue
             paths.append(
                 PropagationPath(
-                    points=(tx, hit, rx),
+                    points=(tx, Vec2(hx, hy), rx),
                     surfaces=(wall,),
                     reflection_loss_db=wall.material.reflection_loss_db,
                     penetration_loss_db=leg1 + leg2,
@@ -216,32 +220,39 @@ class RayTracer:
 
     def _trace_second_order(self, tx: Vec2, rx: Vec2) -> List[PropagationPath]:
         paths: List[PropagationPath] = []
-        surfaces = self._room.surfaces
-        for first in surfaces:
-            image1 = first.mirror_point(tx)
-            for second in surfaces:
+        txx, txy, rxx, rxy = tx.x, tx.y, rx.x, rx.y
+        table = self._room.table
+        for row1 in table:
+            first = row1.segment
+            i1x, i1y = mirror_xy(row1, txx, txy)
+            for row2 in table:
+                second = row2.segment
                 if second is first:
                     continue
-                image2 = second.mirror_point(image1)
+                i2x, i2y = mirror_xy(row2, i1x, i1y)
                 # Unfold back to front: last bounce first.
-                hit2 = self._reflection_point(image2, rx, second)
+                hit2 = _reflection_point(i2x, i2y, rxx, rxy, row2)
                 if hit2 is None:
                     continue
-                hit1 = self._reflection_point(image1, hit2, first)
+                h2x, h2y = hit2
+                hit1 = _reflection_point(i1x, i1y, h2x, h2y, row1)
                 if hit1 is None:
                     continue
-                leg1 = self._penetration_between(tx, hit1, (first,))
+                h1x, h1y = hit1
+                leg1 = self._penetration_between(txx, txy, h1x, h1y, (id(first),))
                 if leg1 is None:
                     continue
-                leg2 = self._penetration_between(hit1, hit2, (first, second))
+                leg2 = self._penetration_between(
+                    h1x, h1y, h2x, h2y, (id(first), id(second))
+                )
                 if leg2 is None:
                     continue
-                leg3 = self._penetration_between(hit2, rx, (second,))
+                leg3 = self._penetration_between(h2x, h2y, rxx, rxy, (id(second),))
                 if leg3 is None:
                     continue
                 paths.append(
                     PropagationPath(
-                        points=(tx, hit1, hit2, rx),
+                        points=(tx, Vec2(h1x, h1y), Vec2(h2x, h2y), rx),
                         surfaces=(first, second),
                         reflection_loss_db=(
                             first.material.reflection_loss_db
@@ -251,6 +262,35 @@ class RayTracer:
                     )
                 )
         return paths
+
+
+def _reflection_point(
+    ix: float, iy: float, px: float, py: float, wall: WallRow
+) -> Optional[Tuple[float, float]]:
+    """Where the line from image ``(ix, iy)`` to ``(px, py)`` crosses the wall.
+
+    None unless the crossing lies on the wall segment, strictly between
+    the image and the target.
+    """
+    dx = px - ix
+    dy = py - iy
+    if math.hypot(dx, dy) < 1e-12:
+        return None
+    # Solve intersection of the infinite image->target line with the
+    # wall segment; the hit must lie within the segment.
+    ax, ay, wx, wy = wall[:4]
+    denom = dx * wy - dy * wx
+    if abs(denom) < 1e-12:
+        return None
+    qpx = ax - ix
+    qpy = ay - iy
+    t = (qpx * wy - qpy * wx) / denom
+    u = (qpx * dy - qpy * dx) / denom
+    if t <= 1e-9 or t >= 1.0 - 1e-9:
+        return None
+    if u < 0.0 or u > 1.0:
+        return None
+    return ix + dx * t, iy + dy * t
 
 
 def path_loss_db(path: PropagationPath, frequency_hz: float) -> float:

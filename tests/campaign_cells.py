@@ -28,6 +28,17 @@ def counted_failure(*, marker_dir: str, sleep_s: float = 0.0, seed: int = 0):
     raise RuntimeError("this cell fails every time it runs")
 
 
+def marker_cell(*, marker_dir: str, value: int = 1, seed: int = 0):
+    """A deterministic cell that appends one line per run to a marker file.
+
+    Opening for append is no read, so the purity audit passes it; the
+    file counts executions across every process.
+    """
+    with open(os.path.join(marker_dir, "runs"), "a", encoding="utf-8") as fh:
+        fh.write(f"{value} {seed}\n")
+    return {"value": value, "seed": seed}
+
+
 def pool_killer(*, value: int = 1, seed: int = 0):
     """Kills its process when run in a pool worker; a plain cell otherwise.
 

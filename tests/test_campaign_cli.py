@@ -243,6 +243,24 @@ class TestObsCli:
         err = capsys.readouterr().err
         assert "no manifest.json" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["report"], ["top"], ["export"], ["diff", None]],
+        ids=["report", "top", "export", "diff"],
+    )
+    def test_unsupported_manifest_exits_2(self, tmp_path, capsys, command):
+        old = tmp_path / "v3-run"
+        old.mkdir()
+        (old / "manifest.json").write_text('{"schema_version": 3}')
+        argv = ["obs", *(str(old) if arg is None else arg for arg in command), str(old)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {old}: ")
+        assert "unsupported manifest schema version 3" in lines[0]
+
     def test_export_without_trace_exits_2(self, cache_dir, tmp_path, capsys):
         out = tmp_path / "untraced"
         assert run_beam_campaign(cache_dir, out, workers=1) == 0

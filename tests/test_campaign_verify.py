@@ -126,6 +126,24 @@ class TestCanonicalRows:
 
 
 class TestVerifyCampaign:
+    @pytest.mark.parametrize("audit", [True, False])
+    def test_each_cell_runs_once_per_leg(self, tmp_path, audit):
+        campaign = CampaignSpec(
+            name="markers",
+            experiment="tests.campaign_cells:marker_cell",
+            base_params={"marker_dir": str(tmp_path)},
+            grid={"value": (1, 2, 3)},
+            seeds=(0, 1),
+        )
+        report = verify_campaign(campaign, workers=2, audit=audit)
+        assert report.ok and report.cache_checked and report.cache_all_hits
+        runs = (tmp_path / "runs").read_text().splitlines()
+        # Audit, serial and parallel legs each run every cell once; the
+        # cached replay runs none.
+        legs = 3 if audit else 2
+        cells = [f"{value} {seed}" for value in (1, 2, 3) for seed in (0, 1)]
+        assert sorted(runs) == sorted(cells * legs)
+
     def test_deterministic_campaign_passes(self):
         report = verify_campaign(double_campaign(), workers=4, shuffle_seed=3)
         assert report.determinism_ok
