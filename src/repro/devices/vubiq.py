@@ -105,7 +105,8 @@ class VubiqReceiver:
         Only the horn's orientation changes between the returned powers,
         so the room is traced, and each path's transmit gain, length,
         propagation loss, extra loss and arrival bearing computed, once
-        for the whole sweep.
+        for the whole sweep.  The transmit pattern is interpolated at
+        every path's departure bearing in one array query.
 
         With a tracer, the powers are one float64 array with a row per
         boresight and a column per path.  It is evaluated in the
@@ -144,17 +145,16 @@ class VubiqReceiver:
             return [-300.0] * len(boresights_rad)
         budget = self.budget
         # Per path: EIRP at the departure angle, propagation loss, extra
-        # loss and arrival bearing.
-        eirp = budget.tx_power_dbm + np.array(
+        # loss and arrival bearing.  Each path's device-local departure
+        # bearing takes the scalar steps of RadioDevice.tx_gain_dbi; the
+        # pattern is then read once for all paths.
+        bearings = np.array(
             [
-                device.tx_gain_dbi(
-                    device.position + Vec2.unit(path.departure_angle_rad()),
-                    kind,
-                    subelement,
-                )
+                device.bearing_to(device.position + Vec2.unit(path.departure_angle_rad()))
                 for path in paths
             ]
         )
+        eirp = budget.tx_power_dbm + device.pattern_for_kind(kind, subelement).gain_dbi(bearings)
         loss = np.array([budget.propagation_loss_db(path.length_m()) for path in paths])
         extra_loss = np.array([path.extra_loss_db() for path in paths])
         arrival = np.array([path.arrival_angle_rad() for path in paths])

@@ -255,31 +255,44 @@ def mean_link_rate_bps(link: WiGigLink, window_start_s: float, window_end_s: flo
     return total / (window_end_s - window_start_s)
 
 
-def measure_interference_point(
-    scenario: InterferenceScenario,
+def interference_cell(
+    *,
     wihd_offset_m: float,
+    rotated: bool = False,
     duration_s: float = 0.4,
     warmup_s: float = 0.1,
-) -> InterferencePoint:
-    """Warm a built scenario up, then measure one sweep point."""
+    with_wihd: bool = True,
+    seed: int = 10,
+) -> dict:
+    """One distance point of the Figure 22 sweep (full DES run).
+
+    Builds the scenario, warms it up, then measures the window.
+    Returns the :class:`InterferencePoint` fields as a campaign row,
+    plus ``events_simulated`` so the run manifest can derive the
+    simulator's events-per-second throughput.
+    """
+    scenario = build_interference_scenario(
+        wihd_offset_m=wihd_offset_m,
+        rotated=rotated,
+        with_wihd=with_wihd,
+        seed=seed,
+    )
     scenario.run(warmup_s)
     scenario.flow_a.reset_counters()
     retx_before = scenario.link_a.stats.retransmissions
     start = scenario.sim.now
     scenario.run(duration_s)
     end = scenario.sim.now
-    utilization = channel_utilization(scenario, start, end)
-    rate = mean_link_rate_bps(scenario.link_a, start, end)
     goodput = scenario.flow_a.throughput_bps()
-    transfer = FILE_SIZE_BYTES * 8.0 / goodput if goodput > 0 else None
-    return InterferencePoint(
-        distance_m=wihd_offset_m,
-        utilization=utilization,
-        link_rate_bps=rate,
-        rotated=scenario.rotated,
-        retransmissions=scenario.link_a.stats.retransmissions - retx_before,
-        transfer_time_s=transfer,
-    )
+    return {
+        "distance_m": wihd_offset_m,
+        "utilization": channel_utilization(scenario, start, end),
+        "link_rate_bps": mean_link_rate_bps(scenario.link_a, start, end),
+        "rotated": rotated,
+        "retransmissions": scenario.link_a.stats.retransmissions - retx_before,
+        "transfer_time_s": FILE_SIZE_BYTES * 8.0 / goodput if goodput > 0 else None,
+        "events_simulated": scenario.sim.events_processed,
+    }
 
 
 def run_interference_point(
@@ -290,47 +303,17 @@ def run_interference_point(
     with_wihd: bool = True,
     seed: int = 10,
 ) -> InterferencePoint:
-    """Measure one distance point of the Figure 22 sweep."""
-    scenario = build_interference_scenario(
-        wihd_offset_m=wihd_offset_m, rotated=rotated, with_wihd=with_wihd, seed=seed
-    )
-    return measure_interference_point(
-        scenario, wihd_offset_m, duration_s=duration_s, warmup_s=warmup_s
-    )
-
-
-def interference_cell(
-    *,
-    wihd_offset_m: float,
-    rotated: bool = False,
-    duration_s: float = 0.4,
-    warmup_s: float = 0.1,
-    with_wihd: bool = True,
-    seed: int = 10,
-) -> dict:
-    """One campaign cell of the Figure 22 sweep (full DES run).
-
-    Reports ``events_simulated`` so the run manifest can derive the
-    simulator's events-per-second throughput.
-    """
-    scenario = build_interference_scenario(
+    """:func:`interference_cell` as an :class:`InterferencePoint`."""
+    row = interference_cell(
         wihd_offset_m=wihd_offset_m,
         rotated=rotated,
+        duration_s=duration_s,
+        warmup_s=warmup_s,
         with_wihd=with_wihd,
         seed=seed,
     )
-    point = measure_interference_point(
-        scenario, wihd_offset_m, duration_s=duration_s, warmup_s=warmup_s
-    )
-    return {
-        "distance_m": point.distance_m,
-        "utilization": point.utilization,
-        "link_rate_bps": point.link_rate_bps,
-        "rotated": point.rotated,
-        "retransmissions": point.retransmissions,
-        "transfer_time_s": point.transfer_time_s,
-        "events_simulated": scenario.sim.events_processed,
-    }
+    del row["events_simulated"]
+    return InterferencePoint(**row)
 
 
 def interference_sweep(

@@ -127,13 +127,19 @@ WIHD_TIMING = MacTiming(
 DISCOVERY_SUBELEMENTS = 32
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
     """Ground-truth record of one frame put on the air by the simulator.
 
     The Vubiq model converts these into :class:`repro.phy.signal.Emission`
     objects (what a measurement receiver would see); analysis code is
     tested against the ground truth.
+
+    The class is slotted: a record holds exactly the fields below and
+    takes no other attributes.  The field order is part of the
+    interface, since the MAC hot paths build records positionally
+    (``FrameRecord(start_s, duration_s, source, destination, kind,
+    ...)``); append new fields at the end, never reorder.
 
     Attributes:
         start_s: Transmission start time.

@@ -18,8 +18,9 @@ whatever its pattern leaks in that direction.
 Link-power memo: the medium memoizes the power each transmitter's
 frames arrive with at each receiver, ``tx power + coupling`` as a
 ``(dBm, mW)`` pair per (tx, rx, wide pattern or not), and the frame error
-probability per (SINR, MCS).  Two things clear the link memo, at the
-moment of the change:
+probability per (signal dBm, worst interference mW, MCS) — the inputs
+of the delivery SINR, so a memo hit needs no logarithm.  Two things
+clear the link memo, at the moment of the change:
 
 * assigning any attribute of a registered :class:`Station` (a move, a
   re-synced beam, a new transmit power), and
@@ -31,13 +32,17 @@ moment of the change:
 
 A coupling model whose values change any other way must call
 ``changed()`` itself.
+
+Clock: :attr:`Simulator.now` is a plain attribute.  Only the event
+loop writes it (when it runs an event or replays a source, and at the
+end of :meth:`Simulator.run_until`); everything else reads it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +61,11 @@ from repro.phy.mcs import frame_error_probability, mcs_by_index
 #: honor its NAV (control-PHY sensitivity: MCS-0 threshold over the
 #: noise floor of the default budget, ~-83 dBm).
 NAV_DECODE_THRESHOLD_DBM = -82.0
+
+#: This process's metrics registry.  The per-frame metric site in
+#: ``Medium.transmit`` checks ``obs.STATE.metrics`` itself and records
+#: straight into it, without ``obs.add``'s second check and call.
+_METRICS = obs.registry()
 
 
 class Station:
@@ -223,10 +233,14 @@ class Simulator:
     heap orders by ``(time, seq)``.  High-volume, fixed-pattern work
     (one item per MPDU) can live in a replayed source instead of the
     heap (:meth:`add_source`).
+
+    :attr:`now` is a plain attribute that only the loop writes; read
+    it, never assign it.
     """
 
     def __init__(self, seed: int = 0):
-        self._now = 0.0
+        #: Current simulation time in seconds (written by the loop only).
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         #: Takes the next scheduling sequence number (no Python frame:
@@ -238,11 +252,6 @@ class Simulator:
         #: to report DES events simulated per worker-second.  Work
         #: replayed by sources is not counted.
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def add_source(self, source) -> None:
         """Interleave a replayed source's items with the event heap.
@@ -265,17 +274,18 @@ class Simulator:
     def schedule(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay_s`` seconds of simulated time.
 
-        Rejects NaN/inf delays outright: ``delay_s < 0`` is False for
-        NaN, so a NaN timestamp would otherwise enter the heap and
-        poison the ordering of every later event.
+        Rejects negative, NaN and infinite delays: one chained
+        comparison admits exactly the finite non-negative ones (it is
+        False for NaN, so a NaN timestamp never enters the heap to
+        poison the ordering of every later event).
         """
-        if not math.isfinite(delay_s):
-            raise ValueError(
-                f"cannot schedule with a non-finite delay ({delay_s!r})"
-            )
-        if delay_s < 0:
+        if not 0.0 <= delay_s < math.inf:
+            if not math.isfinite(delay_s):
+                raise ValueError(
+                    f"cannot schedule with a non-finite delay ({delay_s!r})"
+                )
             raise ValueError(f"cannot schedule into the past (delay {delay_s:g} s)")
-        heapq.heappush(self._queue, (self._now + delay_s, next(self._counter), callback))
+        heappush(self._queue, (self.now + delay_s, next(self._counter), callback))
 
     def run_until(self, end_s: float) -> None:
         """Process events until simulated time reaches ``end_s``.
@@ -291,8 +301,8 @@ class Simulator:
         sources = self._sources
         with obs.span("mac.simulator.run", end_s=end_s):
             while True:
-                if queue and queue[0][0] <= end_s:
-                    limit_s, limit_seq = queue[0][0], queue[0][1]
+                if queue and (head := queue[0])[0] <= end_s:
+                    limit_s, limit_seq = head[0], head[1]
                     event_next = True
                 elif sources:
                     limit_s, limit_seq = end_s, math.inf
@@ -303,8 +313,11 @@ class Simulator:
                 # the next event, another source, or the end of the run.
                 first = None
                 for source in sources:
-                    due_s, due_seq = source.due_s, source.due_seq
-                    if due_s > limit_s or (due_s == limit_s and due_seq > limit_seq):
+                    due_s = source.due_s
+                    if due_s > limit_s:
+                        continue
+                    due_seq = source.due_seq
+                    if due_s == limit_s and due_seq > limit_seq:
                         continue
                     if first is not None:
                         event_next = False
@@ -314,7 +327,7 @@ class Simulator:
                         limit_s, limit_seq = first_s, first_seq
                     first, first_s, first_seq = source, due_s, due_seq
                 if first is not None:
-                    self._now = first_s
+                    self.now = first_s
                     if profiling:
                         t0 = clock.perf_counter_ns()
                         reached = first.replay(limit_s, limit_seq)
@@ -329,8 +342,8 @@ class Simulator:
                         continue
                 elif not event_next:
                     break
-                time, _, callback = heapq.heappop(queue)
-                self._now = time
+                time, _, callback = heappop(queue)
+                self.now = time
                 self.events_processed += 1
                 if profiling:
                     t0 = clock.perf_counter_ns()
@@ -340,7 +353,8 @@ class Simulator:
                     )
                 else:
                     callback()
-            self._now = max(self._now, end_s)
+            if end_s > self.now:
+                self.now = end_s
         if obs.STATE.metrics:
             obs.add("mac.simulator.events", self.events_processed - start_events)
 
@@ -383,21 +397,45 @@ class Medium:
         ):
             self.medium = medium
             self.record = record
-            self.wide = record.kind.uses_wide_pattern()
+            self.wide = wide = record.kind.uses_wide_pattern()
             self.tx = tx
             self.rx = rx
-            self.signal_dbm: Optional[float] = None  # at the intended receiver
+            # Received power at the intended receiver (unicast only);
+            # memo hits are read inline.
+            self.signal_dbm = None if rx is None else (
+                medium._links.get((tx, rx, wide)) or medium._link(tx, rx, wide)
+            )[0]
             self.max_interference_mw = 0.0
             self.on_complete = on_complete
 
         def finish(self) -> None:
+            """End the frame: judge delivery, wake waiters, report.
+
+            A unicast frame is delivered with probability ``1 - FER``
+            at its worst SINR (one RNG draw).  The FER memo is keyed
+            on that SINR's inputs, so a hit skips the logarithm.
+            """
             medium = self.medium
             medium._active.remove(self)
-            delivered = medium._evaluate_delivery(self)
-            self.record.delivered = delivered
-            medium._notify_idle_waiters()
+            record = self.record
+            if self.rx is None:
+                delivered = False  # broadcast: record.delivered stays None
+            else:
+                signal_dbm, interference_mw = self.signal_dbm, self.max_interference_mw
+                key = (signal_dbm, interference_mw, record.mcs_index)
+                fer = medium._fer.get(key)
+                if fer is None:
+                    sinr_db = signal_dbm - linear_to_db_scalar(
+                        medium._noise_mw + interference_mw
+                    )
+                    fer = medium._fer[key] = frame_error_probability(
+                        sinr_db, mcs_by_index(record.mcs_index)
+                    )
+                record.delivered = delivered = medium._sim.rng.random() >= fer
+            if medium._idle_waiters:
+                medium._notify_idle_waiters()
             if self.on_complete is not None:
-                self.on_complete(self.record, bool(delivered))
+                self.on_complete(record, delivered)
 
     def __init__(
         self,
@@ -418,9 +456,10 @@ class Medium:
         self._nav_expiry: Dict[str, float] = {}
         self.history: List[FrameRecord] = []
         self._capture_history = capture_history
-        # (tx, rx, wide) -> received (dBm, mW); (SINR dB, MCS) -> FER.
+        # (tx, rx, wide) -> received (dBm, mW);
+        # (signal dBm, worst interference mW, MCS) -> FER.
         self._links: Dict[Tuple[Station, Station, bool], Tuple[float, float]] = {}
-        self._fer: Dict[Tuple[float, int], float] = {}
+        self._fer: Dict[Tuple[float, float, int], float] = {}
         coupling.watch(self._links.clear)
 
     @property
@@ -514,23 +553,23 @@ class Medium:
 
         ``on_complete(record, delivered)`` fires when the frame ends.
         Delivery of unicast frames is evaluated from the worst SINR the
-        frame saw; broadcast frames always "complete" with True.
+        frame saw; broadcast frames complete with ``delivered`` False
+        and keep ``record.delivered`` None.
         """
         tx = self._stations[record.source]
         rx = self._stations.get(record.destination) if record.destination else None
         act = self._ActiveTransmission(self, record, tx, rx, on_complete)
         wide = act.wide
-        if rx is not None:
-            act.signal_dbm = self._link(tx, rx, wide)[0]
         if obs.STATE.metrics:
-            obs.add("mac.medium.frames")
+            _METRICS.add("mac.medium.frames")
 
         # This new transmission interferes with every in-flight frame
         # whose receiver can hear it — and vice versa.  A station never
         # interferes with its own frames (it is half-duplex and its
         # self-coupling is not a propagation path).  Memo hits are read
         # inline; ``_link`` fills misses.
-        links, link = self._links, self._link
+        links = self._links
+        worst_mw = 0.0  # the new frame's worst interference so far
         for other in self._active:
             other_tx, other_rx = other.tx, other.rx
             if (
@@ -539,7 +578,7 @@ class Medium:
                 and other_rx is not tx
                 and other_rx.channel == tx.channel
             ):
-                mw = (links.get((tx, other_rx, wide)) or link(tx, other_rx, wide))[1]
+                mw = (links.get((tx, other_rx, wide)) or self._link(tx, other_rx, wide))[1]
                 if mw > other.max_interference_mw:
                     other.max_interference_mw = mw
             if (
@@ -548,11 +587,13 @@ class Medium:
                 and other_tx is not rx
                 and other_tx.channel == rx.channel
             ):
+                other_wide = other.wide
                 mw = (
-                    links.get((other_tx, rx, other.wide)) or link(other_tx, rx, other.wide)
+                    links.get((other_tx, rx, other_wide)) or self._link(other_tx, rx, other_wide)
                 )[1]
-                if mw > act.max_interference_mw:
-                    act.max_interference_mw = mw
+                if mw > worst_mw:
+                    worst_mw = mw
+        act.max_interference_mw = worst_mw
 
         self._active.append(act)
         if self._capture_history:
@@ -582,20 +623,6 @@ class Medium:
                 self._nav_expiry[station.name] = max(
                     self._nav_expiry.get(station.name, 0.0), expiry
                 )
-
-    def _evaluate_delivery(self, act: "Medium._ActiveTransmission") -> Optional[bool]:
-        if act.rx is None or act.signal_dbm is None:
-            return None
-        sinr_db = act.signal_dbm - linear_to_db_scalar(
-            self._noise_mw + act.max_interference_mw
-        )
-        key = (sinr_db, act.record.mcs_index)
-        fer = self._fer.get(key)
-        if fer is None:
-            fer = self._fer[key] = frame_error_probability(
-                sinr_db, mcs_by_index(act.record.mcs_index)
-            )
-        return bool(self._sim.rng.random() >= fer)
 
     def active_count(self) -> int:
         """Number of frames currently on the air."""

@@ -186,22 +186,16 @@ class IperfFlow:
 
     def _add_run(self, origin_s: float, offset_s: float, count: int, release: bool) -> None:
         run = (origin_s, offset_s, count, release)
-        entry = (origin_s + offset_s, self.sim.next_seq(), 0, run)
+        start_s = origin_s + offset_s
+        seq = self.sim.next_seq()
         if self._run is None:
-            self._run_s, self._run_seq, self._run_index, self._run = entry
+            self._run_s, self._run_seq, self._run_index, self._run = start_s, seq, 0, run
         else:
-            heapq.heappush(self._credits, entry)
-        self._update_due()
-
-    def _update_due(self) -> None:
-        due_s, due_seq = self._eth_s, self._eth_seq
-        if self._run_s < due_s or (self._run_s == due_s and self._run_seq < due_seq):
-            due_s, due_seq = self._run_s, self._run_seq
-        if self._credits:
-            head_s, head_seq = self._credits[0][0], self._credits[0][1]
-            if head_s < due_s or (head_s == due_s and head_seq < due_seq):
-                due_s, due_seq = head_s, head_seq
-        self.due_s, self.due_seq = due_s, due_seq
+            heapq.heappush(self._credits, (start_s, seq, 0, run))
+        # The new run holds the newest sequence number, so it loses
+        # every tie: it is due first only when strictly earlier.
+        if start_s < self.due_s:
+            self.due_s, self.due_seq = start_s, seq
 
     def replay(self, limit_s: float, limit_seq: float) -> bool:
         """Run the cursor's items keyed below ``(limit_s, limit_seq)``.
@@ -224,13 +218,10 @@ class IperfFlow:
         inf = math.inf
         credits = self._credits
         run, run_s, run_seq, run_index = self._run, self._run_s, self._run_seq, self._run_index
-        spacing = self._spacing
         interval = self._eth_interval
-        window = self._window
-        paced = self._paced
         eth_s, eth_seq = self._eth_s, self._eth_seq
         in_flight, backlog = self._in_flight, self._eth_backlog
-        arrivals: List[float] = []
+        arrivals: Optional[List[float]] = None
         wakes = None
         reached = True
         # Key of the earliest run waiting in the heap.
@@ -254,6 +245,7 @@ class IperfFlow:
                 # strictly before anything else.
                 origin_s, offset_s, count, release = run
                 stop_s = other_s if other_s < limit_s else limit_s
+                window, spacing, paced = self._window, self._spacing, self._paced
                 while True:
                     credit_s = run_s
                     run_index += 1
@@ -285,13 +277,15 @@ class IperfFlow:
                 if eth_s > self.sim.now:
                     break
                 backlog -= 1
-                self.link.arrive([eth_s], wakes=True)
+                self.link.arrive([eth_s], True)
                 eth_s, eth_seq = (eth_s + interval if backlog else inf), inf
                 break
             # Arrivals before the next credit and the limit, in bulk.
             bound = run_s if run_s < other_s else other_s
             if limit_s < bound:
                 bound = limit_s
+            if arrivals is None:
+                arrivals = []
             arrivals.append(eth_s)
             backlog -= 1
             eth_s += interval
@@ -302,8 +296,8 @@ class IperfFlow:
             if not backlog:
                 eth_s = inf
             eth_seq = inf
-        if arrivals:
-            self.link.arrive(arrivals, wakes=False)
+        if arrivals is not None:
+            self.link.arrive(arrivals, False)
         if eth_seq == inf and eth_s != inf:
             eth_seq = self.sim.next_seq()
         self._run, self._run_s, self._run_seq, self._run_index = run, run_s, run_seq, run_index

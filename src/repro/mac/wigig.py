@@ -26,9 +26,8 @@ overhead and ~1 us per-MPDU sub-header, a single-MPDU frame lasts
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.mac.frames import FrameKind, FrameRecord, MacTiming, WIGIG_TIMING
@@ -57,6 +56,12 @@ AGGREGATION_BUCKETS = (1.0, 2.0, 4.0, 8.0, float(MAX_AGGREGATION))
 MIN_CONTENTION_WINDOW = 8
 MAX_CONTENTION_WINDOW = 64
 MAX_RETRIES = 7
+
+#: This process's metrics registry.  The per-frame metric site in
+#: ``WiGigLink._send_next_data`` checks ``obs.STATE.metrics`` itself
+#: and records straight into it, without ``obs.add``'s second check
+#: and call.
+_METRICS = obs.registry()
 
 
 def data_frame_duration_s(num_mpdus: int, mcs: MCS) -> float:
@@ -160,11 +165,15 @@ class WiGigLink:
         self.stats = WiGigLinkStats()
         self.on_delivery = on_delivery
         self._queue_mpdus = 0
-        # FIFO of enqueue timestamps, popped on delivery: measures the
-        # MAC-level queueing+service delay of each MPDU (the Figure 1
+        # Enqueue timestamps of every MPDU in arrival order, and per
+        # acknowledged frame (time, timestamps consumed so far): each
+        # one consumes the oldest timestamps not yet consumed.
+        # delivery_delays_s derives the MAC-level queueing+service
+        # delay of each MPDU from them (the Figure 1
         # aggregation/delay trade-off).
-        self._enqueue_times = deque()
-        self.delivery_delays_s: List[float] = []
+        self._enqueue_times: List[float] = []
+        self._deliveries: List[Tuple[float, int]] = []
+        self._mpdus_dequeued = 0
         self._snr_hint = snr_hint_db
         if snr_hint_db is not None:
             # Link setup ends with an SNR estimate; start from the MCS
@@ -218,6 +227,22 @@ class WiGigLink:
         return self._queue_mpdus
 
     @property
+    def delivery_delays_s(self) -> List[float]:
+        """Enqueue-to-ACK delay of each delivered MPDU, in order.
+
+        A frame acknowledged at ``t`` takes the oldest enqueue times
+        not yet taken, as many as it aggregates (fewer if fewer are
+        left); each MPDU's delay is ``t`` minus its enqueue time.
+        """
+        times = self._enqueue_times
+        delays: List[float] = []
+        start = 0
+        for now, end in self._deliveries:
+            delays.extend([now - t for t in times[start:end]])
+            start = end
+        return delays
+
+    @property
     def associated(self) -> bool:
         return self._associated
 
@@ -235,9 +260,7 @@ class WiGigLink:
         if count < 0:
             raise ValueError("cannot enqueue a negative MPDU count")
         self._queue_mpdus += count
-        now = self.sim.now
-        for _ in range(count):
-            self._enqueue_times.append(now)
+        self._enqueue_times.extend([self.sim.now] * count)
         self._react_to_arrival()
 
     @property
@@ -421,44 +444,40 @@ class WiGigLink:
     def _send_next_data(self) -> None:
         if not self._in_burst:
             return
-        if self.sim.now >= self._burst_end:
+        now = self.sim.now
+        burst_end = self._burst_end
+        if now >= burst_end:
             self._end_burst(failed=False)
             return
-        if self._queue_mpdus == 0:
+        queued = self._queue_mpdus
+        if queued == 0:
             # Hold the TXOP: send as soon as the Ethernet side delivers
             # more data (minimizes delay at the cost of medium time).
             self._awaiting_data = True
             return
-        n = min(
-            self._queue_mpdus,
-            self.max_aggregation,
-            self._mcs_max_aggregation,
-        )
+        n = self.max_aggregation
+        if self._mcs_max_aggregation < n:
+            n = self._mcs_max_aggregation
+        if queued < n:
+            n = queued
         durations = self._frame_durations_s
         duration = durations[n]
         # Never start a frame that cannot finish (with its ACK) inside
         # the burst; shrink the aggregate instead.
-        while n > 1 and self.sim.now + duration > self._burst_end:
+        while n > 1 and now + duration > burst_end:
             n -= 1
             duration = durations[n]
-        self._queue_mpdus -= n
+        self._queue_mpdus = queued - n
         frame = FrameRecord(
-            start_s=self.sim.now,
-            duration_s=duration,
-            source=self.tx.name,
-            destination=self.rx.name,
-            kind=FrameKind.DATA,
-            mcs_index=self._mcs.index,
-            payload_bits=n * MPDU_BITS,
-            aggregated_mpdus=n,
-            retransmission=self._retries > 0,
+            now, duration, self.tx.name, self.rx.name, FrameKind.DATA,
+            self._mcs.index, n * MPDU_BITS, n, None, self._retries > 0,
         )
         self.stats.data_frames_sent += 1
         self._recent_sent += 1
         if obs.STATE.metrics:
-            obs.add("mac.wigig.data_frames")
-            obs.observe("mac.wigig.aggregation_mpdus", n, buckets=AGGREGATION_BUCKETS)
-        self.medium.transmit(frame, on_complete=self._data_done)
+            _METRICS.add("mac.wigig.data_frames")
+            _METRICS.observe("mac.wigig.aggregation_mpdus", n, AGGREGATION_BUCKETS)
+        self.medium.transmit(frame, self._data_done)
 
     def _data_done(self, record: FrameRecord, delivered: bool) -> None:
         if delivered:
@@ -484,38 +503,32 @@ class WiGigLink:
 
     def _send_ack(self) -> None:
         ack = FrameRecord(
-            start_s=self.sim.now,
-            duration_s=self.timing.ack_frame_s,
-            source=self.rx.name,
-            destination=self.tx.name,
-            kind=FrameKind.ACK,
+            self.sim.now, self.timing.ack_frame_s, self.rx.name, self.tx.name, FrameKind.ACK
         )
-        self.medium.transmit(ack, on_complete=self._ack_done)
+        self.medium.transmit(ack, self._ack_done)
 
     def _ack_done(self, record: FrameRecord, delivered: bool) -> None:
-        data_record = self._acked_record
+        mpdus = self._acked_record.aggregated_mpdus
         # The MPDUs were received regardless of whether the ACK got
         # back cleanly; a lost ACK causes a spurious retransmission.
         if delivered:
             self._retries = 0
             self._cw = MIN_CONTENTION_WINDOW
-            self.stats.mpdus_delivered += data_record.aggregated_mpdus
-            now = self.sim.now
-            popleft = self._enqueue_times.popleft
-            self.delivery_delays_s.extend([
-                now - popleft()
-                for _ in range(min(data_record.aggregated_mpdus, len(self._enqueue_times)))
-            ])
+            self.stats.mpdus_delivered += mpdus
+            dequeued = self._mpdus_dequeued + mpdus
+            if dequeued > len(self._enqueue_times):
+                dequeued = len(self._enqueue_times)
+            self._mpdus_dequeued = dequeued
+            self._deliveries.append((self.sim.now, dequeued))
             if self.on_delivery is not None:
-                self.on_delivery(data_record.aggregated_mpdus)
-            self.sim.schedule(self.timing.sifs_s, self._send_next_data)
+                self.on_delivery(mpdus)
         else:
             self._retries += 1
             self.stats.retransmissions += 1
             if obs.STATE.metrics:
                 obs.add("mac.wigig.retransmissions")
-            self._queue_mpdus += data_record.aggregated_mpdus
-            self.sim.schedule(self.timing.sifs_s, self._send_next_data)
+            self._queue_mpdus += mpdus
+        self.sim.schedule(self.timing.sifs_s, self._send_next_data)
 
     def _end_burst(self, failed: bool) -> None:
         self._in_burst = False

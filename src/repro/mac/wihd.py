@@ -162,14 +162,9 @@ class WiHDLink:
             duration = self.timing.min_data_frame_s
         bits = payload_time * WIHD_PHY_RATE_BPS
         self._queued_bits = max(0.0, self._queued_bits - bits)
+        # MCS 9 is nominal; the WiHD rate is carried by the PHY model.
         frame = FrameRecord(
-            start_s=self.sim.now,
-            duration_s=duration,
-            source=self.tx.name,
-            destination=self.rx.name,
-            kind=FrameKind.DATA,
-            mcs_index=9,  # nominal; WiHD rate is carried by the PHY model
-            payload_bits=int(bits),
+            self.sim.now, duration, self.tx.name, self.rx.name, FrameKind.DATA, 9, int(bits)
         )
         self.medium.transmit(frame)
         self.stats.data_frames_sent += 1

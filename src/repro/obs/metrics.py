@@ -19,6 +19,7 @@ the trace (:mod:`repro.obs.trace`), never in merged metrics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -44,10 +45,10 @@ class Histogram:
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                break
+        bounds = self.bounds
+        if value <= bounds[-1]:
+            # The first bound >= value (False for NaN, which overflows).
+            self.counts[bisect_left(bounds, value)] += 1
         else:
             self.counts[-1] += 1
         self.count += 1

@@ -1,5 +1,6 @@
 """Unit tests for the Iperf-style TCP model."""
 
+import collections
 import hashlib
 import json
 
@@ -215,6 +216,42 @@ _PINNED = {
 }
 
 
+# Exact work of the same runs, taken before the per-frame cost cuts:
+# events processed and frames on the air per (kind, delivered).  A change
+# that adds or drops an event or a frame fails here with a readable diff
+# before the digest check.
+_PINNED_WORK = {
+    "aimd-lossy": (5222, {
+        ("ack", True): 67, ("cts", True): 103, ("data", False): 1040,
+        ("data", True): 67, ("rts", True): 103,
+    }),
+    "fixed-14k": (14104, {
+        ("ack", True): 3310, ("cts", True): 25, ("data", None): 1,
+        ("data", True): 3310, ("rts", True): 25,
+    }),
+    "fixed-256k": (6329, {
+        ("ack", True): 1530, ("cts", True): 25, ("data", None): 1,
+        ("data", True): 1530, ("rts", True): 25,
+    }),
+    "fixed-64k": (7517, {
+        ("ack", True): 1803, ("cts", True): 25, ("data", True): 1804, ("rts", True): 25,
+    }),
+    "paced": (6045, {
+        ("ack", True): 976, ("cts", True): 25, ("data", True): 976, ("rts", True): 25,
+    }),
+    "shared-radio": (5619, {
+        ("ack", True): 1289, ("beacon", None): 4, ("cts", True): 25, ("data", None): 1,
+        ("data", True): 1289, ("rts", True): 25,
+    }),
+}
+
+
+def _work(sim, medium):
+    """(events processed, frame count per (kind, delivered))."""
+    frames = collections.Counter((r.kind.value, r.delivered) for r in medium.history)
+    return sim.events_processed, dict(frames)
+
+
 def _timeline_digest(sim, medium, links, flows) -> str:
     h = hashlib.sha256()
     for r in medium.history:
@@ -236,6 +273,7 @@ class TestPinnedTimelines:
         sim, medium, links, flows = _SCENARIOS[scenario]()
         sim.run_until(0.05)
         assert sum(flow.delivered_bits for flow in flows) > 0
+        assert _work(sim, medium) == _PINNED_WORK[scenario]
         assert _timeline_digest(sim, medium, links, flows) == _PINNED[scenario]
 
 
@@ -249,9 +287,25 @@ _PINNED_INTERFERENCE = {
 }
 
 
-def _interference_digest(rotated: bool) -> str:
+_PINNED_INTERFERENCE_WORK = {
+    "aligned": (4638, {
+        ("ack", True): 743, ("beacon", None): 99, ("cts", True): 17, ("data", False): 438,
+        ("data", None): 2, ("data", True): 757, ("rts", True): 17,
+    }),
+    "rotated": (7221, {
+        ("ack", True): 1302, ("beacon", None): 89, ("cts", True): 20, ("data", False): 484,
+        ("data", None): 1, ("data", True): 1304, ("rts", True): 20,
+    }),
+}
+
+
+def _interference_run(rotated: bool):
     scenario = build_interference_scenario(wihd_offset_m=1.0, rotated=rotated)
     scenario.run(0.02)
+    return scenario
+
+
+def _interference_digest(scenario) -> str:
     links = [scenario.link_a, scenario.link_b]
     flows = [scenario.flow_a, scenario.flow_b]
     assert sum(flow.delivered_bits for flow in flows) > 0
@@ -266,5 +320,6 @@ def _interference_digest(rotated: bool) -> str:
 class TestPinnedInterferenceTimeline:
     @pytest.mark.parametrize("setting", sorted(_PINNED_INTERFERENCE))
     def test_timeline_digest_unchanged(self, setting):
-        digest = _interference_digest(rotated=setting == "rotated")
-        assert digest == _PINNED_INTERFERENCE[setting]
+        scenario = _interference_run(rotated=setting == "rotated")
+        assert _work(scenario.sim, scenario.medium) == _PINNED_INTERFERENCE_WORK[setting]
+        assert _interference_digest(scenario) == _PINNED_INTERFERENCE[setting]

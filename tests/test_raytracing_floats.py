@@ -223,12 +223,15 @@ class TestWallTableLoop:
     def test_first_hit_is_nearest_reference_hit(self, case, ox, oy, angle):
         room, _, _ = case
         origin, direction = Vec2(ox, oy), Vec2.unit(angle)
+        # first_hit casts along direction.normalized(); cos/sin pairs are
+        # not always of length exactly 1.0, so the reference normalizes too.
+        unit = direction.normalized()
         ignore = room.surfaces[0]
         best = None
         for seg in room.surfaces:
             if seg is ignore:
                 continue
-            t = ray_segment_intersection(origin, direction, seg)
+            t = ray_segment_intersection(origin, unit, seg)
             if t is not None and (best is None or t < best[0]):
                 best = (t, seg)
         got = room.first_hit(origin, direction, ignore=ignore)

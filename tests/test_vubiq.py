@@ -118,8 +118,12 @@ class TestPowerSweep:
         y=st.floats(-0.8, 1.8),
         traced=st.booleans(),
         extra_gain_db=st.floats(0.0, 45.0),
+        # Sub-elements past the last one wrap around the sweep.
+        subelement=st.one_of(st.none(), st.integers(0, 2 * DISCOVERY_SUBELEMENTS)),
     )
-    def test_sweep_matches_rotated_receivers(self, trained_pair, x, y, traced, extra_gain_db):
+    def test_sweep_matches_rotated_receivers(
+        self, trained_pair, x, y, traced, extra_gain_db, subelement
+    ):
         dock, laptop = trained_pair
         position = Vec2(x, y)
         assume(min(position.distance_to(d.position) for d in trained_pair) > 0.05)
@@ -129,7 +133,12 @@ class TestPowerSweep:
             extra_gain_db=extra_gain_db,
             tracer=RayTracer(SWEEP_ROOM, max_order=2) if traced else None,
         )
-        cases = [(laptop, FrameKind.DATA, None), (dock, FrameKind.DISCOVERY, 5)]
+        cases = [
+            (laptop, FrameKind.DATA, None),
+            (dock, FrameKind.DISCOVERY, subelement),
+            (laptop, FrameKind.DISCOVERY, subelement),
+            (dock, FrameKind.BEACON, None),
+        ]
         for device, kind, subelement in cases:
             sweep = vubiq.received_power_sweep_dbm(device, SWEEP_BORESIGHTS, kind, subelement)
             rotated = [vubiq.rotated_to(b) for b in SWEEP_BORESIGHTS]
