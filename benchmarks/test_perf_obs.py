@@ -6,10 +6,16 @@ benchmark holds that contract numerically on the same saturated WiGig
 scenario as ``test_perf_core.py``:
 
 * **disabled** — the estimated cost of every instrumented site that the
-  scenario crosses (guarded counter updates + no-op spans, measured by
-  micro-timing the disabled-path primitives and counting how often an
-  enabled run fires them) must stay under 2% of the scenario runtime;
+  scenario crosses (guarded counter updates, the always-on per-frame
+  counters and no-op spans, measured by micro-timing the disabled-path
+  primitives and counting how often an enabled run fires them) must
+  stay under 2% of the scenario runtime;
 * **enabled** — actually recording metrics must stay under 10%.
+
+Per-frame metrics are plain integers that the MAC publishes once per
+``run_until``, so the check that the scenario is instrumented at all is
+exact: the published ``mac.medium.frames`` must equal the frames put
+on air, and ``mac.wigig.data_frames`` the link's data frames.
 
 The disabled bound is computed analytically (per-call cost x call
 count) rather than by differencing two wall-clock runs, because a
@@ -97,15 +103,26 @@ def test_perf_obs_overhead():
         obs.begin_cell()
         flow = run_50ms()
         metric_ops = obs.registry().ops
+        counters = obs.registry().counters
+        link = flow.link
+        frames_on_air = link.medium.frames_sent
+        data_frames = link.stats.data_frames_sent
         _, spans, _ = obs.collect_cell()
         span_count = len(spans)
-        assert metric_ops > 1000, "scenario no longer hits instrumented paths"
+        # Per-frame counts are plain integers published once per
+        # run_until; what is published must be every frame put on air.
+        assert frames_on_air > 1000, "scenario no longer puts frames on air"
+        assert counters.get("mac.medium.frames") == frames_on_air
+        assert counters.get("mac.wigig.data_frames") == data_frames
         assert flow.throughput_bps() > 0.8e9
 
         obs.disable()
         guard_s = micro_cost(guarded_site)
         noop_span_s = micro_cost(lambda: obs.span("bench.obs.span"))
-        estimated_disabled_s = metric_ops * guard_s + span_count * noop_span_s
+        # The always-on frame counters (one per frame, one per data
+        # frame) are charged at the price of a guarded site.
+        counted_sites = metric_ops + frames_on_air + data_frames
+        estimated_disabled_s = counted_sites * guard_s + span_count * noop_span_s
         disabled_fraction = estimated_disabled_s / disabled_s
 
         obs.enable(metrics=True)
@@ -131,6 +148,7 @@ def test_perf_obs_overhead():
         bench_entry("scenario_disabled_s", round(disabled_s, 5), "s", "info"),
         bench_entry("scenario_metrics_s", round(enabled_s, 5), "s", "info"),
         bench_entry("metric_ops_per_run", metric_ops, "ops", "info"),
+        bench_entry("frames_on_air_per_run", frames_on_air, "frames", "info"),
         bench_entry("spans_per_run", span_count, "spans", "info"),
         bench_entry("disabled_site_cost_ns", round(guard_s * 1e9, 1),
                     "ns", "info"),
@@ -140,7 +158,7 @@ def test_perf_obs_overhead():
 
     print(
         f"\nobs perf: scenario {disabled_s * 1e3:.1f} ms, "
-        f"{metric_ops} sites -> disabled overhead "
+        f"{counted_sites} sites -> disabled overhead "
         f"{disabled_fraction:.3%} (< {DISABLED_OVERHEAD_CEILING:.0%}), "
         f"metrics on {enabled_s * 1e3:.1f} ms "
         f"({enabled_fraction:+.1%}, < {ENABLED_OVERHEAD_CEILING:.0%})"

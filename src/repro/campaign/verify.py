@@ -159,9 +159,9 @@ class PurityAudit:
     and ``io.open`` (covering ``pathlib.Path.read_text``), and
     ``time.time``/``time.time_ns``.  Known blind spots, by design:
     ``datetime.datetime.now`` (immutable C type, unpatchable) and
-    module imports (``importlib`` reads via ``io.open_code``) — lint
-    rule RL002 flags the former statically, and import-time reads do
-    not vary per scenario.
+    module imports (``importlib`` reads via ``io.open_code``) — source
+    rule RL002 (``tests/test_source_rules.py``) rejects the former, and
+    import-time reads do not vary per scenario.
 
     ``allowed_env`` names environment variables the spec machinery
     itself is permitted to read (e.g. ``REPRO_CACHE_DIR``); they are

@@ -20,7 +20,6 @@ Usage::
     python -m repro obs diff <run_a> <run_b>
     python -m repro obs bench report
     python -m repro obs bench check --baseline <dir>
-    python -m repro lint [--baseline] [--json] [paths...]
 
 Each subcommand runs a time-scaled version of the corresponding
 measurement (Section 3.2 setups) and prints the headline rows.  The
@@ -37,11 +36,6 @@ determinism claim — workers=1 and workers=N with shuffled submission
 must merge to byte-identical result stores — and audits cells for
 reads outside the spec-derived cache key.  A campaign name or
 ``--set`` key the cell does not accept exits 2 before any cell runs.
-
-``lint`` runs the domain-aware static analysis (:mod:`repro.lint`):
-AST rules RL001-RL008 covering determinism (unseeded RNG, wall-clock
-reads, frozen-spec mutation, unordered hashing) and dB-unit safety
-(inline conversions, log/linear mixing, float equality).
 """
 
 from __future__ import annotations
@@ -543,14 +537,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import list_rules, run_lint
-
-    if args.list_rules:
-        return list_rules()
-    return run_lint(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -753,15 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default allowed degradation ratio "
                         "(default 3.0; per-entry 'tolerance' overrides)")
     b.set_defaults(func=_cmd_obs, obs_func=_cmd_obs_bench_check)
-
-    p = sub.add_parser(
-        "lint",
-        help="domain-aware static analysis (determinism, dB-unit safety)",
-    )
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p)
-    p.set_defaults(func=_cmd_lint)
     return parser
 
 

@@ -50,6 +50,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.dbmath import db_to_linear_scalar, linear_to_db_scalar
 from repro.obs import clock
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import handler_qualname
 from repro.geometry.vec import Vec2
 from repro.mac.frames import FrameKind, FrameRecord
@@ -62,9 +63,8 @@ from repro.phy.mcs import frame_error_probability, mcs_by_index
 #: noise floor of the default budget, ~-83 dBm).
 NAV_DECODE_THRESHOLD_DBM = -82.0
 
-#: This process's metrics registry.  The per-frame metric site in
-#: ``Medium.transmit`` checks ``obs.STATE.metrics`` itself and records
-#: straight into it, without ``obs.add``'s second check and call.
+#: This process's metrics registry, handed to every publisher
+#: (:meth:`Simulator.add_publisher`).
 _METRICS = obs.registry()
 
 
@@ -252,6 +252,7 @@ class Simulator:
         #: to report DES events simulated per worker-second.  Work
         #: replayed by sources is not counted.
         self.events_processed = 0
+        self._publishers: List[Callable[[MetricsRegistry], None]] = []
 
     def add_source(self, source) -> None:
         """Interleave a replayed source's items with the event heap.
@@ -270,6 +271,17 @@ class Simulator:
         touching other state.
         """
         self._sources.append(source)
+
+    def add_publisher(self, publish: Callable[[MetricsRegistry], None]) -> None:
+        """Call ``publish(registry)`` at the end of every :meth:`run_until`
+        that runs with metrics on.
+
+        Per-frame work is counted in plain integers, not metric calls,
+        so a frame costs the same with metrics on as with them off.  A
+        publisher adds what its integers gained since its last call,
+        which also covers frames sent outside ``run_until``.
+        """
+        self._publishers.append(publish)
 
     def schedule(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay_s`` seconds of simulated time.
@@ -356,7 +368,9 @@ class Simulator:
             if end_s > self.now:
                 self.now = end_s
         if obs.STATE.metrics:
-            obs.add("mac.simulator.events", self.events_processed - start_events)
+            _METRICS.add("mac.simulator.events", self.events_processed - start_events)
+            for publish in self._publishers:
+                publish(_METRICS)
 
 
 class Medium:
@@ -461,6 +475,16 @@ class Medium:
         self._links: Dict[Tuple[Station, Station, bool], Tuple[float, float]] = {}
         self._fer: Dict[Tuple[float, float, int], float] = {}
         coupling.watch(self._links.clear)
+        #: Frames put on air so far; published as ``mac.medium.frames``.
+        self.frames_sent = 0
+        self._frames_published = 0
+        sim.add_publisher(self._publish_metrics)
+
+    def _publish_metrics(self, metrics: MetricsRegistry) -> None:
+        new = self.frames_sent - self._frames_published
+        if new:
+            metrics.add("mac.medium.frames", new)
+            self._frames_published = self.frames_sent
 
     @property
     def budget(self) -> LinkBudget:
@@ -560,8 +584,7 @@ class Medium:
         rx = self._stations.get(record.destination) if record.destination else None
         act = self._ActiveTransmission(self, record, tx, rx, on_complete)
         wide = act.wide
-        if obs.STATE.metrics:
-            _METRICS.add("mac.medium.frames")
+        self.frames_sent += 1
 
         # This new transmission interferes with every in-flight frame
         # whose receiver can hear it — and vice versa.  A station never

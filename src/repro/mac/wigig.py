@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Tuple
 from repro import obs
 from repro.mac.frames import FrameKind, FrameRecord, MacTiming, WIGIG_TIMING
 from repro.mac.simulator import Medium, Simulator, Station
+from repro.obs.metrics import MetricsRegistry
 from repro.phy.mcs import MCS, MAX_OBSERVED_MCS_INDEX, mcs_by_index, select_mcs
 
 #: Payload bits of one MPDU (the WBE transfer unit, ~320 bytes).
@@ -56,12 +57,6 @@ AGGREGATION_BUCKETS = (1.0, 2.0, 4.0, 8.0, float(MAX_AGGREGATION))
 MIN_CONTENTION_WINDOW = 8
 MAX_CONTENTION_WINDOW = 64
 MAX_RETRIES = 7
-
-#: This process's metrics registry.  The per-frame metric site in
-#: ``WiGigLink._send_next_data`` checks ``obs.STATE.metrics`` itself
-#: and records straight into it, without ``obs.add``'s second check
-#: and call.
-_METRICS = obs.registry()
 
 
 def data_frame_duration_s(num_mpdus: int, mcs: MCS) -> float:
@@ -207,6 +202,11 @@ class WiGigLink:
         # 25 us ceiling; Section 5 argues the level should depend on
         # how many nodes share the medium, so it is a knob here.
         self.max_aggregation = max_aggregation
+        # Data frames sent per aggregate size (index n) since the last
+        # metrics publish, and the data-frame count published so far.
+        self._aggregates = [0] * (MAX_AGGREGATION + 1)
+        self._frames_published = 0
+        sim.add_publisher(self._publish_metrics)
 
         if send_beacons:
             self._schedule_beacon()
@@ -474,10 +474,20 @@ class WiGigLink:
         )
         self.stats.data_frames_sent += 1
         self._recent_sent += 1
-        if obs.STATE.metrics:
-            _METRICS.add("mac.wigig.data_frames")
-            _METRICS.observe("mac.wigig.aggregation_mpdus", n, AGGREGATION_BUCKETS)
+        self._aggregates[n] += 1
         self.medium.transmit(frame, self._data_done)
+
+    def _publish_metrics(self, metrics: MetricsRegistry) -> None:
+        sent = self.stats.data_frames_sent
+        if sent == self._frames_published:
+            return
+        metrics.add("mac.wigig.data_frames", sent - self._frames_published)
+        self._frames_published = sent
+        aggregates = self._aggregates
+        for n, count in enumerate(aggregates):
+            if count:
+                metrics.observe("mac.wigig.aggregation_mpdus", n, AGGREGATION_BUCKETS, count)
+                aggregates[n] = 0
 
     def _data_done(self, record: FrameRecord, delivered: bool) -> None:
         if delivered:

@@ -2,15 +2,15 @@
 
 Simulation and campaign code must never call :func:`time.time`,
 :func:`time.perf_counter`, etc. directly: wall-clock reads in the
-physics/MAC layers are nondeterminism bugs (lint rule RL002), and
+physics/MAC layers are nondeterminism bugs (source rule RL002), and
 clock reads inside cache-keyed cells make cached results unsound
 (``repro campaign verify`` audits for them).  Observability, however,
 legitimately needs real timestamps for span durations and run
 manifests.
 
 This module is that single sanctioned doorway.  RL002 exempts it *by
-name* (``repro.lint.rules.CLOCK_MODULES``), so every other clock read
-in the tree still fires.
+name* (``CLOCK_MODULES`` in ``tests/test_source_rules.py``), so every
+other clock read in the tree still fails that test.
 Code that needs time imports these helpers::
 
     from repro.obs import clock

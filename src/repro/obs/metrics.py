@@ -44,15 +44,21 @@ class Histogram:
         self.count = 0
         self.total = 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` ``times`` times over.
+
+        ``total`` grows by ``value * times``, bit-equal to ``times``
+        single observations for integer values (the MAC publishes
+        aggregate sizes this way).
+        """
         bounds = self.bounds
         if value <= bounds[-1]:
             # The first bound >= value (False for NaN, which overflows).
-            self.counts[bisect_left(bounds, value)] += 1
+            self.counts[bisect_left(bounds, value)] += times
         else:
-            self.counts[-1] += 1
-        self.count += 1
-        self.total += value
+            self.counts[-1] += times
+        self.count += times
+        self.total += value * times
 
     def to_dict(self) -> Dict:
         return {
@@ -84,7 +90,9 @@ class MetricsRegistry:
         self.gauges[name] = float(value)
         self.ops += 1
 
-    def observe(self, name: str, value: float, buckets: Sequence[float]) -> None:
+    def observe(
+        self, name: str, value: float, buckets: Sequence[float], times: int = 1
+    ) -> None:
         hist = self.histograms.get(name)
         if hist is None:
             hist = Histogram(buckets)
@@ -97,7 +105,7 @@ class MetricsRegistry:
                 )
             if isinstance(buckets, tuple):
                 hist.declared = buckets
-        hist.observe(value)
+        hist.observe(value, times)
         self.ops += 1
 
     # -- snapshot / merge ------------------------------------------------------

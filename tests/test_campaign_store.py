@@ -82,7 +82,7 @@ class TestManifestSchema:
     def test_v4_schema_locked(self, result, tmp_path):
         # The manifest is the contract external tooling reads; lock the
         # exact top-level key set so additions are deliberate (and
-        # versioned), mirroring the lint --json schema lock.
+        # versioned).
         path = result.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(path.read_text())
         assert sorted(manifest) == [

@@ -73,6 +73,13 @@ class TestMetricsRegistry:
     def test_empty_snapshot_is_none(self):
         assert MetricsRegistry().snapshot() is None
 
+    def test_repeated_observation_matches_single_ones(self):
+        one_by_one, at_once = MetricsRegistry(), MetricsRegistry()
+        for _ in range(5):
+            one_by_one.observe("h", 3, buckets=(1.0, 4.0))
+        at_once.observe("h", 3, buckets=(1.0, 4.0), times=5)
+        assert json.dumps(at_once.snapshot()) == json.dumps(one_by_one.snapshot())
+
     def test_merge_is_order_independent(self):
         snaps = []
         for values in ((1, 3.0), (7, 9.0), (2, 1.0)):
@@ -366,6 +373,74 @@ class TestInstrumentation:
         sim.run_until(0.01)
         snap = obs.metrics_snapshot()
         assert snap["counters"]["mac.simulator.events"] == 1
+
+    @staticmethod
+    def _saturated_link():
+        from repro.geometry.vec import Vec2
+        from repro.mac.simulator import Medium, Simulator, Station, StaticCoupling
+        from repro.mac.tcp import IperfFlow, TcpParameters
+        from repro.mac.wigig import WiGigLink
+
+        sim = Simulator(seed=1)
+        medium = Medium(
+            sim, StaticCoupling({("tx", "rx"): -40.0, ("rx", "tx"): -40.0})
+        )
+        tx, rx = Station("tx", Vec2(0, 0)), Station("rx", Vec2(2, 0))
+        medium.register(tx)
+        medium.register(rx)
+        link = WiGigLink(sim, medium, transmitter=tx, receiver=rx,
+                         snr_hint_db=35.0, send_beacons=False)
+        IperfFlow(sim, link, TcpParameters(window_bytes=256 * 1024))
+        return sim, medium, link
+
+    def test_frame_metrics_published_once_per_run(self):
+        from repro.mac.frames import FrameKind
+        from repro.mac.wigig import AGGREGATION_BUCKETS, MAX_AGGREGATION
+
+        obs.enable(metrics=True)
+        sim, medium, link = self._saturated_link()
+        ops_before = obs.registry().ops  # cumulative over the process
+        sim.run_until(0.002)
+        sim.run_until(0.004)
+        # Per run: three counters plus one histogram call per aggregate
+        # size seen, however many frames went on air.
+        ops = obs.registry().ops - ops_before
+        assert ops <= 2 * (3 + MAX_AGGREGATION) < len(medium.history)
+        # The published snapshot is what one metric call per frame
+        # would have recorded.
+        expected = MetricsRegistry()
+        for record in medium.history:
+            expected.add("mac.medium.frames")
+            if record.kind is FrameKind.DATA:
+                expected.add("mac.wigig.data_frames")
+                expected.observe(
+                    "mac.wigig.aggregation_mpdus", record.aggregated_mpdus,
+                    AGGREGATION_BUCKETS,
+                )
+        snap = obs.metrics_snapshot()
+        assert snap["counters"]["mac.medium.frames"] == len(medium.history) > 10
+        assert snap["counters"]["mac.wigig.data_frames"] == link.stats.data_frames_sent
+        wanted = expected.snapshot()
+        assert snap["histograms"] == wanted["histograms"]
+        assert json.dumps(snap["histograms"]) == json.dumps(wanted["histograms"])
+
+    def test_frame_sent_outside_run_until_is_published(self):
+        from repro.mac.frames import FrameKind, FrameRecord
+
+        obs.enable(metrics=True)
+        sim, medium, _ = self._saturated_link()
+        medium.transmit(FrameRecord(0.0, 1e-6, "tx", None, FrameKind.BEACON, 0))
+        assert obs.metrics_snapshot() is None
+        sim.run_until(0.0)
+        assert obs.metrics_snapshot()["counters"]["mac.medium.frames"] == 1
+
+    def test_run_without_frames_publishes_no_frame_metrics(self):
+        obs.enable(metrics=True)
+        sim, _, _ = self._saturated_link()
+        sim.run_until(0.0)
+        counters = obs.metrics_snapshot()["counters"]
+        assert "mac.medium.frames" not in counters
+        assert "mac.wigig.data_frames" not in counters
 
     def test_raytracer_counters_and_span(self):
         from repro.geometry.room import Room
