@@ -28,10 +28,15 @@ and Figs 3, 8 and 15.  ``angular_orientations_per_s`` gates the angular
 sweeps of Figs 18/19: one 72-step profile of the D5000 pair at location
 A, traced to second order.  ``room_traces_per_s`` gates the tracer
 alone: the second-order conference-room trace set of Fig 18, from each
-of the D5000 pair to each of the six locations A..F.  It deliberately
-avoids the pytest-benchmark fixture so CI can run it with plain pytest.
+of the D5000 pair to each of the six locations A..F.
+``closed_run_garbage_objects`` counts what the cyclic garbage collector
+finds after one finished ``run_wigig_tcp`` result is dropped: a closed
+run must be freed by reference counting alone, so the test asserts 0.
+It deliberately avoids the pytest-benchmark fixture so CI can run it
+with plain pytest.
 """
 
+import gc
 import math
 import pathlib
 import time
@@ -86,6 +91,24 @@ def run_interference_20ms():
     t0 = time.perf_counter()
     scenario.run(0.02)
     return scenario, time.perf_counter() - t0
+
+
+def closed_run_garbage():
+    """Objects ``gc.collect()`` finds once a closed saturated-link run
+    (64 KB window, 0.05 s warm-up, 0.1 s run) is dropped."""
+    from repro.experiments.frame_level import run_wigig_tcp
+
+    def run():
+        run_wigig_tcp(window_bytes=64 * 1024, duration_s=0.1, warmup_s=0.05)
+
+    run()  # fill the per-process device caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def capture_round_trip():
@@ -226,6 +249,8 @@ def test_perf_core_events_per_sec():
         traces_s = min(traces_s, time.perf_counter() - t0)
     assert any(p.order == 2 for leg in paths for p in leg)
 
+    garbage = closed_run_garbage()
+
     write_bench(RESULTS, "core", [
         # The headline number.  Wide tolerance — CI machines vary;
         # the gate only flags order-of-magnitude regressions.
@@ -247,6 +272,7 @@ def test_perf_core_events_per_sec():
         bench_entry("room_traces_per_s",
                     round(len(legs) * repeats / traces_s), "traces/s",
                     "higher", tolerance=5.0),
+        bench_entry("closed_run_garbage_objects", garbage, "objects", "lower"),
     ])
 
     print(
@@ -255,8 +281,10 @@ def test_perf_core_events_per_sec():
         f"{0.02 / interference_s:.3f} sim s per wall s; capture: "
         f"{capture_s * 1e3:.1f} ms per 1e6 samples; angular profile: "
         f"{angular_s * 1e3:.1f} ms per 72 orientations; room traces: "
-        f"{traces_s / (len(legs) * repeats) * 1e6:.0f} us per trace"
+        f"{traces_s / (len(legs) * repeats) * 1e6:.0f} us per trace; "
+        f"{garbage} garbage objects after a closed run"
     )
+    assert garbage == 0, "a closed run left reference cycles behind"
 
 
 def test_perf_trace_pipeline(benchmark):

@@ -62,14 +62,23 @@ TCP_OPERATING_POINTS: List[Tuple[str, Optional[int], Optional[float]]] = [
 
 
 def run_idle_wigig(duration_s: float = 0.5, seed: int = 3) -> WiGigLinkSetup:
-    """An associated but idle WiGig link: beacons only (Table 1)."""
+    """An associated but idle WiGig link: beacons only (Table 1).
+
+    Returns the finished setup, its simulation closed: read it, do not
+    run it.
+    """
     setup = build_wigig_link_setup(window_bytes=None, seed=seed)
     setup.run(duration_s)
+    setup.sim.close()
     return setup
 
 
 def run_unassociated_dock(duration_s: float = 0.6, seed: int = 4) -> WiGigLinkSetup:
-    """A disconnected dock sweeping discovery frames (Table 1, Fig 3)."""
+    """A disconnected dock sweeping discovery frames (Table 1, Fig 3).
+
+    Returns the finished setup, its simulation closed: read it, do not
+    run it.
+    """
     setup = build_wigig_link_setup(window_bytes=None, seed=seed, send_beacons=False)
     # Replace the (quiet) associated link with one in the unassociated
     # state: the dock emits its discovery sweep until association.
@@ -85,6 +94,7 @@ def run_unassociated_dock(duration_s: float = 0.6, seed: int = 4) -> WiGigLinkSe
     )
     setup.link = link
     setup.run(duration_s)
+    setup.sim.close()
     return setup
 
 
@@ -96,7 +106,11 @@ def run_wigig_tcp(
     distance_m: float = 2.0,
     seed: int = 1,
 ) -> WiGigLinkSetup:
-    """Run the standard TCP-over-WiGig scenario for a while."""
+    """Run the standard TCP-over-WiGig scenario for a while.
+
+    Returns the finished setup, its simulation closed: read it (the
+    flow's goodput counts from the end of the warm-up), do not run it.
+    """
     setup = build_wigig_link_setup(
         distance_m=distance_m,
         window_bytes=window_bytes if window_bytes is not None else 1024,
@@ -107,6 +121,7 @@ def run_wigig_tcp(
     if setup.flow is not None:
         setup.flow.reset_counters()
     setup.run(duration_s)
+    setup.sim.close()
     return setup
 
 
@@ -119,12 +134,14 @@ def run_wihd_stream(
     """Run the WiHD video stream, optionally stopping the video early.
 
     ``stop_after_s`` reproduces the Figure 15 transition from active
-    data transmission to an idle (beacons-only) period.
+    data transmission to an idle (beacons-only) period.  Returns the
+    finished setup, its simulation closed: read it, do not run it.
     """
     setup = build_wihd_link_setup(video_rate_bps=video_rate_bps, seed=seed)
     if stop_after_s is not None and stop_after_s < duration_s:
         setup.sim.schedule(stop_after_s, lambda: setup.link.set_video_rate(0.0))
     setup.run(duration_s)
+    setup.sim.close()
     return setup
 
 

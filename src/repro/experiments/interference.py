@@ -269,7 +269,8 @@ def interference_cell(
     Builds the scenario, warms it up, then measures the window.
     Returns the :class:`InterferencePoint` fields as a campaign row,
     plus ``events_simulated`` so the run manifest can derive the
-    simulator's events-per-second throughput.
+    simulator's events-per-second throughput.  The simulation is
+    closed before the row is returned.
     """
     scenario = build_interference_scenario(
         wihd_offset_m=wihd_offset_m,
@@ -283,6 +284,7 @@ def interference_cell(
     start = scenario.sim.now
     scenario.run(duration_s)
     end = scenario.sim.now
+    scenario.sim.close()
     goodput = scenario.flow_a.throughput_bps()
     return {
         "distance_m": wihd_offset_m,
@@ -348,9 +350,14 @@ def capture_interference_trace(
     run_for_s: float = 0.12,
     seed: int = 11,
 ) -> Tuple[Trace, InterferenceScenario]:
-    """A 1 ms channel capture under heavy interference (Figure 21)."""
+    """A 1 ms channel capture under heavy interference (Figure 21).
+
+    Returns the trace and the finished scenario, its simulation
+    closed: read it, do not run it.
+    """
     scenario = build_interference_scenario(wihd_offset_m=wihd_offset_m, seed=seed)
     scenario.run(run_for_s)
+    scenario.sim.close()
     vubiq = _measurement_receiver()
     vubiq.extra_gain_db = 30.0  # protocol-capture front-end gain
     start = scenario.sim.now - duration_s

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -69,6 +70,91 @@ class RecoveryResult:
         return self.traffic_resumed_s - self.outage_start_s
 
 
+class OutageCoupling(DeviceCoupling):
+    """DeviceCoupling with a switchable blockage penalty."""
+
+    def __init__(self, devices, budget: LinkBudget, outage_loss_db: float):
+        super().__init__(devices, budget=budget)
+        self.outage_loss_db = outage_loss_db
+        self.outage_active = False
+
+    def coupling_db(self, tx, rx, control=False):
+        base = super().coupling_db(tx, rx, control)
+        if self.outage_active:
+            return base - self.outage_loss_db
+        return base
+
+    def set_outage(self, active: bool) -> None:
+        self.outage_active = active
+        self.invalidate()
+
+
+class _RecoveryCycle:
+    """The protocol side of one break/recovery run: traffic, the break
+    supervisor and re-association, and the timeline they record."""
+
+    def __init__(self, sim, medium, coupling, stations, dock, laptop, total_s, seed, budget):
+        self.sim = sim
+        self.medium = medium
+        self.coupling = coupling
+        self.stations = stations
+        self.dock = dock
+        self.laptop = laptop
+        self.total_s = total_s
+        self.flow: Optional[IperfFlow] = None
+        self.supervisor: Optional[LinkSupervisor] = None
+        self.break_detected: Optional[float] = None
+        self.reassociated: Optional[float] = None
+        self.traffic_resumed: Optional[float] = None
+        self.tput_before = 0.0
+        self.manager = AssociationManager(
+            sim, medium, dock, [laptop], budget=budget,
+            trainer=SectorSweepTrainer(budget=budget, rng=np.random.default_rng(seed)),
+            on_associated=self._on_reassociated,
+            rng=np.random.default_rng(seed + 1),
+        )
+
+    def start_traffic(self) -> None:
+        sim = self.sim
+        link = WiGigLink(
+            sim, self.medium,
+            transmitter=self.stations[self.laptop.name],
+            receiver=self.stations[self.dock.name],
+            snr_hint_db=self.coupling.snr_db(self.laptop.name, self.dock.name),
+            send_beacons=False,
+        )
+        flow = IperfFlow(sim, link, TcpParameters(window_bytes=64 * 1024))
+        self.flow = flow
+        self.supervisor = LinkSupervisor(
+            sim, link, on_break=self._on_break, check_interval_s=10e-3, dead_intervals=3
+        )
+        if self.reassociated is not None:
+            sim.schedule(2e-3, partial(self._watch_resume, flow))
+
+    def _watch_resume(self, flow: IperfFlow) -> None:
+        if self.traffic_resumed is None and self.reassociated is not None:
+            if flow.delivered_bits > 0:
+                self.traffic_resumed = self.sim.now
+                return
+        if self.sim.now < self.total_s:
+            self.sim.schedule(2e-3, partial(self._watch_resume, flow))
+
+    def sample_throughput_before(self) -> None:
+        self.tput_before = self.flow.throughput_bps()
+
+    def _on_break(self) -> None:
+        self.break_detected = self.sim.now
+        # Tear down: stop feeding the flow, fall back to discovery.
+        self.manager.station_online(self.laptop.name)
+        self.manager.start()
+
+    def _on_reassociated(self, station) -> None:
+        self.reassociated = self.sim.now
+        # Re-association retrained just this pair's beams.
+        self.coupling.invalidate(self.dock.name, self.laptop.name)
+        self.start_traffic()
+
+
 def run_break_and_recover(
     outage_start_s: float = 0.1,
     outage_duration_s: float = 0.25,
@@ -79,7 +165,8 @@ def run_break_and_recover(
     """One full cycle: traffic -> outage -> break -> rediscovery -> traffic.
 
     The outage is modeled as a heavy blockage loss inserted into the
-    coupling for its duration (a person standing in the path).
+    coupling for its duration (a person standing in the path).  The
+    simulation is closed before the result is returned.
     """
     dock = make_d5000_dock(position=Vec2(0, 0), orientation_rad=0.0)
     laptop = make_e7440_laptop(position=Vec2(2.5, 0), orientation_rad=math.pi)
@@ -88,103 +175,28 @@ def run_break_and_recover(
     devices = {dock.name: dock, laptop.name: laptop}
     budget = LinkBudget()
     sim = Simulator(seed=seed)
-
-    class OutageCoupling(DeviceCoupling):
-        """DeviceCoupling with a switchable blockage penalty."""
-
-        outage_active = False
-
-        def coupling_db(self, tx, rx, control=False):
-            base = super().coupling_db(tx, rx, control)
-            if self.outage_active:
-                return base - outage_loss_db
-            return base
-
-    coupling = OutageCoupling(devices, budget=budget)
+    coupling = OutageCoupling(devices, budget, outage_loss_db)
     medium = Medium(sim, coupling, budget=budget, capture_history=False)
     stations = {name: dev.make_station() for name, dev in devices.items()}
     for st in stations.values():
         medium.register(st)
 
-    state = {
-        "link": None,
-        "flow": None,
-        "supervisor": None,
-        "break_detected": None,
-        "reassociated": None,
-        "traffic_resumed": None,
-        "tput_before": 0.0,
-    }
-
-    def start_traffic() -> None:
-        link = WiGigLink(
-            sim, medium,
-            transmitter=stations[laptop.name],
-            receiver=stations[dock.name],
-            snr_hint_db=coupling.snr_db(laptop.name, dock.name),
-            send_beacons=False,
-        )
-        flow = IperfFlow(sim, link, TcpParameters(window_bytes=64 * 1024))
-        state["link"] = link
-        state["flow"] = flow
-        state["supervisor"] = LinkSupervisor(
-            sim, link, on_break=on_break, check_interval_s=10e-3, dead_intervals=3
-        )
-
-        def watch_resume() -> None:
-            if state["traffic_resumed"] is None and state["reassociated"] is not None:
-                if flow.delivered_bits > 0:
-                    state["traffic_resumed"] = sim.now
-                    return
-            if sim.now < total_s:
-                sim.schedule(2e-3, watch_resume)
-
-        if state["reassociated"] is not None:
-            sim.schedule(2e-3, watch_resume)
-
-    manager = AssociationManager(
-        sim, medium, dock, [laptop], budget=budget,
-        trainer=SectorSweepTrainer(budget=budget, rng=np.random.default_rng(seed)),
-        on_associated=lambda station: on_reassociated(),
-        rng=np.random.default_rng(seed + 1),
-    )
-
-    def on_break() -> None:
-        state["break_detected"] = sim.now
-        # Tear down: stop feeding the flow, fall back to discovery.
-        manager.station_online(laptop.name)
-        manager.start()
-
-    def on_reassociated() -> None:
-        state["reassociated"] = sim.now
-        # Re-association retrained just this pair's beams.
-        coupling.invalidate(dock.name, laptop.name)
-        start_traffic()
-
+    cycle = _RecoveryCycle(sim, medium, coupling, stations, dock, laptop, total_s, seed, budget)
     # Initial traffic phase.
-    start_traffic()
-    sim.schedule(max(0.0, outage_start_s - 1e-6), lambda: state.__setitem__(
-        "tput_before", state["flow"].throughput_bps()))
-
-    def outage_on() -> None:
-        coupling.outage_active = True
-        coupling.invalidate()
-
-    def outage_off() -> None:
-        coupling.outage_active = False
-        coupling.invalidate()
-
-    sim.schedule(outage_start_s, outage_on)
-    sim.schedule(outage_start_s + outage_duration_s, outage_off)
+    cycle.start_traffic()
+    sim.schedule(max(0.0, outage_start_s - 1e-6), cycle.sample_throughput_before)
+    sim.schedule(outage_start_s, partial(coupling.set_outage, True))
+    sim.schedule(outage_start_s + outage_duration_s, partial(coupling.set_outage, False))
     sim.run_until(total_s)
+    sim.close()
 
-    tput_after = state["flow"].throughput_bps() if state["flow"] is not None else 0.0
+    tput_after = cycle.flow.throughput_bps()
     return RecoveryResult(
         outage_start_s=outage_start_s,
         outage_end_s=outage_start_s + outage_duration_s,
-        break_detected_s=state["break_detected"],
-        reassociated_s=state["reassociated"],
-        traffic_resumed_s=state["traffic_resumed"],
-        throughput_before_bps=state["tput_before"],
+        break_detected_s=cycle.break_detected,
+        reassociated_s=cycle.reassociated,
+        traffic_resumed_s=cycle.traffic_resumed,
+        throughput_before_bps=cycle.tput_before,
         throughput_after_bps=tput_after,
     )

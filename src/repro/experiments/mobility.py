@@ -214,7 +214,10 @@ def vehicular_cell(
     update_interval_s: float = 2e-3,
     window_bytes: float = 64 * 1024,
 ) -> dict:
-    """One campaign cell: one full drive-by at one speed (DES)."""
+    """One campaign cell: one full drive-by at one speed (DES).
+
+    The simulation is closed before the row is returned.
+    """
     if speed_kmh <= 0:
         raise ValueError("speed must be positive")
     scenario = build_vehicular_scenario(
@@ -225,7 +228,9 @@ def vehicular_cell(
         update_interval_s=update_interval_s,
         window_bytes=window_bytes,
     )
-    return run_vehicle_pass(scenario)
+    result = run_vehicle_pass(scenario)
+    scenario.sim.close()
+    return result
 
 
 def retraining_overhead_vs_speed(
@@ -343,6 +348,36 @@ def build_corridor_scenario(
     )
 
 
+class _GoodputTally:
+    """Goodput and outage accrued every accounting tick of a walk.
+
+    Its tick is a bound method, not a closure that schedules itself:
+    such a closure holds itself through its own cell, a reference
+    cycle that would outlive the run.
+    """
+
+    def __init__(self, scenario: CorridorScenario, interval_s: float, duration_s: float):
+        self.mobile = scenario.mobile
+        self.sim = scenario.sim
+        self.interval_s = interval_s
+        self.duration_s = duration_s
+        self.start_s = self.sim.now
+        self.goodput_bits = 0.0
+        self.outage_s = 0.0
+
+    def tick(self) -> None:
+        if self.mobile.link_up:
+            mcs = select_mcs(self.mobile.current_snr_db())
+        else:
+            mcs = None
+        if mcs is None:
+            self.outage_s += self.interval_s
+        else:
+            self.goodput_bits += wigig_goodput_bps(mcs) * self.interval_s
+        if self.sim.now - self.start_s < self.duration_s:
+            self.sim.schedule(self.interval_s, self.tick)
+
+
 def run_corridor_walk(
     scenario: CorridorScenario, accounting_interval_s: float = 5e-3
 ) -> Dict:
@@ -359,22 +394,8 @@ def run_corridor_walk(
     scenario.controller.start()
     duration = scenario.trajectory.duration_s
     sim = scenario.sim
-    tally = {"goodput_bits": 0.0, "outage_s": 0.0}
-
-    def account() -> None:
-        if scenario.mobile.link_up:
-            mcs = select_mcs(scenario.mobile.current_snr_db())
-        else:
-            mcs = None
-        if mcs is None:
-            tally["outage_s"] += accounting_interval_s
-        else:
-            tally["goodput_bits"] += wigig_goodput_bps(mcs) * accounting_interval_s
-        if sim.now - start_s < duration:
-            sim.schedule(accounting_interval_s, account)
-
-    start_s = sim.now
-    sim.schedule(accounting_interval_s, account)
+    tally = _GoodputTally(scenario, accounting_interval_s, duration)
+    sim.schedule(accounting_interval_s, tally.tick)
     sim.run_until(sim.now + duration)
     scenario.controller.stop()
     scenario.mobile.stop()
@@ -382,7 +403,7 @@ def run_corridor_walk(
     mob = scenario.mobile.stats
     ho = scenario.controller.stats
     overhead_s = mob.retrain_airtime_s + ho.probe_airtime_s + ho.handover_airtime_s
-    raw_goodput = tally["goodput_bits"] / duration
+    raw_goodput = tally.goodput_bits / duration
     return {
         "speed_mps": scenario.trajectory.speed_mps(0.0),
         "duration_s": duration,
@@ -394,7 +415,7 @@ def run_corridor_walk(
         "retrain_airtime_s": mob.retrain_airtime_s,
         "retrains": mob.retrains_total,
         "mean_goodput_bps": raw_goodput * max(0.0, 1.0 - overhead_s / duration),
-        "outage_fraction": tally["outage_s"] / duration,
+        "outage_fraction": tally.outage_s / duration,
         "events_simulated": sim.events_processed,
     }
 
@@ -407,7 +428,10 @@ def handover_cell(
     speed_mps: float = PEDESTRIAN_SPEED_MPS,
     update_interval_s: float = 5e-3,
 ) -> dict:
-    """One campaign cell: one corridor walk under one policy (DES)."""
+    """One campaign cell: one corridor walk under one policy (DES).
+
+    The simulation is closed before the row is returned.
+    """
     try:
         policy_factory = HANDOVER_POLICIES[policy]
     except KeyError:
@@ -423,6 +447,7 @@ def handover_cell(
         update_interval_s=update_interval_s,
     )
     result = run_corridor_walk(scenario)
+    scenario.sim.close()
     result["policy"] = policy
     return result
 

@@ -145,7 +145,8 @@ def run_reflection_interference(
     """The Figure 23 run: TCP throughput over time, WiHD on -> off.
 
     The paper's 120 s run (power-off at ~90 s) is time-scaled; the
-    on/off ratio and every mechanism are preserved.
+    on/off ratio and every mechanism are preserved.  The simulation is
+    closed before the result is returned.
     """
     if not 0 < wihd_off_at_s < duration_s:
         raise ValueError("power-off instant must lie inside the run")
@@ -180,6 +181,7 @@ def run_reflection_interference(
     )
     sim.schedule(wihd_off_at_s, wihd.power_off)
     sim.run_until(duration_s)
+    sim.close()
 
     # Bin the delivery log into a throughput time series.
     log = flow.delivery_log

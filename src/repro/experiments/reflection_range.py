@@ -95,6 +95,7 @@ def measure_dock_angular_profile(
         laptop_position=LAPTOP_POSITION,
         tracer=tracer,
     )
+    setup.sim.close()  # only the trained laptop is used
 
     def vubiq_factory(position: Vec2, boresight: float) -> VubiqReceiver:
         return VubiqReceiver(
@@ -125,6 +126,8 @@ def run_nlos_throughput(
        mean with a 95% confidence interval over measurement intervals.
     3. Compare against the LOS throughput of the same link without the
        obstacle.
+
+    Both simulations are closed before the result is returned.
     """
     room = build_reflection_room(blocked=True)
     tracer = RayTracer(room, max_order=2)
@@ -151,6 +154,7 @@ def run_nlos_throughput(
         setup.flow.reset_counters()
         setup.run(duration_s / max(2, intervals))
         samples.append(setup.flow.throughput_bps())
+    setup.sim.close()
     nlos_ci = mean_confidence_interval(samples, confidence=0.95)
 
     # LOS baseline: same geometry, no obstacle.
@@ -165,6 +169,7 @@ def run_nlos_throughput(
     los_setup.run(0.05)
     los_setup.flow.reset_counters()
     los_setup.run(duration_s)
+    los_setup.sim.close()
     los_tput = los_setup.flow.throughput_bps()
 
     return NlosLinkResult(

@@ -84,7 +84,8 @@ class AssociationManager:
         trainer: Beam trainer used once a station answers; defaults to
             a fresh :class:`SectorSweepTrainer` over free space.
         on_associated: Callback ``(station_device)`` fired when a
-            station completes association.
+            station completes association; dropped when the
+            simulation is closed.
         timing: MAC timing (discovery cadence).
     """
 
@@ -116,6 +117,11 @@ class AssociationManager:
         self._association_times: Dict[str, float] = {}
         self._all_stations = {s.name: s for s in stations}
         self._running = False
+        sim.on_close(self._detach)
+
+    def _detach(self) -> None:
+        # The callback's owner usually holds this manager.
+        self.on_associated = None
 
     # -- public API ---------------------------------------------------------
 
@@ -299,7 +305,8 @@ class LinkSupervisor:
     below 1 gbps".  The supervisor samples the link's delivery counters
     every ``check_interval_s``; after ``dead_intervals`` consecutive
     windows in which frames were sent but nothing was delivered, it
-    fires ``on_break`` exactly once (re-arm with :meth:`reset`).
+    fires ``on_break`` exactly once (re-arm with :meth:`reset`).  It
+    drops ``on_break`` when the simulation is closed.
     """
 
     def __init__(
@@ -323,6 +330,11 @@ class LinkSupervisor:
         self._broken = False
         self.break_time_s: Optional[float] = None
         self.sim.schedule(check_interval_s, self._tick)
+        sim.on_close(self._detach)
+
+    def _detach(self) -> None:
+        # The callback's owner usually holds this supervisor.
+        self.on_break = None
 
     @property
     def broken(self) -> bool:

@@ -31,7 +31,8 @@ clear the link memo, at the moment of the change:
   association, transmit power control) clears it too.
 
 A coupling model whose values change any other way must call
-``changed()`` itself.
+``changed()`` itself.  Closing the simulation clears the memo too: its
+keys hold the stations, whose watchers lead back to it.
 
 Clock: :attr:`Simulator.now` is a plain attribute.  Only the event
 loop writes it (when it runs an event or replays a source, and at the
@@ -236,6 +237,10 @@ class Simulator:
 
     :attr:`now` is a plain attribute that only the loop writes; read
     it, never assign it.
+
+    A finished run is closed (:meth:`close`): its pending work is
+    dropped, so that once its caller drops it the whole simulation is
+    freed by reference counting.
     """
 
     def __init__(self, seed: int = 0):
@@ -253,6 +258,46 @@ class Simulator:
         #: replayed by sources is not counted.
         self.events_processed = 0
         self._publishers: List[Callable[[MetricsRegistry], None]] = []
+        self._closers: List[Callable[[], None]] = []
+
+    def close(self) -> None:
+        """Finish the run: drop everything it still has pending.
+
+        Drops the pending events, the replayed sources and the
+        publishers, then calls the :meth:`on_close` callbacks once, in
+        the order they were added.  Those let components drop what
+        else they keep for the run (stations waiting for an idle
+        channel, a traffic source's delivery hook), so that no
+        reference cycle is left: a closed simulation is freed by
+        reference counting as soon as its last user drops it.
+
+        Afterwards :meth:`schedule`, :meth:`add_source`,
+        :meth:`add_publisher`, :meth:`on_close` and :meth:`run_until`
+        raise :class:`RuntimeError`; :attr:`now`,
+        :attr:`events_processed` and :attr:`rng` stay readable, as do
+        the results the components hold (their statistics, the
+        medium's history).  Closing twice is a no-op.
+        """
+        if self._queue is None:
+            return
+        closers = self._closers
+        self._queue = self._sources = self._publishers = self._closers = None
+        for drop in closers:
+            drop()
+
+    def _closed_error(self, what: str) -> RuntimeError:
+        return RuntimeError(f"cannot {what}: the simulation is closed")
+
+    def on_close(self, drop: Callable[[], None]) -> None:
+        """Call ``drop()`` once when :meth:`close` runs.
+
+        For a component that keeps callbacks into other components
+        outside the event queue, which would otherwise hold a closed
+        run together in a reference cycle.
+        """
+        if self._closers is None:
+            raise self._closed_error("add a close callback")
+        self._closers.append(drop)
 
     def add_source(self, source) -> None:
         """Interleave a replayed source's items with the event heap.
@@ -270,6 +315,8 @@ class Simulator:
         ``replay`` returns True when it ran up to the limit without
         touching other state.
         """
+        if self._sources is None:
+            raise self._closed_error("add a source")
         self._sources.append(source)
 
     def add_publisher(self, publish: Callable[[MetricsRegistry], None]) -> None:
@@ -281,6 +328,8 @@ class Simulator:
         publisher adds what its integers gained since its last call,
         which also covers frames sent outside ``run_until``.
         """
+        if self._publishers is None:
+            raise self._closed_error("add a publisher")
         self._publishers.append(publish)
 
     def schedule(self, delay_s: float, callback: Callable[[], None]) -> None:
@@ -289,7 +338,9 @@ class Simulator:
         Rejects negative, NaN and infinite delays: one chained
         comparison admits exactly the finite non-negative ones (it is
         False for NaN, so a NaN timestamp never enters the heap to
-        poison the ordering of every later event).
+        poison the ordering of every later event).  On a closed
+        simulation, which has no queue, the push fails with a
+        :class:`TypeError`, reported as :class:`RuntimeError`.
         """
         if not 0.0 <= delay_s < math.inf:
             if not math.isfinite(delay_s):
@@ -297,7 +348,12 @@ class Simulator:
                     f"cannot schedule with a non-finite delay ({delay_s!r})"
                 )
             raise ValueError(f"cannot schedule into the past (delay {delay_s:g} s)")
-        heappush(self._queue, (self.now + delay_s, next(self._counter), callback))
+        try:
+            heappush(self._queue, (self.now + delay_s, next(self._counter), callback))
+        except TypeError:
+            if self._queue is None:
+                raise self._closed_error("schedule") from None
+            raise
 
     def run_until(self, end_s: float) -> None:
         """Process events until simulated time reaches ``end_s``.
@@ -307,9 +363,11 @@ class Simulator:
         read once before the loop so the disabled hot path stays a
         single truthiness check per ``run_until`` call, not per event.
         """
+        queue = self._queue
+        if queue is None:
+            raise self._closed_error("run")
         start_events = self.events_processed
         profiling = obs.STATE.profiling
-        queue = self._queue
         sources = self._sources
         with obs.span("mac.simulator.run", end_s=end_s):
             while True:
@@ -388,18 +446,16 @@ class Medium:
     """
 
     class _ActiveTransmission:
-        """A frame on the air, and what happens when it ends.
+        """A frame on the air: what the interference bookkeeping needs.
 
         Compared by identity: two frames with equal fields are still
-        two frames.  The medium schedules :meth:`finish` at the frame
-        end; nesting the class keeps that event's handler qualname
-        under ``Medium`` for the profiler.
+        two frames.  It keeps no reference to its medium or to the
+        frame's ``on_complete``: the frame-end event holds those (see
+        :meth:`Medium.transmit`), so the medium's list of frames on the
+        air never leads back to the medium.
         """
 
-        __slots__ = (
-            "medium", "record", "wide", "tx", "rx", "signal_dbm",
-            "max_interference_mw", "on_complete",
-        )
+        __slots__ = ("record", "wide", "tx", "rx", "signal_dbm", "max_interference_mw")
 
         def __init__(
             self,
@@ -407,9 +463,7 @@ class Medium:
             record: FrameRecord,
             tx: Station,
             rx: Optional[Station],
-            on_complete: Optional[Callable[[FrameRecord, bool], None]] = None,
         ):
-            self.medium = medium
             self.record = record
             self.wide = wide = record.kind.uses_wide_pattern()
             self.tx = tx
@@ -420,36 +474,6 @@ class Medium:
                 medium._links.get((tx, rx, wide)) or medium._link(tx, rx, wide)
             )[0]
             self.max_interference_mw = 0.0
-            self.on_complete = on_complete
-
-        def finish(self) -> None:
-            """End the frame: judge delivery, wake waiters, report.
-
-            A unicast frame is delivered with probability ``1 - FER``
-            at its worst SINR (one RNG draw).  The FER memo is keyed
-            on that SINR's inputs, so a hit skips the logarithm.
-            """
-            medium = self.medium
-            medium._active.remove(self)
-            record = self.record
-            if self.rx is None:
-                delivered = False  # broadcast: record.delivered stays None
-            else:
-                signal_dbm, interference_mw = self.signal_dbm, self.max_interference_mw
-                key = (signal_dbm, interference_mw, record.mcs_index)
-                fer = medium._fer.get(key)
-                if fer is None:
-                    sinr_db = signal_dbm - linear_to_db_scalar(
-                        medium._noise_mw + interference_mw
-                    )
-                    fer = medium._fer[key] = frame_error_probability(
-                        sinr_db, mcs_by_index(record.mcs_index)
-                    )
-                record.delivered = delivered = medium._sim.rng.random() >= fer
-            if medium._idle_waiters:
-                medium._notify_idle_waiters()
-            if self.on_complete is not None:
-                self.on_complete(record, delivered)
 
     def __init__(
         self,
@@ -479,6 +503,13 @@ class Medium:
         self.frames_sent = 0
         self._frames_published = 0
         sim.add_publisher(self._publish_metrics)
+        sim.on_close(self._close)
+
+    def _close(self) -> None:
+        # The waiters' callbacks lead back here through their links,
+        # and the link memo's keys through each station's watchers.
+        self._idle_waiters = []
+        self._links.clear()
 
     def _publish_metrics(self, metrics: MetricsRegistry) -> None:
         new = self.frames_sent - self._frames_published
@@ -582,7 +613,7 @@ class Medium:
         """
         tx = self._stations[record.source]
         rx = self._stations.get(record.destination) if record.destination else None
-        act = self._ActiveTransmission(self, record, tx, rx, on_complete)
+        act = self._ActiveTransmission(self, record, tx, rx)
         wide = act.wide
         self.frames_sent += 1
 
@@ -623,7 +654,38 @@ class Medium:
             self.history.append(record)
         if record.nav_duration_s > 0:
             self._apply_nav(record, tx, rx)
-        self._sim.schedule(record.duration_s, act.finish)
+
+        medium = self  # the frame-end event's only way back here
+
+        def finish() -> None:
+            """End the frame: judge delivery, wake waiters, report.
+
+            A unicast frame is delivered with probability ``1 - FER``
+            at its worst SINR (one RNG draw).  The FER memo is keyed
+            on that SINR's inputs, so a hit skips the logarithm.
+            """
+            medium._active.remove(act)
+            record = act.record
+            if act.rx is None:
+                delivered = False  # broadcast: record.delivered stays None
+            else:
+                signal_dbm, interference_mw = act.signal_dbm, act.max_interference_mw
+                key = (signal_dbm, interference_mw, record.mcs_index)
+                fer = medium._fer.get(key)
+                if fer is None:
+                    sinr_db = signal_dbm - linear_to_db_scalar(
+                        medium._noise_mw + interference_mw
+                    )
+                    fer = medium._fer[key] = frame_error_probability(
+                        sinr_db, mcs_by_index(record.mcs_index)
+                    )
+                record.delivered = delivered = medium._sim.rng.random() >= fer
+            if medium._idle_waiters:
+                medium._notify_idle_waiters()
+            if on_complete is not None:
+                on_complete(record, delivered)
+
+        self._sim.schedule(record.duration_s, finish)
 
     def _apply_nav(self, record: FrameRecord, tx: Station, rx: Optional[Station]) -> None:
         """Third parties that decode a reserving frame set their NAV.

@@ -118,7 +118,8 @@ class WiGigLink:
     push MPDUs via :meth:`enqueue_mpdus` (or, when the event loop
     replays them like :class:`repro.mac.tcp.IperfFlow`, via
     :meth:`arrive`) and learn about deliveries through the
-    ``on_delivery`` callback.
+    ``on_delivery`` callback, which the link drops when the simulation
+    is closed (:meth:`Simulator.close`), as it drops its arbiter.
 
     Args:
         sim: Shared event loop.
@@ -207,6 +208,7 @@ class WiGigLink:
         self._aggregates = [0] * (MAX_AGGREGATION + 1)
         self._frames_published = 0
         sim.add_publisher(self._publish_metrics)
+        sim.on_close(self._detach)
 
         if send_beacons:
             self._schedule_beacon()
@@ -214,6 +216,13 @@ class WiGigLink:
             self._schedule_discovery()
         if self._rate_interval > 0:
             self.sim.schedule(self._rate_interval, self._rate_adaptation_tick)
+
+    def _detach(self) -> None:
+        # A traffic source behind ``on_delivery`` (IperfFlow) and a
+        # transmit arbiter both hold this link; a closed run keeps
+        # neither edge back.
+        self.on_delivery = None
+        self._arbiter = None
 
     # -- public API -----------------------------------------------------
 

@@ -214,8 +214,10 @@ def check_results(
     * A gated entry missing from the *current* results fails — a
       silently-dropped benchmark is itself a regression.
     * ``higher`` fails when ``value < baseline / tolerance``;
-      ``lower`` fails when ``value > baseline * tolerance``.
-    * Zero/negative baselines are reported but not gated (no
+      ``lower`` fails when ``value > baseline * tolerance``.  For a
+      ``lower`` entry whose baseline is exactly zero (a count that
+      must stay zero) that means any positive value fails.
+    * Other zero/negative baselines are reported but not gated (no
       meaningful ratio exists).
     """
     if tolerance <= 1.0:
@@ -254,7 +256,7 @@ def check_results(
             row["value"] = cur["value"]
             if direction == "info":
                 row["reason"] = "info (not gated)"
-            elif base["value"] <= 0:
+            elif base["value"] < 0 or (base["value"] == 0 and direction == "higher"):
                 row["reason"] = "baseline <= 0 (not gated)"
             elif direction == "higher" and cur["value"] < base["value"] / tol:
                 row["ok"] = False

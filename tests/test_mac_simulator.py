@@ -402,11 +402,13 @@ class TestLinkPowerMemo:
 
 class TestActiveFrames:
     def test_finished_frame_leaves_by_identity(self):
+        # A twin with equal fields sits ahead of the real frame; the
+        # frame-end event must remove its own frame, not the twin.
         sim, medium, a, b = make_pair()
         record = data_frame()
-        first = Medium._ActiveTransmission(medium, record, a, b)
-        second = Medium._ActiveTransmission(medium, record, a, b)
-        medium._active.extend([first, second])
-        second.finish()
+        medium.transmit(record)
+        twin = Medium._ActiveTransmission(medium, record, a, b)
+        medium._active.insert(0, twin)
+        sim.run_until(record.end_s)
         assert len(medium._active) == 1
-        assert medium._active[0] is first
+        assert medium._active[0] is twin

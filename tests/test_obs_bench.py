@@ -170,6 +170,17 @@ class TestCheckResults:
         ])}, base)
         assert rows[0]["ok"] and "not gated" in rows[0]["reason"]
 
+    def test_zero_baseline_of_a_lower_count_gates_any_increase(self):
+        base = {"core": make_doc("core", [bench_entry("garbage", 0.0, "objects", "lower")])}
+        held = check_results({"core": make_doc("core", [
+            bench_entry("garbage", 0.0, "objects", "lower"),
+        ])}, base)
+        grown = check_results({"core": make_doc("core", [
+            bench_entry("garbage", 1.0, "objects", "lower"),
+        ])}, base)
+        assert held[0]["ok"]
+        assert not grown[0]["ok"] and "regressed" in grown[0]["reason"]
+
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             check_results(self.current(), self.base(), tolerance=1.0)

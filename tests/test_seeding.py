@@ -13,6 +13,7 @@ from repro.experiments.frame_level import (
 )
 from repro.experiments.long_run import run_long_term
 from repro.experiments.range_vs_distance import (
+    distance_cell,
     phy_rate_timeseries,
     throughput_vs_distance,
 )
@@ -106,6 +107,10 @@ def _distance_sweep(seed):
     return [r.throughput_bps.tolist() for r in runs], average.tolist()
 
 
+def _distance_cell(seed):
+    return distance_cell(distance_m=12.0, seed=seed)
+
+
 def _laptop_pattern(seed):
     return measure_laptop_pattern(positions=8, seed=seed).power_dbm.tolist()
 
@@ -129,6 +134,7 @@ class TestSeedReach:
         [
             _rate_timeseries,
             _distance_sweep,
+            _distance_cell,
             _long_run,
             _laptop_pattern,
             _wigig_tcp,
