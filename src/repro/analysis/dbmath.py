@@ -104,11 +104,11 @@ def log_distance_loss_db(excess_exponent: float, distance: float) -> float:
     """Excess log-distance path-loss term ``10 * n * log10(d)`` in dB.
 
     Evaluated with the grouping ``(10 * n) * log10(d)``.  Float
-    multiplication is non-associative and the campaign engine's
-    content-addressed cache keys on bit-identical outputs, so the
-    historical operand order is part of this function's contract — do
-    not regroup it.  ``distance`` must be positive (it is a physical
-    distance in metres); no :data:`DB_FLOOR` guard is applied.
+    multiplication is non-associative and the committed figures and
+    campaign rows are compared bit for bit, so the historical operand
+    order is part of this function's contract — do not regroup it.
+    ``distance`` must be positive (it is a physical distance in
+    metres); no :data:`DB_FLOOR` guard is applied.
     """
     return 10.0 * excess_exponent * math.log10(distance)
 

@@ -1,4 +1,4 @@
-"""Campaign engine: ordered parallel execution with content-addressed caching.
+"""Campaign engine: ordered parallel execution of deterministic cells.
 
 The paper's measurement workflow — hundreds of rotation-stage
 positions, distance sweeps, repeated trace captures, offline analysis
@@ -8,23 +8,22 @@ of its parameters and seed, and this package runs such campaigns:
 * :mod:`repro.campaign.spec` — declarative, content-addressed
   :class:`ScenarioSpec`/:class:`CampaignSpec` grids with deterministic
   expansion;
-* :mod:`repro.campaign.runner` — maps cells over 1 or N processes in
-  expansion order, with per-scenario timeouts; failed cells are
-  recorded, not fatal;
-* :mod:`repro.campaign.cache` — an on-disk result cache keyed by
-  SHA-256 of the canonical spec plus a code-version salt, so re-runs
-  only compute changed cells;
+* :mod:`repro.campaign.runner` — maps every cell over 1 or N
+  processes in expansion order, with per-scenario timeouts; failed
+  cells are recorded, not fatal;
 * :mod:`repro.campaign.telemetry` — per-run counters/timers emitted
   as a JSON run manifest;
 * :mod:`repro.campaign.store` — JSONL result persistence following
   the :mod:`repro.io` conventions;
 * :mod:`repro.campaign.registry` — the experiment-cell registry and
   the built-in campaign catalog behind ``python -m repro campaign``;
-* :mod:`repro.campaign.verify` — the worker-count-determinism and
-  cache-purity prover behind ``python -m repro campaign verify``.
+* :mod:`repro.campaign.verify` — the worker-count-determinism prover
+  behind ``python -m repro campaign verify``.
+
+Nothing is cached between runs: every run computes every cell, so a
+change to a cell's code shows in the next run's rows.
 """
 
-from repro.campaign.cache import CACHE_SALT, ResultCache, default_cache_root
 from repro.campaign.registry import (
     builtin_campaigns,
     get_campaign,
@@ -53,12 +52,10 @@ from repro.campaign.verify import (
 )
 
 __all__ = [
-    "CACHE_SALT",
     "MANIFEST_SCHEMA_VERSION",
     "CampaignResult",
     "CampaignRunner",
     "CampaignSpec",
-    "ResultCache",
     "RunTelemetry",
     "ScenarioOutcome",
     "ScenarioSpec",
@@ -68,7 +65,6 @@ __all__ = [
     "canonical_metrics",
     "canonical_rows",
     "canonicalize",
-    "default_cache_root",
     "get_campaign",
     "load_manifest",
     "load_results",

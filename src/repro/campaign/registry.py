@@ -61,6 +61,10 @@ def builtin_campaigns() -> Dict[str, CampaignSpec]:
       (distance, run-seed) pair, 1-20 m x 10 runs.
     * ``interference`` — the Figure 22 side-lobe sweep: one cell per
       (WiHD offset, alignment), full DES simulation per cell.
+    * ``mobility-speed`` — the vehicular drive-by: one cell per
+      (speed, seed), throughput and re-training overhead (DES).
+    * ``mobility-handover`` — the corridor walk: one cell per
+      (handover policy, seed), goodput and AP contact time (DES).
     """
     return {
         "beam-patterns": CampaignSpec(

@@ -1,8 +1,7 @@
 """The campaign engine: one ordered map over the campaign's cells.
 
-The runner expands a :class:`~repro.campaign.spec.CampaignSpec`, serves
-every cell it can from the content-addressed cache, and maps
-:func:`execute_cell` over the rest — the builtin ``map`` for
+The runner expands a :class:`~repro.campaign.spec.CampaignSpec` and
+maps :func:`execute_cell` over every cell — the builtin ``map`` for
 ``workers <= 1``, ``ProcessPoolExecutor.map`` otherwise.  Per-scenario
 timeouts are enforced inside the executing process via ``SIGALRM``,
 and failed cells are *recorded*, never fatal: a campaign always
@@ -27,7 +26,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.campaign.cache import ResultCache
 from repro.campaign.registry import resolve_cell
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.campaign.telemetry import RunTelemetry
@@ -127,7 +125,7 @@ class ScenarioOutcome:
 
     spec: ScenarioSpec
     digest: str
-    status: str  # "pending" | "completed" | "cached" | "failed"
+    status: str  # "pending" | "completed" | "failed"
     result: Optional[Dict] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
@@ -140,7 +138,7 @@ class ScenarioOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("completed", "cached")
+        return self.status == "completed"
 
 
 @dataclass
@@ -180,11 +178,10 @@ class CampaignResult:
 
 
 class CampaignRunner:
-    """Execute a campaign with caching and timeouts.
+    """Execute a campaign with timeouts.
 
     Args:
         campaign: The campaign to run.
-        cache: Result cache; ``None`` disables caching entirely.
         workers: Process count.  ``<= 1`` runs serially in-process
             (the reference path parallel runs must match bit-for-bit).
         timeout_s: Per-scenario wall-clock budget, enforced inside the
@@ -211,7 +208,6 @@ class CampaignRunner:
     def __init__(
         self,
         campaign: CampaignSpec,
-        cache: Optional[ResultCache] = None,
         workers: int = 1,
         timeout_s: Optional[float] = None,
         shuffle_seed: Optional[int] = None,
@@ -220,7 +216,6 @@ class CampaignRunner:
         profile: bool = False,
     ):
         self.campaign = campaign
-        self.cache = cache
         self.workers = max(1, int(workers))
         self.timeout_s = timeout_s
         self.shuffle_seed = shuffle_seed
@@ -284,8 +279,6 @@ class CampaignRunner:
         outcome.status = "completed"
         outcome.result = payload["result"]
         telemetry.record_completed(payload["elapsed_s"], payload["events"])
-        if self.cache is not None:
-            self.cache.put(outcome.spec, payload["result"])
 
     # -- observability ---------------------------------------------------------
 
@@ -337,12 +330,7 @@ class CampaignRunner:
             registry.merge_snapshot(outcome.metrics)
         registry.add("campaign.cells.total", telemetry.scenarios_total)
         registry.add("campaign.cells.completed", telemetry.completed)
-        registry.add("campaign.cells.cached", telemetry.cached)
         registry.add("campaign.cells.failed", telemetry.failed)
-        registry.add("campaign.cache.hits", telemetry.cached)
-        registry.add(
-            "campaign.cache.misses", telemetry.scenarios_total - telemetry.cached
-        )
         return registry.snapshot()
 
     def _merged_profile(self, outcomes: List[ScenarioOutcome]) -> Optional[Dict]:
@@ -389,28 +377,15 @@ class CampaignRunner:
             )
             telemetry.start()
 
-            outcomes: List[ScenarioOutcome] = []
-            for spec in scenarios:
-                # Outcome identity is the unsalted content digest so runs
-                # compare bit-for-bit regardless of cache configuration;
-                # the cache salts its own keys internally.
-                cached = self.cache.get(spec) if self.cache is not None else None
-                outcomes.append(
-                    ScenarioOutcome(
-                        spec=spec,
-                        digest=spec.digest(),
-                        status="pending" if cached is None else "cached",
-                        result=cached,
-                    )
-                )
-                if cached is not None:
-                    telemetry.record_cached()
-
-            pending = [i for i, o in enumerate(outcomes) if o.status == "pending"]
+            outcomes = [
+                ScenarioOutcome(spec=spec, digest=spec.digest(), status="pending")
+                for spec in scenarios
+            ]
+            order = list(range(len(scenarios)))
             if self.shuffle_seed is not None:
                 rng = np.random.default_rng(self.shuffle_seed)
-                pending = [pending[i] for i in rng.permutation(len(pending))]
-            for index, payload in self._map(scenarios, pending):
+                order = rng.permutation(len(order)).tolist()
+            for index, payload in self._map(scenarios, order):
                 self._record(telemetry, outcomes[index], payload)
 
             telemetry.finish()
@@ -437,7 +412,6 @@ class CampaignRunner:
 
 def run_campaign(
     campaign: CampaignSpec,
-    cache: Optional[ResultCache] = None,
     workers: int = 1,
     timeout_s: Optional[float] = None,
     metrics: bool = False,
@@ -447,7 +421,6 @@ def run_campaign(
     """Convenience wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(
         campaign,
-        cache=cache,
         workers=workers,
         timeout_s=timeout_s,
         metrics=metrics,

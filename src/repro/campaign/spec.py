@@ -9,8 +9,8 @@ into :class:`ScenarioSpec` cells.
 
 Scenarios are *content addressed*: :meth:`ScenarioSpec.digest` is a
 SHA-256 over the canonicalized spec, stable across processes and
-Python versions (unlike ``hash()``), which is what makes the on-disk
-result cache work.
+Python versions (unlike ``hash()``), so a row in ``results.jsonl``
+names its cell the same way in every run.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ScenarioSpec:
             dotted path importable in worker processes.
         params: Keyword arguments for the cell, JSON-style data only.
         seed: RNG seed passed to the cell (cells must be deterministic
-            given their seed for caching to be sound).
+            given their seed, so a row can be reproduced from it).
     """
 
     experiment: str
@@ -106,13 +106,15 @@ class ScenarioSpec:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    def digest(self, salt: str = "") -> str:
-        """Content address: SHA-256 hex of salt + canonical spec."""
-        h = hashlib.sha256()
-        h.update(salt.encode("utf-8"))
-        h.update(b"\n")
-        h.update(self.canonical().encode("utf-8"))
-        return h.hexdigest()
+    def digest(self) -> str:
+        """Content address: SHA-256 hex of a newline + the canonical spec.
+
+        The leading newline is part of the address format, so the
+        digests in existing ``results.jsonl`` files stay valid.
+        """
+        return hashlib.sha256(
+            b"\n" + self.canonical().encode("utf-8")
+        ).hexdigest()
 
 
 @dataclass(frozen=True)

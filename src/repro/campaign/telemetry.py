@@ -1,12 +1,12 @@
 """Per-run counters, timers, and the JSON run manifest.
 
 Every campaign run emits a manifest next to its results: how many
-scenarios ran, how many were served from cache, how many failed (and
-why), wall-clock versus summed worker time, and the discrete-event
-simulator's throughput (events simulated per second) aggregated over
-all cells that report it.  The manifest is the run's flight recorder —
-the thing you read six months later to judge whether a result set is
-trustworthy and how expensive a re-run would be.
+scenarios ran, how many failed (and why), wall-clock versus summed
+worker time, and the discrete-event simulator's throughput (events
+simulated per second) aggregated over all cells that report it.  The
+manifest is the run's flight recorder — the thing you read six months
+later to judge whether a result set is trustworthy and how expensive
+a re-run would be.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ PathLike = Union[str, pathlib.Path]
 #: ``profile`` section (merged handler attribution + span self-time
 #: aggregates consumed by ``repro obs top`` / ``obs diff``).  v4 drops
 #: the retry count, the per-worker cell counts and the per-failure
-#: attempt count.
-MANIFEST_SCHEMA_VERSION = 4
+#: attempt count.  v5 drops the ``scenarios.cached`` count and the
+#: ``cache_hit_ratio`` with the result cache they reported on.
+MANIFEST_SCHEMA_VERSION = 5
 
 MANIFEST_FILENAME = "manifest.json"
 
@@ -46,7 +47,6 @@ class RunTelemetry:
     workers: int = 1
     scenarios_total: int = 0
     completed: int = 0
-    cached: int = 0
     failed: int = 0
     timeouts: int = 0
     wall_clock_s: float = 0.0
@@ -72,9 +72,6 @@ class RunTelemetry:
             self.wall_clock_s = clock.perf_counter() - self._t0
 
     # -- recording -------------------------------------------------------------
-
-    def record_cached(self) -> None:
-        self.cached += 1
 
     def record_completed(self, elapsed_s: float, events: int = 0) -> None:
         self.completed += 1
@@ -117,11 +114,6 @@ class RunTelemetry:
             return None
         return self.events_simulated / self.worker_time_s
 
-    def cache_hit_ratio(self) -> float:
-        if self.scenarios_total <= 0:
-            return 0.0
-        return self.cached / self.scenarios_total
-
     def speedup_vs_serial(self) -> Optional[float]:
         """Summed worker time over wall clock (parallel efficiency).
 
@@ -147,7 +139,6 @@ class RunTelemetry:
             "scenarios": {
                 "total": self.scenarios_total,
                 "completed": self.completed,
-                "cached": self.cached,
                 "failed": self.failed,
                 "timeouts": self.timeouts,
             },
@@ -160,7 +151,6 @@ class RunTelemetry:
                 "events_simulated": self.events_simulated,
                 "events_per_second": self.events_per_second(),
             },
-            "cache_hit_ratio": self.cache_hit_ratio(),
             "failures": list(self.failures),
             "metrics": self.metrics,
             "spans_file": self.spans_file,
@@ -181,7 +171,6 @@ class RunTelemetry:
         parts = [
             f"{self.scenarios_total} scenarios",
             f"{self.completed} computed",
-            f"{self.cached} cached",
             f"{self.failed} failed",
             f"wall {self.wall_clock_s:.2f} s",
         ]

@@ -11,7 +11,6 @@ Usage::
     python -m repro mobility [--speeds 50 70 110]
     python -m repro campaign list
     python -m repro campaign run beam-patterns --workers 4
-    python -m repro campaign status beam-patterns
     python -m repro campaign verify beam-patterns --workers 4
     python -m repro campaign run beam-patterns --trace --profile
     python -m repro obs report campaign_runs/beam-patterns [--json]
@@ -28,13 +27,11 @@ subcommand takes ``--seed`` so runs are reproducible from the command
 line; the defaults match the historical per-experiment seeds.
 
 ``campaign`` drives the parallel engine (:mod:`repro.campaign`):
-``run`` executes a built-in campaign across worker processes with
-content-addressed result caching and writes ``results.jsonl`` plus a
-``manifest.json`` run manifest; ``status`` shows how much of a
-campaign the cache already covers; ``verify`` proves the engine's
+``list`` shows the built-in campaigns; ``run`` computes every cell of
+one across worker processes and writes ``results.jsonl`` plus a
+``manifest.json`` run manifest; ``verify`` proves the engine's
 determinism claim — workers=1 and workers=N with shuffled submission
-must merge to byte-identical result stores — and audits cells for
-reads outside the spec-derived cache key.  A campaign name or
+must merge to byte-identical result stores.  A campaign name or
 ``--set`` key the cell does not accept exits 2 before any cell runs.
 """
 
@@ -304,14 +301,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
     return spec
 
 
-def _campaign_cache(args: argparse.Namespace):
-    from repro.campaign import ResultCache
-
-    if getattr(args, "no_cache", False):
-        return None
-    return ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-
-
 def _cmd_campaign_list(args: argparse.Namespace) -> int:
     from repro.campaign import builtin_campaigns
 
@@ -325,18 +314,15 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignRunner, write_run
 
     spec = _campaign_spec_from_args(args)
-    cache = _campaign_cache(args)
     runner = CampaignRunner(
         spec,
-        cache=cache,
         workers=args.workers,
         timeout_s=args.timeout,
         trace=args.trace,
         profile=args.profile,
     )
     print(f"campaign {spec.name}: {spec.scenario_count()} cells, "
-          f"{args.workers} worker(s), cache "
-          f"{'off' if cache is None else cache.root}"
+          f"{args.workers} worker(s)"
           f"{', tracing on' if args.trace else ''}"
           f"{', profiling on' if args.profile else ''}")
     result = runner.run()
@@ -497,36 +483,17 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_verify(args: argparse.Namespace) -> int:
-    from repro.campaign.cache import CACHE_DIR_ENV
     from repro.campaign.verify import render_report, verify_campaign
 
     spec = _campaign_spec_from_args(args)
     report = verify_campaign(
-        spec,
-        workers=args.workers,
-        shuffle_seed=args.shuffle_seed,
-        audit=not args.no_audit,
-        audit_limit=args.audit_cells,
-        cache_check=not args.no_cache_check,
-        allowed_env=(CACHE_DIR_ENV,),
+        spec, workers=args.workers, shuffle_seed=args.shuffle_seed
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(render_report(report))
     return 0 if report.ok else 1
-
-
-def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.campaign import ResultCache
-
-    spec = _campaign_spec_from_args(args)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    scenarios = spec.expand()
-    cached = sum(1 for s in scenarios if cache.contains(s))
-    print(f"campaign {spec.name}: {cached}/{len(scenarios)} cells cached "
-          f"({cache.root}, {cache.entry_count()} entries total)")
-    return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -610,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="parallel campaign engine (list/run/status/verify)",
+        help="parallel campaign engine (list/run/verify)",
     )
     csub = p.add_subparsers(dest="campaign_command", required=True)
 
@@ -624,9 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--set", type=_parse_override, action="append",
                        metavar="KEY=VALUE",
                        help="override a base parameter or pin a grid axis")
-        c.add_argument("--cache-dir", default=None,
-                       help="result cache directory "
-                            "(default: $REPRO_CACHE_DIR or ~/.cache/repro/campaigns)")
 
     c = csub.add_parser("run", help="execute a campaign")
     campaign_target_options(c)
@@ -634,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (1 = serial in-process)")
     c.add_argument("--timeout", type=float, default=None,
                    help="per-scenario timeout in seconds")
-    c.add_argument("--no-cache", action="store_true",
-                   help="compute every cell, bypassing the result cache")
     c.add_argument("--output", default=None,
                    help="run directory (default campaign_runs/<name>)")
     c.add_argument("--trace", action="store_true",
@@ -647,26 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(inspect with 'repro obs top')")
     c.set_defaults(func=_cmd_campaign, campaign_func=_cmd_campaign_run)
 
-    c = csub.add_parser("status", help="cache coverage of a campaign")
-    campaign_target_options(c)
-    c.set_defaults(func=_cmd_campaign, campaign_func=_cmd_campaign_status)
-
     c = csub.add_parser(
         "verify",
-        help="prove workers=1 ≡ workers=N with shuffled submission and "
-        "audit cache purity",
+        help="prove workers=1 ≡ workers=N with shuffled submission",
     )
     campaign_target_options(c)
     c.add_argument("--workers", type=int, default=4,
                    help="pool size for the parallel leg (default 4)")
     c.add_argument("--shuffle-seed", type=int, default=1,
                    help="seed for the shuffled submission order")
-    c.add_argument("--audit-cells", type=int, default=16,
-                   help="max cells executed under the purity auditor")
-    c.add_argument("--no-audit", action="store_true",
-                   help="skip the cache-purity audit")
-    c.add_argument("--no-cache-check", action="store_true",
-                   help="skip the cache replay equivalence check")
     c.add_argument("--json", action="store_true",
                    help="machine-readable report")
     c.set_defaults(func=_cmd_campaign, campaign_func=_cmd_campaign_verify)

@@ -103,5 +103,5 @@ def subelement_variation_db(amplitudes: Sequence[float]) -> float:
         return 0.0
     # Array-variant helper: numpy's log10, bit-identical to the inline
     # 20*np.log10 this historically was (math.log10 can differ by 1 ULP,
-    # which would shift content-addressed campaign cache keys).
+    # which would change campaign rows and figures bit for bit).
     return float(amplitude_to_db(positive.max() / positive.min()))

@@ -148,8 +148,8 @@ def pattern_cell(
 ) -> dict:
     """One cell of the semicircle campaign: measure one setup.
 
-    This is the unit the campaign engine runs and caches; ``seed``
-    makes repeated measurements distinct cache entries.  Returns the
+    This is the unit the campaign engine runs; ``seed`` makes
+    repeated measurements distinct rows.  Returns the
     :class:`PatternMetrics` fields as JSON-style data.
     """
     if setup == "laptop":

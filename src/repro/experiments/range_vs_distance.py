@@ -190,7 +190,7 @@ def distance_cell(
         np.random.default_rng(seed).normal(0.0, run_shadow_std_db)
     )
     # [seed, 0, mm] is fixed seed material: changing it would change
-    # every cell's jitter draw, and with it the cached results.
+    # every cell's jitter draw, and with it every published row.
     cell_rng = np.random.default_rng([seed, 0, int(round(distance_m * 1000))])
     jitter = float(cell_rng.normal(0.0, jitter_std_db))
     snr = link_snr_db(distance_m, shadow_db=offset + jitter)

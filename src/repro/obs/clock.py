@@ -2,9 +2,9 @@
 
 Simulation and campaign code must never call :func:`time.time`,
 :func:`time.perf_counter`, etc. directly: wall-clock reads in the
-physics/MAC layers are nondeterminism bugs (source rule RL002), and
-clock reads inside cache-keyed cells make cached results unsound
-(``repro campaign verify`` audits for them).  Observability, however,
+physics/MAC layers are nondeterminism bugs (source rule RL002): a
+campaign cell that folds the clock into its result can no longer be
+reproduced from its ``results.jsonl`` row.  Observability, however,
 legitimately needs real timestamps for span durations and run
 manifests.
 

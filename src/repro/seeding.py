@@ -3,8 +3,8 @@
 Stochastic components (:class:`repro.phy.channel.ShadowingProcess`,
 :func:`repro.phy.signal.synthesize_trace`, ...) take an explicit
 ``numpy.random.Generator`` so an experiment's ``--seed`` threads all
-the way down and the campaign engine's content-addressed cache stays
-valid.  When a caller does not supply one, falling back to OS entropy
+the way down and a campaign row can be reproduced from its seed.
+When a caller does not supply one, falling back to OS entropy
 would make nominally seeded runs irreproducible — but a single shared
 ``default_rng(0)`` is wrong in the other direction: every
 default-constructed instance would replay one identical stream, so

@@ -31,8 +31,7 @@ def counted_failure(*, marker_dir: str, sleep_s: float = 0.0, seed: int = 0):
 def marker_cell(*, marker_dir: str, value: int = 1, seed: int = 0):
     """A deterministic cell that appends one line per run to a marker file.
 
-    Opening for append is no read, so the purity audit passes it; the
-    file counts executions across every process.
+    The file counts executions across every process.
     """
     with open(os.path.join(marker_dir, "runs"), "a", encoding="utf-8") as fh:
         fh.write(f"{value} {seed}\n")
@@ -66,27 +65,9 @@ def slow_cell(*, sleep_s: float = 5.0, seed: int = 0):
     return {"slept_s": sleep_s}
 
 
-def env_reading_cell(*, seed: int = 0):
-    """Impure on purpose: result depends on an environment variable.
-
-    The purity auditor (``repro campaign verify``) must catch this —
-    the scenario spec hash does not capture ``REPRO_TEST_SCALE``, so
-    caching this cell would be unsound.
-    """
-    scale = int(os.getenv("REPRO_TEST_SCALE", "1"))
-    return {"value": seed * scale}
-
-
 def clock_reading_cell(*, seed: int = 0):
     """Impure on purpose: folds the wall clock into the result."""
     return {"value": seed, "stamp": time.time()}
-
-
-def file_reading_cell(*, calib_path: str, seed: int = 0):
-    """Impure on purpose: reads a file outside the spec hash."""
-    with open(calib_path, "r", encoding="utf-8") as fh:
-        offset = float(fh.read().strip() or "0")
-    return {"value": seed + offset}
 
 
 def des_cell(*, ticks: int = 50, seed: int = 0):

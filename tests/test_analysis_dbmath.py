@@ -120,7 +120,7 @@ class TestAmplitudeToDb:
         assert out[2] == pytest.approx(20 * math.log10(2.0))
 
     def test_bit_identical_to_inline_numpy_log10(self):
-        # The campaign cache keys on bit-identical outputs, so the
+        # Figures and campaign rows are compared bit for bit, so the
         # helper must match the inline 20*np.log10 it replaced exactly.
         rng = np.random.default_rng(7)
         ratios = rng.uniform(1e-6, 1e3, 1000)

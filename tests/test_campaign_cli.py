@@ -1,7 +1,7 @@
 """End-to-end tests for ``python -m repro campaign`` — including the
 acceptance scenario: the beam-pattern semicircle sweep runs across 2
-workers, a second invocation is served >= 90% from cache, and the
-manifest reports counts, cache hits, failures, and wall-clock.
+workers, a serial re-run computes the same rows, and the manifest
+reports counts, failures, and wall-clock.
 """
 
 import json
@@ -22,12 +22,7 @@ README_SHRINK = {
 }
 
 
-@pytest.fixture()
-def cache_dir(tmp_path):
-    return tmp_path / "cache"
-
-
-def run_beam_campaign(cache_dir, out_dir, workers=2):
+def run_beam_campaign(out_dir, workers=2):
     return main(
         [
             "campaign",
@@ -37,12 +32,17 @@ def run_beam_campaign(cache_dir, out_dir, workers=2):
             str(workers),
             "--set",
             "positions=16",
-            "--cache-dir",
-            str(cache_dir),
             "--output",
             str(out_dir),
         ]
     )
+
+
+def result_rows(out_dir):
+    return [
+        json.loads(line)
+        for line in (out_dir / "results.jsonl").read_text().splitlines()
+    ]
 
 
 class TestCampaignCli:
@@ -52,7 +52,7 @@ class TestCampaignCli:
         assert "beam-patterns" in out
         assert "range-vs-distance" in out
 
-    @pytest.mark.parametrize("command", ["run", "verify", "status"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize(
         "extra, needle",
         [
@@ -67,7 +67,7 @@ class TestCampaignCli:
         self, command, extra, needle, tmp_path, capsys
     ):
         out_dir = tmp_path / "never-written"
-        args = ["campaign", command, *extra, "--cache-dir", str(tmp_path / "c")]
+        args = ["campaign", command, *extra]
         if command == "run":
             args += ["--output", str(out_dir)]
         assert main(args) == 2
@@ -76,7 +76,6 @@ class TestCampaignCli:
         assert len(captured.err.strip().splitlines()) == 1
         assert needle in captured.err
         assert not out_dir.exists()
-        assert not (tmp_path / "c").exists()
 
     def test_readme_campaign_commands_run(self, tmp_path, capsys):
         text = README.read_text(encoding="utf-8")
@@ -87,63 +86,51 @@ class TestCampaignCli:
             for line in block.splitlines()
             if line.startswith("python -m repro campaign")
         ]
-        assert [c[1] for c in commands] == ["list", "run", "status", "run", "verify"]
+        assert [c[1] for c in commands] == ["list", "run", "run", "verify"]
         for i, argv in enumerate(commands):
             if len(argv) > 2:
                 argv += README_SHRINK[argv[2]]
-                argv += ["--cache-dir", str(tmp_path / "cache")]
             if argv[1] == "run":
                 argv += ["--output", str(tmp_path / f"run{i}")]
             assert main(argv) == 0, argv
         capsys.readouterr()
 
-    def test_beam_patterns_two_workers_then_cached(
-        self, cache_dir, tmp_path, capsys
-    ):
+    def test_beam_patterns_two_workers_then_serial(self, tmp_path, capsys):
         """The acceptance criteria of the campaign subsystem."""
         first_out = tmp_path / "run1"
-        assert run_beam_campaign(cache_dir, first_out, workers=2) == 0
+        assert run_beam_campaign(first_out, workers=2) == 0
         manifest = read_manifest(first_out / "manifest.json")
         assert manifest["workers"] == 2
         assert manifest["scenarios"]["total"] == 9
         assert manifest["scenarios"]["completed"] == 9
-        assert manifest["scenarios"]["cached"] == 0
         assert manifest["scenarios"]["failed"] == 0
         assert manifest["failures"] == []
         assert manifest["timing"]["wall_clock_s"] > 0
 
-        # Second invocation: served >= 90% from cache.
+        # A second invocation computes every cell again, to the same rows.
         second_out = tmp_path / "run2"
-        assert run_beam_campaign(cache_dir, second_out, workers=2) == 0
+        assert run_beam_campaign(second_out, workers=1) == 0
         manifest2 = read_manifest(second_out / "manifest.json")
-        assert manifest2["scenarios"]["cached"] >= 0.9 * manifest2["scenarios"]["total"]
-        assert manifest2["cache_hit_ratio"] >= 0.9
-
-        # Bit-for-bit: cached results equal the computed ones.
-        rows1 = [
-            json.loads(line)
-            for line in (first_out / "results.jsonl").read_text().splitlines()
-        ]
-        rows2 = [
-            json.loads(line)
-            for line in (second_out / "results.jsonl").read_text().splitlines()
-        ]
+        assert manifest2["scenarios"]["completed"] == 9
+        rows1, rows2 = result_rows(first_out), result_rows(second_out)
+        assert {r["status"] for r in rows1 + rows2} == {"completed"}
         assert [r["result"] for r in rows1] == [r["result"] for r in rows2]
 
         out = capsys.readouterr().out
-        assert "cached" in out
+        assert "9 computed" in out
         assert "manifest" in out
 
-    def test_status_reports_cache_coverage(self, cache_dir, tmp_path, capsys):
-        args = ["--set", "positions=16", "--cache-dir", str(cache_dir)]
-        assert main(["campaign", "status", "beam-patterns", *args]) == 0
-        assert "0/9 cells cached" in capsys.readouterr().out
-        run_beam_campaign(cache_dir, tmp_path / "run", workers=1)
+    def test_run_writes_nothing_outside_output(self, tmp_path, monkeypatch, capsys):
+        """No result store survives a run except the ``--output`` directory."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run_beam_campaign(tmp_path / "out", workers=1) == 0
         capsys.readouterr()
-        assert main(["campaign", "status", "beam-patterns", *args]) == 0
-        assert "9/9 cells cached" in capsys.readouterr().out
+        assert not (tmp_path / ".cache").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
-    def test_seed_option_rebases_seeds(self, cache_dir, tmp_path, capsys):
+    def test_seed_option_rebases_seeds(self, tmp_path, capsys):
         rc = main(
             [
                 "campaign",
@@ -157,24 +144,19 @@ class TestCampaignCli:
                 "setup=laptop",
                 "--workers",
                 "1",
-                "--cache-dir",
-                str(cache_dir),
                 "--output",
                 str(tmp_path / "seeded"),
             ]
         )
         assert rc == 0
-        rows = [
-            json.loads(line)
-            for line in (tmp_path / "seeded" / "results.jsonl").read_text().splitlines()
-        ]
+        rows = result_rows(tmp_path / "seeded")
         assert sorted({r["seed"] for r in rows}) == [100, 101, 102]
         assert {r["params"]["setup"] for r in rows} == {"laptop"}
 
 
 class TestObsCli:
     @pytest.fixture()
-    def traced_run(self, cache_dir, tmp_path):
+    def traced_run(self, tmp_path):
         out = tmp_path / "traced"
         rc = main(
             [
@@ -185,7 +167,6 @@ class TestObsCli:
                 "2",
                 "--set",
                 "positions=8",
-                "--no-cache",
                 "--trace",
                 "--output",
                 str(out),
@@ -196,7 +177,7 @@ class TestObsCli:
 
     def test_trace_flag_produces_manifest_and_trace(self, capsys, traced_run):
         manifest = read_manifest(traced_run / "manifest.json")
-        assert manifest["schema_version"] == 4
+        assert manifest["schema_version"] == 5
         assert manifest["spans_file"] == "trace.json"
         assert (traced_run / "trace.json").is_file()
         counters = manifest["metrics"]["counters"]
@@ -249,9 +230,9 @@ class TestObsCli:
         ids=["report", "top", "export", "diff"],
     )
     def test_unsupported_manifest_exits_2(self, tmp_path, capsys, command):
-        old = tmp_path / "v3-run"
+        old = tmp_path / "v4-run"
         old.mkdir()
-        (old / "manifest.json").write_text('{"schema_version": 3}')
+        (old / "manifest.json").write_text('{"schema_version": 4}')
         argv = ["obs", *(str(old) if arg is None else arg for arg in command), str(old)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -259,17 +240,17 @@ class TestObsCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {old}: ")
-        assert "unsupported manifest schema version 3" in lines[0]
+        assert "unsupported manifest schema version 4" in lines[0]
 
-    def test_export_without_trace_exits_2(self, cache_dir, tmp_path, capsys):
+    def test_export_without_trace_exits_2(self, tmp_path, capsys):
         out = tmp_path / "untraced"
-        assert run_beam_campaign(cache_dir, out, workers=1) == 0
+        assert run_beam_campaign(out, workers=1) == 0
         assert main(["obs", "export", str(out)]) == 2
         assert "--trace" in capsys.readouterr().err
 
-    def test_report_works_without_trace(self, cache_dir, tmp_path, capsys):
+    def test_report_works_without_trace(self, tmp_path, capsys):
         out = tmp_path / "untraced"
-        assert run_beam_campaign(cache_dir, out, workers=1) == 0
+        assert run_beam_campaign(out, workers=1) == 0
         assert main(["obs", "report", str(out)]) == 0
         report = capsys.readouterr().out
         assert "no metrics recorded" in report

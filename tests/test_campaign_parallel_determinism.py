@@ -2,7 +2,7 @@
 
 For any grid/seed combination, ``workers=1`` and ``workers=4`` (with
 a shuffled submission order) must produce byte-identical result stores
-once run metadata (status, timing) is projected away — the same
+once the wall-clock timing is projected away — the same
 projection ``repro campaign verify`` enforces in CI.
 """
 
@@ -25,7 +25,7 @@ DES = "tests.campaign_cells:des_cell"
 def _store_bytes(campaign: CampaignSpec, workers: int, shuffle_seed=None) -> bytes:
     """Run, persist, reload, and canonically serialize a result store."""
     result = CampaignRunner(
-        campaign, cache=None, workers=workers, shuffle_seed=shuffle_seed
+        campaign, workers=workers, shuffle_seed=shuffle_seed
     ).run()
     with tempfile.TemporaryDirectory() as tmp:
         out = write_run(result, pathlib.Path(tmp) / "run")
@@ -99,7 +99,7 @@ class TestWorkerCountInvariance:
             grid={"value": (1, 2)},
             seeds=(0,),
         )
-        result = CampaignRunner(campaign, cache=None, workers=1).run()
+        result = CampaignRunner(campaign, workers=1).run()
         direct = canonical_rows(result).encode("utf-8")
         roundtripped = _store_bytes(campaign, workers=1)
         assert direct == roundtripped

@@ -1,4 +1,4 @@
-"""Tests for the campaign engine: ordering, caching, timeouts, failures.
+"""Tests for the campaign engine: ordering, timeouts, failures.
 
 The cells live in :mod:`tests.campaign_cells` so worker processes can
 resolve them by dotted path like production cells.
@@ -6,7 +6,6 @@ resolve them by dotted path like production cells.
 
 import pytest
 
-from repro.campaign.cache import ResultCache
 from repro.campaign.runner import CampaignRunner, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.telemetry import read_manifest
@@ -49,7 +48,6 @@ class TestSerialEngine:
         t = result.telemetry
         assert t.scenarios_total == 8
         assert t.completed == 8
-        assert t.cached == 0
         assert t.failed == 0
         assert t.wall_clock_s > 0
         assert t.worker_time_s > 0
@@ -80,31 +78,6 @@ class TestParallelEngine:
         parallel = run_campaign(spec, workers=2)
         assert all(o.status == "completed" for o in parallel.outcomes)
         assert canonical_rows(parallel) == canonical_rows(run_campaign(spec))
-
-
-class TestCaching:
-    def test_second_run_fully_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = double_campaign()
-        first = run_campaign(spec, cache=cache, workers=2)
-        assert first.telemetry.completed == 8
-        second = run_campaign(spec, cache=cache, workers=2)
-        assert second.telemetry.cached == 8
-        assert second.telemetry.completed == 0
-        assert second.results() == first.results()
-
-    def test_only_changed_cells_recompute(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        run_campaign(double_campaign(values=(1, 2, 3)), cache=cache)
-        grown = run_campaign(double_campaign(values=(1, 2, 3, 4)), cache=cache)
-        assert grown.telemetry.cached == 6  # 3 values x 2 seeds
-        assert grown.telemetry.completed == 2  # the new value x 2 seeds
-
-    def test_failed_cells_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = CampaignSpec(name="broken", experiment=BROKEN, seeds=(0,))
-        run_campaign(spec, cache=cache)
-        assert cache.entry_count() == 0
 
 
 class TestFailureHandling:
@@ -211,7 +184,7 @@ class TestTelemetry:
         import json
 
         path = tmp_path / "m.json"
-        for version in (3, 999):
+        for version in (4, 999):
             path.write_text(json.dumps({"schema_version": version}))
             with pytest.raises(ValueError, match="unsupported manifest schema"):
                 read_manifest(path)

@@ -50,9 +50,13 @@ class TestScenarioSpec:
         assert base.digest() != ScenarioSpec("exp", {"x": 2}).digest()
         assert base.digest() != ScenarioSpec("exp", {"x": 1}, seed=1).digest()
 
-    def test_salt_changes_digest(self):
+    def test_digest_is_pinned(self):
+        """The address format (newline + canonical JSON) never changes:
+        digests already written to ``results.jsonl`` stay valid."""
         spec = ScenarioSpec("exp", {"x": 1})
-        assert spec.digest("v1") != spec.digest("v2")
+        assert spec.digest() == (
+            "ea9962c04eb592973e7136d42d03d90be884f5d106e99e0c0b9f4d8092d2b70e"
+        )
 
     def test_digest_stable_across_processes(self):
         """Content addresses must not depend on hash randomization."""
@@ -60,7 +64,7 @@ class TestScenarioSpec:
         code = (
             "from repro.campaign.spec import ScenarioSpec;"
             "print(ScenarioSpec('exp', {'x': 1, 'label': 'dock'}, seed=7)"
-            ".digest('salty'))"
+            ".digest())"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -69,7 +73,7 @@ class TestScenarioSpec:
             check=True,
             env={**os.environ, "PYTHONHASHSEED": "12345"},
         )
-        assert out.stdout.strip() == spec.digest("salty")
+        assert out.stdout.strip() == spec.digest()
 
     def test_param_dict_roundtrip(self):
         spec = ScenarioSpec("exp", {"grid": [1, 2], "name": "a"})

@@ -79,14 +79,13 @@ class TestWriteRun:
 
 
 class TestManifestSchema:
-    def test_v4_schema_locked(self, result, tmp_path):
+    def test_v5_schema_locked(self, result, tmp_path):
         # The manifest is the contract external tooling reads; lock the
         # exact top-level key set so additions are deliberate (and
         # versioned).
         path = result.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(path.read_text())
         assert sorted(manifest) == [
-            "cache_hit_ratio",
             "campaign",
             "campaign_digest",
             "des",
@@ -101,9 +100,8 @@ class TestManifestSchema:
             "timing",
             "workers",
         ]
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 4
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 5
         assert sorted(manifest["scenarios"]) == [
-            "cached",
             "completed",
             "failed",
             "timeouts",
@@ -119,13 +117,13 @@ class TestManifestSchema:
     def test_load_manifest_is_the_run_dir_shim(self, result, tmp_path):
         out = write_run(result, tmp_path / "run")
         manifest = load_manifest(out)
-        assert manifest["schema_version"] == 4
+        assert manifest["schema_version"] == 5
         assert "metrics" in manifest and "spans_file" in manifest
         assert "profile" in manifest
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        for version in (1, 2, 3, 999):
+        for version in (1, 2, 3, 4, 999):
             path.write_text(json.dumps({"schema_version": version}))
             with pytest.raises(ValueError, match="unsupported manifest schema"):
                 read_manifest(path)
@@ -133,9 +131,9 @@ class TestManifestSchema:
 
 class TestEventsPerSecond:
     def test_zero_duration_reports_null_not_inf(self):
-        # Regression: a cached-everything run has events_simulated > 0
-        # but ~zero summed worker time; the old code divided and put
-        # inf in the manifest (invalid JSON).
+        # Regression: a run can report events_simulated > 0 with ~zero
+        # summed worker time; the old code divided and put inf in the
+        # manifest (invalid JSON).
         t = RunTelemetry(events_simulated=1000, worker_time_s=0.0)
         assert t.events_per_second() is None
         manifest = t.as_manifest()

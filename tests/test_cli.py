@@ -24,7 +24,7 @@ class TestParser:
             ["table1"],
             ["campaign", "list"],
             ["campaign", "run", "beam-patterns", "--workers", "2"],
-            ["campaign", "status", "beam-patterns"],
+            ["campaign", "verify", "beam-patterns", "--workers", "2"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)
@@ -53,14 +53,12 @@ class TestParser:
                 "--seed", "9",
                 "--set", "positions=16",
                 "--set", "setup=laptop",
-                "--no-cache",
                 "--timeout", "30",
             ]
         )
         assert args.workers == 4
         assert args.seed == 9
         assert dict(args.set) == {"positions": 16, "setup": "laptop"}
-        assert args.no_cache is True
         assert args.timeout == 30.0
 
     def test_unknown_command_rejected(self):
@@ -72,6 +70,25 @@ class TestParser:
             main(["sanitize", "--", "python", "-c", "pass"])
         assert exc.value.code == 2
         assert "sanitize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "beam-patterns", "--no-cache"],
+            ["run", "beam-patterns", "--cache-dir", "c"],
+            ["verify", "beam-patterns", "--no-cache-check"],
+            ["verify", "beam-patterns", "--no-audit"],
+            ["verify", "beam-patterns", "--audit-cells", "2"],
+            ["status", "beam-patterns"],
+        ],
+        ids=["no-cache", "cache-dir", "no-cache-check", "no-audit",
+             "audit-cells", "status"],
+    )
+    def test_retired_campaign_options_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", *argv])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestCommands:
@@ -131,9 +148,9 @@ class TestCommands:
 class TestSeededDeterminism:
     """Every experiment command, seeded, is byte-identical run to run.
 
-    This is the contract the campaign engine's content-addressed cache
-    rests on, and the property the dbmath scalar-helper refactor had to
-    preserve (RL003 cleanup).
+    This is the contract that makes a campaign row reproducible from
+    its ``results.jsonl`` entry, and the property the dbmath
+    scalar-helper refactor had to preserve (RL003 cleanup).
     """
 
     @pytest.mark.parametrize(

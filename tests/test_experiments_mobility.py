@@ -167,11 +167,9 @@ class TestCampaignVerify:
             grid={"speed_kmh": (50.0, 110.0)},
             seeds=(0,),
         )
-        report = verify_campaign(spec, workers=2, audit_limit=2)
+        report = verify_campaign(spec, workers=2)
         assert report.determinism_ok, report.first_divergence
         assert report.metrics_ok
-        assert report.purity_ok
-        assert report.cache_ok
         assert report.ok
         # The report is JSON-serializable for the CLI/CI path.
         json.dumps(report.to_dict())

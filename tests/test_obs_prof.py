@@ -225,7 +225,7 @@ class TestCampaignProfile:
         assert profile["spans"]["mac.simulator.run"]["count"] == 4
         out = write_run(result, tmp_path / "run")
         manifest = load_manifest(out)
-        assert manifest["schema_version"] == 4
+        assert manifest["schema_version"] == 5
         assert manifest["profile"] == profile
 
     def test_serial_and_parallel_profiles_count_identical(self):
@@ -241,8 +241,6 @@ class TestCampaignProfile:
         report = verify_campaign(
             des_campaign(ticks=(25, 50), seeds=(0,)),
             workers=2,
-            audit=False,
-            cache_check=False,
         )
         assert report.profile_ok
         assert report.profile_serial_digest == report.profile_parallel_digest

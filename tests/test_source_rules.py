@@ -13,7 +13,14 @@ budgets, so:
 * **RL007** — no iteration over a set inside a function that hashes or
   serializes, unless ``sorted``/``min``/``max`` imposes the order: set
   order of strings changes with ``PYTHONHASHSEED``, from one process to
-  the next, where no in-process test can see it.
+  the next, where no in-process test can see it;
+* **RL009** — no ambient input in the packages campaign cells run:
+  no ``os.environ``/``os.getenv``, no builtin or ``io.open``, no
+  ``.read_text()``/``.read_bytes()`` and no numpy file loader.  A cell's result must follow from
+  its (experiment, params, seed) row alone; an environment variable or
+  file it reads is the same in every worker process, so the
+  serial-vs-parallel comparison of ``repro campaign verify`` cannot
+  see it.
 
 Import aliases are resolved.  Scopes and exemptions are the constants
 below: no baseline, no suppression comment.  A violation fails with
@@ -44,6 +51,14 @@ CLOCK_MODULES = ("repro.obs.clock",)
 #: (RL003).
 DBMATH_MODULES = ("repro.analysis.dbmath",)
 
+#: Packages whose code computes campaign cells, so it reads nothing but
+#: its arguments (RL009).
+CELL_PACKAGES = (
+    "repro.analysis", "repro.core", "repro.devices", "repro.experiments",
+    "repro.geometry", "repro.mac", "repro.mobility", "repro.phy",
+    "repro.seeding",
+)
+
 #: ``numpy.random`` attributes that build explicitly seeded generators
 #: rather than touching the legacy global state.
 NP_RANDOM_OK = {
@@ -59,6 +74,16 @@ TIME_FUNCS = {
     "perf_counter", "perf_counter_ns", "process_time",
 }
 DATETIME_FUNCS = {"now", "utcnow", "today"}
+
+#: Environment and file readers by dotted origin, and by method name on
+#: any receiver (``pathlib.Path``), for RL009.  numpy's loaders open
+#: their file themselves, so no ``open`` shows at the call site.
+AMBIENT_READERS = {
+    "os.environ", "os.environb", "os.getenv", "os.getenvb",
+    "io.open", "builtins.open",
+    "numpy.load", "numpy.loadtxt", "numpy.genfromtxt", "numpy.fromfile",
+}
+AMBIENT_METHODS = {"read_text", "read_bytes"}
 
 #: Calls that make a function's output a hash or serialized text
 #: (RL007), and calls whose result does not depend on iteration order.
@@ -198,6 +223,23 @@ def _db_rule(node: ast.BinOp) -> Optional[str]:
     return None
 
 
+def _ambient_rule(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    if isinstance(node, ast.Attribute) and node.attr in AMBIENT_METHODS:
+        name = f".{node.attr}()"
+    elif isinstance(node, ast.Name) and node.id == "open" and "open" not in aliases:
+        name = "open()"
+    elif isinstance(node, (ast.Name, ast.Attribute)):
+        name = _dotted(node, aliases)
+        if name not in AMBIENT_READERS:
+            return None
+    else:
+        return None
+    return (
+        f"ambient input {name} in cell code — pass it in as a cell "
+        "parameter so the spec records it"
+    )
+
+
 def check_source(source: str, module: str) -> List[Violation]:
     """Every source-rule violation in ``source``, read as ``module``."""
     tree = ast.parse(source)
@@ -206,8 +248,12 @@ def check_source(source: str, module: str) -> List[Violation]:
         module, CLOCK_MODULES
     )
     db_policed = not _under(module, DBMATH_MODULES)
+    ambient_policed = _under(module, CELL_PACKAGES)
     found: List[Violation] = []
     for node in ast.walk(tree):
+        message = _ambient_rule(node, aliases) if ambient_policed else None
+        if message:
+            found.append((node.lineno, "RL009", message))
         if isinstance(node, ast.Call):
             name = _dotted(node.func, aliases)
             if name is None:
@@ -261,7 +307,9 @@ def test_walk_covers_the_package_and_its_exemptions():
     assert len(modules) > 50
     # The scopes and exemptions name modules that exist, so a rename
     # cannot silently widen or empty them.
-    for name in (*WALL_CLOCK_PACKAGES, *CLOCK_MODULES, *DBMATH_MODULES):
+    for name in (
+        *WALL_CLOCK_PACKAGES, *CLOCK_MODULES, *DBMATH_MODULES, *CELL_PACKAGES
+    ):
         assert name in modules, name
 
 
@@ -319,6 +367,24 @@ CASES = [
     ("repro.io", "def f(xs):\n    return [x for x in set(xs)]", []),
     ("repro.io", "def f(xs):\n    def g():\n        return json.dumps([x for x in set(xs)])\n"
      "    return json.dumps(g())", ["RL007"]),
+    # RL009 — ambient input in cell packages
+    ("repro.experiments.x", "import os\nos.environ.get('SCALE', '1')", ["RL009"]),
+    ("repro.mac.x", "import os\nos.environ['SCALE']", ["RL009"]),
+    ("repro.phy.x", "import os as o\no.getenv('SCALE')", ["RL009"]),
+    ("repro.core.x", "from os import environ\nenviron.get('SCALE')", ["RL009"]),
+    ("repro.mobility.x", "from os import getenv\ngetenv('SCALE')", ["RL009"]),
+    ("repro.devices.x", "with open('calib.txt') as fh:\n    fh.read()", ["RL009"]),
+    ("repro.geometry.x", "import io\nio.open('calib.txt')", ["RL009"]),
+    ("repro.analysis.x", "from io import open\nopen('calib.txt')", ["RL009"]),
+    ("repro.seeding", "import builtins\nbuiltins.open('calib.txt')", ["RL009"]),
+    ("repro.experiments.x", "import pathlib\npathlib.Path('c.txt').read_text()", ["RL009"]),
+    ("repro.phy.x", "def f(path):\n    return path.read_bytes()", ["RL009"]),
+    ("repro.experiments.x", "import numpy as np\nnp.loadtxt('calib.txt')", ["RL009"]),
+    ("repro.campaign.x", "import os\nos.environ['REPRO_OBS'] = 'metrics'", []),
+    ("repro.obs.x", "import os\nos.environ.get('REPRO_OBS')", []),
+    ("repro.io", "def f(path):\n    with open(path) as fh:\n        return fh.read()", []),
+    ("repro.experiments.x", "def f(env, fh):\n    return env.get('SCALE'), fh.read()", []),
+    ("repro.experiments.x", "import os\nos.path.join('a', 'b')", []),
 ]
 
 
