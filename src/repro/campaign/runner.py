@@ -12,6 +12,12 @@ way again.
 Results are bit-for-bit identical between serial and parallel runs
 because cells are deterministic functions of (experiment, params,
 seed) and both maps return outcomes in expansion order.
+
+Every run records :mod:`repro.obs` metrics; ``trace`` and ``profile``
+add spans and DES handler attribution.  The runner switches the mode
+on in its own process and passes it to each pool worker as the pool's
+``initializer``, so forked, spawned and forkserver workers start with
+the same flags.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from repro.devices import clear_unit_cache
 from repro.obs import clock
 from repro.obs.export import TRACE_FILENAME
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import merge_profile, span_aggregate
+from repro.obs.prof import merge_profile
 from repro.obs.trace import complete_event
 
 #: Result key cells may use to report DES event counts to telemetry.
@@ -80,8 +86,9 @@ def execute_cell(
     dict, or ``None`` when the cell raised (:class:`ScenarioTimeout`
     included) or returned something else, in which case ``error``
     describes the failure.  With observability on, the payload also
-    carries the cell's spans (stamped with this process's pid) and, on
-    success, its metrics and profile snapshots.
+    carries the cell's spans (stamped with this process's pid) and
+    profile snapshot and, on success, its metrics.  A failed cell's
+    spans stay on the timeline, so they stay in the span table too.
     """
     # Every cell starts cold: work counters must not depend on which
     # device units this process (or a forked worker's parent) built.
@@ -113,9 +120,9 @@ def execute_cell(
         metrics, spans, profile = obs.collect_cell()
         pid = os.getpid()
         payload["spans"] = [dict(event, pid=pid) for event in spans]
+        payload["profile"] = profile
         if result is not None:
             payload["metrics"] = metrics
-            payload["profile"] = profile
     return payload
 
 
@@ -129,9 +136,9 @@ class ScenarioOutcome:
     result: Optional[Dict] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
-    # Observability sidecar (populated only when the runner collects
-    # metrics/traces; deliberately NOT part of result_rows, so the
-    # canonical row text repro campaign verify compares is unchanged).
+    # Observability sidecar: metrics of a completed cell, its profile,
+    # and its spans when tracing.  Deliberately NOT part of result_rows, so the
+    # canonical row text repro campaign verify compares is unchanged.
     metrics: Optional[Dict] = None
     spans: Optional[List[Dict]] = None
     profile: Optional[Dict] = None
@@ -191,18 +198,17 @@ class CampaignRunner:
             identical either way (outcomes are un-permuted back into
             expansion order); ``repro campaign verify`` uses this to
             prove that claim rather than assume it.
-        metrics: Collect per-cell :mod:`repro.obs` metrics and merge
-            them (in expansion order, so the merge is byte-stable
-            regardless of worker count) into the manifest.
-        trace: Additionally record spans — one ``campaign.cell`` span
-            per cell plus the cell's own timeline, from inside the
-            process that ran it — exported as Chrome trace-event JSON.
-            Implies ``metrics``.
-        profile: Additionally attribute per-event wall time to DES
-            handler qualnames inside the workers; the per-cell
-            profiles merge (expansion order) into the manifest's
-            ``profile`` section for ``repro obs top`` / ``obs diff``.
-            Implies ``metrics``.
+        trace: Record spans — one ``campaign.cell`` span per cell plus
+            the cell's own timeline, from inside the process that ran
+            it — exported as Chrome trace-event JSON; their per-name
+            table merges into the manifest's ``profile`` section.
+        profile: Attribute per-event wall time to DES handler
+            qualnames inside the workers; the handler table merges
+            into the manifest's ``profile`` section.
+
+    Per-cell :mod:`repro.obs` metrics are always collected and merged
+    into the manifest.  Every merge runs in expansion order, so it is
+    byte-stable regardless of worker count.
     """
 
     def __init__(
@@ -211,7 +217,6 @@ class CampaignRunner:
         workers: int = 1,
         timeout_s: Optional[float] = None,
         shuffle_seed: Optional[int] = None,
-        metrics: bool = False,
         trace: bool = False,
         profile: bool = False,
     ):
@@ -221,7 +226,6 @@ class CampaignRunner:
         self.shuffle_seed = shuffle_seed
         self.trace = bool(trace)
         self.profile = bool(profile)
-        self.metrics = bool(metrics) or self.trace or self.profile
 
     # -- execution -------------------------------------------------------------
 
@@ -248,7 +252,11 @@ class CampaignRunner:
         done = set()
         if self.workers > 1:
             try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                with ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=obs.enable,
+                    initargs=(True, self.trace, self.profile),
+                ) as pool:
                     for index, payload in zip(
                         order, pool.map(execute_cell, *columns(order))
                     ):
@@ -282,39 +290,6 @@ class CampaignRunner:
 
     # -- observability ---------------------------------------------------------
 
-    def _enable_obs(self) -> tuple:
-        """Turn observability on process-wide; returns restore state.
-
-        The ``REPRO_OBS`` environment variable carries the mode into
-        pool workers (spawned workers re-read it at import; forked
-        workers also inherit the in-memory STATE directly).
-        """
-        previous = (
-            obs.STATE.metrics,
-            obs.STATE.tracing,
-            obs.STATE.profiling,
-            os.environ.get(obs.OBS_ENV),
-        )
-        tokens = ["metrics"]
-        if self.trace:
-            tokens.append("trace")
-        if self.profile:
-            tokens.append("profile")
-        os.environ[obs.OBS_ENV] = ",".join(tokens)
-        obs.enable(metrics=True, trace=self.trace, profile=self.profile)
-        return previous
-
-    def _restore_obs(self, previous: tuple) -> None:
-        metrics, tracing, profiling, env = previous
-        obs.STATE.metrics = metrics
-        obs.STATE.tracing = tracing
-        obs.STATE.profiling = profiling
-        if env is None:
-            os.environ.pop(obs.OBS_ENV, None)
-        else:
-            os.environ[obs.OBS_ENV] = env
-        obs.reset()
-
     def _merged_metrics(
         self, outcomes: List[ScenarioOutcome], telemetry: RunTelemetry
     ) -> Optional[Dict]:
@@ -333,8 +308,9 @@ class CampaignRunner:
         registry.add("campaign.cells.failed", telemetry.failed)
         return registry.snapshot()
 
-    def _merged_profile(self, outcomes: List[ScenarioOutcome]) -> Optional[Dict]:
-        """Merge per-cell handler profiles and span aggregates.
+    @staticmethod
+    def _merged_profile(outcomes: List[ScenarioOutcome]) -> Optional[Dict]:
+        """Merge per-cell handler and span tables.
 
         Merging happens in expansion order, mirroring the metrics
         merge, so even the float time sums are bit-stable across
@@ -345,8 +321,6 @@ class CampaignRunner:
         merged: Dict = {}
         for outcome in outcomes:
             merge_profile(merged, outcome.profile)
-            if outcome.spans:
-                merge_profile(merged, {"spans": span_aggregate(outcome.spans)})
         return merged or None
 
     @staticmethod
@@ -365,7 +339,8 @@ class CampaignRunner:
 
     def run(self) -> CampaignResult:
         """Execute the campaign; never raises for per-cell failures."""
-        previous_obs = self._enable_obs() if self.metrics else None
+        previous_obs = (obs.STATE.metrics, obs.STATE.tracing, obs.STATE.profiling)
+        obs.enable(metrics=True, trace=self.trace, profile=self.profile)
         run_start_ns = clock.perf_counter_ns() if self.trace else 0
         try:
             scenarios = self.campaign.expand()
@@ -392,9 +367,8 @@ class CampaignRunner:
             result = CampaignResult(
                 campaign=self.campaign, outcomes=outcomes, telemetry=telemetry
             )
-            if self.metrics:
-                telemetry.metrics = self._merged_metrics(outcomes, telemetry)
-                telemetry.profile = self._merged_profile(outcomes)
+            telemetry.metrics = self._merged_metrics(outcomes, telemetry)
+            telemetry.profile = self._merged_profile(outcomes)
             if self.trace:
                 run_span = complete_event(
                     "campaign.run",
@@ -406,15 +380,14 @@ class CampaignRunner:
                 telemetry.spans_file = TRACE_FILENAME
             return result
         finally:
-            if previous_obs is not None:
-                self._restore_obs(previous_obs)
+            obs.enable(*previous_obs)
+            obs.reset()
 
 
 def run_campaign(
     campaign: CampaignSpec,
     workers: int = 1,
     timeout_s: Optional[float] = None,
-    metrics: bool = False,
     trace: bool = False,
     profile: bool = False,
 ) -> CampaignResult:
@@ -423,7 +396,6 @@ def run_campaign(
         campaign,
         workers=workers,
         timeout_s=timeout_s,
-        metrics=metrics,
         trace=trace,
         profile=profile,
     ).run()

@@ -24,10 +24,12 @@ PathLike = Union[str, pathlib.Path]
 #: ``metrics`` section (deterministic merged obs counters) and the
 #: ``spans_file`` pointer to the Chrome trace-event export; v3 the
 #: ``profile`` section (merged handler attribution + span self-time
-#: aggregates consumed by ``repro obs top`` / ``obs diff``).  v4 drops
+#: tables read by ``repro obs report`` / ``obs diff``).  v4 drops
 #: the retry count, the per-worker cell counts and the per-failure
 #: attempt count.  v5 drops the ``scenarios.cached`` count and the
-#: ``cache_hit_ratio`` with the result cache they reported on.
+#: ``cache_hit_ratio`` with the result cache they reported on; since
+#: then ``metrics`` is always present and span rows carry ``max_us``
+#: (additive, so v5 readers read both).
 MANIFEST_SCHEMA_VERSION = 5
 
 MANIFEST_FILENAME = "manifest.json"

@@ -2,11 +2,12 @@
 
 ``repro campaign verify <name>`` *proves*, rather than assumes, the
 property the campaign engine's results rest on: the campaign is run
-twice, once serially (``workers=1``, the reference path) and once on a
-process pool with the submission order deterministically shuffled
-(worst-case completion reordering).  The merged result stores must be
-byte-for-byte identical after dropping the wall-clock timings, and so
-must the merged obs metrics and the count fields of the profile.
+twice, first on a process pool with the submission order
+deterministically shuffled (worst-case completion reordering), then
+serially (``workers=1``, the reference path).  The merged result
+stores must be byte-for-byte identical after dropping the wall-clock
+timings, and so must the merged obs metrics and the count fields of
+the profile.
 
 A failed cell fails the verification outright: identical failure rows
 "match", so that comparison says nothing about a campaign whose cells
@@ -136,19 +137,19 @@ def verify_campaign(
         shuffle_seed=shuffle_seed,
     )
 
-    # Both legs run with obs metrics AND profiling on: the merged
+    # Both legs record metrics and run with profiling on: the merged
     # ``metrics`` manifest section must be byte-identical between the
     # serial reference and the shuffled parallel run, and the
     # ``profile`` section's count-derived projection (handler names,
     # call counts, span counts — never the wall times) must match too.
-    serial = CampaignRunner(campaign, workers=1, metrics=True, profile=True).run()
+    # The parallel leg runs first, so its pool forks from a process
+    # that has run no cell, and the serial leg then starts from that
+    # same clean process: module state one cell leaves behind cannot
+    # reach both legs alike.
     parallel = CampaignRunner(
-        campaign,
-        workers=workers,
-        shuffle_seed=shuffle_seed,
-        metrics=True,
-        profile=True,
+        campaign, workers=workers, shuffle_seed=shuffle_seed, profile=True
     ).run()
+    serial = CampaignRunner(campaign, workers=1, profile=True).run()
     serial_text = canonical_rows(serial)
     parallel_text = canonical_rows(parallel)
     report.serial_digest = rows_digest(serial_text)

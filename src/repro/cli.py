@@ -14,8 +14,6 @@ Usage::
     python -m repro campaign verify beam-patterns --workers 4
     python -m repro campaign run beam-patterns --trace --profile
     python -m repro obs report campaign_runs/beam-patterns [--json]
-    python -m repro obs export campaign_runs/beam-patterns --check
-    python -m repro obs top campaign_runs/beam-patterns
     python -m repro obs diff <run_a> <run_b>
     python -m repro obs bench report
     python -m repro obs bench check --baseline <dir>
@@ -33,6 +31,12 @@ one across worker processes and writes ``results.jsonl`` plus a
 determinism claim — workers=1 and workers=N with shuffled submission
 must merge to byte-identical result stores.  A campaign name or
 ``--set`` key the cell does not accept exits 2 before any cell runs.
+
+``obs`` reads run directories: ``report`` renders a run's metrics,
+handler and span tables and checks its ``trace.json`` (exit 1 when
+the trace is invalid); ``diff`` compares two runs' count-derived
+fields (exit 1 when they differ); ``bench report``/``bench check``
+read the committed benchmark results.
 """
 
 from __future__ import annotations
@@ -345,7 +349,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
               f"(open in https://ui.perfetto.dev or via 'repro obs report')")
     if t.profile:
         print(f"profile: merged into manifest "
-              f"(inspect via 'repro obs top {out_dir}')")
+              f"(inspect via 'repro obs report {out_dir}')")
     return 0 if any(o.ok for o in result.outcomes) else 1
 
 
@@ -368,24 +372,21 @@ def _run_manifest(run_dir: pathlib.Path) -> Optional[dict]:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import report_run
+    from repro.obs.report import render_report, render_report_json, report_run
 
     run_dir = pathlib.Path(args.run_dir)
     manifest = _run_manifest(run_dir)
     if manifest is None:
         return 2
-    print(report_run(run_dir, manifest, as_json=args.json), end="" if args.json else "\n")
-    return 0
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from repro.obs.prof import render_top
-
-    manifest = _run_manifest(pathlib.Path(args.run_dir))
-    if manifest is None:
-        return 2
-    print(render_top(manifest, limit=args.limit))
-    return 0
+    doc = report_run(run_dir, manifest)
+    if args.json:
+        print(render_report_json(doc), end="")
+    else:
+        print(render_report(doc))
+    problems = doc["trace"]["problems"] if doc["trace"] else []
+    for problem in problems:
+        print(f"invalid: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
@@ -439,43 +440,6 @@ def _cmd_obs_bench_check(args: argparse.Namespace) -> int:
     rows = check_results(current, baseline, tolerance=tolerance)
     print(render_check(rows))
     return 0 if all(row["ok"] for row in rows) else 1
-
-
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    from repro.obs.export import TRACE_FILENAME, read_trace, validate_trace
-    from repro.obs.report import dropped_span_count
-
-    run_dir = pathlib.Path(args.run_dir)
-    manifest = _run_manifest(run_dir)
-    if manifest is None:
-        return 2
-    trace_path = run_dir / (manifest.get("spans_file") or TRACE_FILENAME)
-    if not trace_path.is_file():
-        print(f"error: no trace file at {trace_path} "
-              "(was the campaign run with --trace?)", file=sys.stderr)
-        return 2
-    doc = read_trace(trace_path)
-    problems = validate_trace(doc)
-    if problems:
-        for problem in problems:
-            print(f"invalid: {problem}", file=sys.stderr)
-        return 1
-    events = len(doc.get("traceEvents", []))
-    dropped = dropped_span_count(doc)
-    if args.check:
-        print(f"{trace_path}: valid trace-event JSON ({events} events, "
-              f"{dropped} dropped)")
-        if dropped:
-            print(f"WARNING: trace buffer dropped {dropped:,} span(s) — "
-                  "the timeline is incomplete", file=sys.stderr)
-        return 0
-    out_path = pathlib.Path(args.output) if args.output else trace_path
-    if out_path != trace_path:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(trace_path.read_text(encoding="utf-8"), encoding="utf-8")
-    print(f"trace: {out_path} ({events} events) — "
-          "load in https://ui.perfetto.dev or chrome://tracing")
-    return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -601,12 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--output", default=None,
                    help="run directory (default campaign_runs/<name>)")
     c.add_argument("--trace", action="store_true",
-                   help="record obs spans/metrics; writes trace.json "
-                        "(Perfetto) and a metrics section in the manifest")
+                   help="record obs spans; writes trace.json (Perfetto) "
+                        "and the span table of the manifest's profile")
     c.add_argument("--profile", action="store_true",
                    help="attribute DES event wall time per handler; "
-                        "writes a profile section in the manifest "
-                        "(inspect with 'repro obs top')")
+                        "writes the handler table of the manifest's "
+                        "profile (inspect with 'repro obs report')")
     c.set_defaults(func=_cmd_campaign, campaign_func=_cmd_campaign_run)
 
     c = csub.add_parser(
@@ -624,35 +588,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability: traces, metrics, profiles, benchmarks",
+        help="observability: run reports, run diffs, benchmarks",
     )
     osub = p.add_subparsers(dest="obs_command", required=True)
 
-    o = osub.add_parser("report", help="summary table for a traced run")
+    o = osub.add_parser(
+        "report",
+        help="a run's metrics, handler and span tables; checks its "
+             "trace.json (exit 1 when invalid)",
+    )
     o.add_argument("run_dir", help="campaign run directory (manifest.json)")
     o.add_argument("--json", action="store_true",
                    help="byte-deterministic machine-readable report")
     o.set_defaults(func=_cmd_obs, obs_func=_cmd_obs_report)
-
-    o = osub.add_parser(
-        "export",
-        help="validate/copy a run's Chrome trace-event JSON",
-    )
-    o.add_argument("run_dir", help="campaign run directory (manifest.json)")
-    o.add_argument("--output", "-o", default=None,
-                   help="copy the trace to this path after validation")
-    o.add_argument("--check", action="store_true",
-                   help="validate against the exporter schema and exit")
-    o.set_defaults(func=_cmd_obs, obs_func=_cmd_obs_export)
-
-    o = osub.add_parser(
-        "top",
-        help="hot-path table from a profiled run (handlers + span self-time)",
-    )
-    o.add_argument("run_dir", help="campaign run directory (manifest.json)")
-    o.add_argument("--limit", type=int, default=30,
-                   help="max rows per section (default 30)")
-    o.set_defaults(func=_cmd_obs, obs_func=_cmd_obs_top)
 
     o = osub.add_parser(
         "diff",

@@ -5,15 +5,18 @@ behavior; this package is the same instrument pointed at our own
 internals.  It provides:
 
 * :func:`span` — timed regions (``with obs.span("phy.raytracing.trace")``)
-  recorded as Chrome trace events, loadable in Perfetto;
+  aggregated per name as they close and recorded as Chrome trace
+  events, loadable in Perfetto;
 * :func:`add` / :func:`set_gauge` / :func:`observe` — a metrics
   registry (:mod:`repro.obs.metrics`) whose per-cell snapshots merge
-  deterministically across campaign workers into the v2 run manifest;
+  deterministically across campaign workers into the run manifest;
 * :mod:`repro.obs.clock` — the single sanctioned clock shim (the only
   module allowed to read wall/monotonic time; everything else is
   policed by source rule RL002 in ``tests/test_source_rules.py``);
+* :mod:`repro.obs.prof` — DES handler attribution and ``repro obs
+  diff``;
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — the Perfetto
-  exporter and the ``repro obs report`` summary.
+  exporter and ``repro obs report``, the one viewer of a run.
 
 **Disabled is the default and costs (almost) nothing.**  Hot paths
 guard metric updates with a plain attribute check::
@@ -25,26 +28,20 @@ and ``obs.span(...)`` returns a shared no-op context manager when
 tracing is off.  ``benchmarks/test_perf_obs.py`` holds the disabled
 path under 2% of the core scenario's runtime.
 
-Enablement is process-global (:func:`enable` / :func:`disable`) and
-propagates to campaign pool workers through the ``REPRO_OBS``
-environment variable, which this module reads at import time.
+Enablement is process-global (:func:`enable` / :func:`disable`).  The
+campaign runner hands the mode to its pool workers as the pool's
+``initializer``, so forked, spawned and forkserver workers all start
+with the parent's flags; nothing is read from the environment.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import clock  # noqa: F401  (re-exported: the sanctioned shim)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import ProfileAccumulator
 from repro.obs.trace import NOOP_SPAN, Span, TraceBuffer
-
-#: Environment variable that switches observability on in spawned /
-#: forked campaign workers.  Comma-joined tokens from {``"metrics"``,
-#: ``"trace"``, ``"profile"``}; the legacy single values ``"metrics"``,
-#: ``"trace"`` and ``"1"`` keep their original meaning.
-OBS_ENV = "REPRO_OBS"
 
 
 class ObsState:
@@ -93,26 +90,6 @@ def reset() -> None:
     _REGISTRY.reset()
     _BUFFER.reset()
     _PROFILE.reset()
-
-
-def configure_from_env(environ: Optional[Dict[str, str]] = None) -> None:
-    """Apply the ``REPRO_OBS`` environment setting, if any.
-
-    Called at import time so campaign workers (forked or spawned)
-    inherit the parent's observability mode.  The value is a
-    comma-joined token set, e.g. ``"metrics,trace,profile"``; metrics
-    are implied whenever anything is enabled.
-    """
-    env = os.environ if environ is None else environ
-    mode = env.get(OBS_ENV, "").strip().lower()
-    if not mode:
-        return
-    tokens = {token.strip() for token in mode.split(",") if token.strip()}
-    trace = bool(tokens & {"trace", "1"})
-    profile = "profile" in tokens
-    metrics = bool(tokens & {"metrics"}) or trace or profile
-    if metrics:
-        enable(metrics=True, trace=trace, profile=profile)
 
 
 # -- recording API -------------------------------------------------------------
@@ -164,8 +141,13 @@ def metrics_snapshot() -> Optional[Dict]:
 
 
 def profile_snapshot() -> Optional[Dict]:
-    """Deterministic snapshot of the handler profile (or ``None``)."""
-    return _PROFILE.snapshot()
+    """Deterministic snapshot of the handler profile and the per-name
+    span table (or ``None`` when neither recorded anything)."""
+    snap = _PROFILE.snapshot() or {}
+    spans = _BUFFER.span_table()
+    if spans:
+        snap["spans"] = spans
+    return snap or None
 
 
 def registry() -> MetricsRegistry:
@@ -185,14 +167,11 @@ def begin_cell() -> None:
 
 def collect_cell() -> Tuple[Optional[Dict], List[Dict], Optional[Dict]]:
     """Collect (metrics snapshot, span events, profile snapshot)
-    recorded since :func:`begin_cell`; drains the buffers."""
-    return _REGISTRY.snapshot(), _BUFFER.drain(), _PROFILE.snapshot()
+    recorded since :func:`begin_cell`; drains the span events."""
+    return _REGISTRY.snapshot(), _BUFFER.drain(), profile_snapshot()
 
-
-configure_from_env()
 
 __all__ = [
-    "OBS_ENV",
     "STATE",
     "MetricsRegistry",
     "ProfileAccumulator",
@@ -200,7 +179,6 @@ __all__ = [
     "begin_cell",
     "clock",
     "collect_cell",
-    "configure_from_env",
     "disable",
     "enable",
     "metrics_snapshot",

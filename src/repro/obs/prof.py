@@ -1,4 +1,4 @@
-"""Deterministic profiling: handler attribution, self-time, run diffing.
+"""Deterministic profiling: handler attribution, profile merging, run diffing.
 
 This module is the measurement backbone for the perf work in ROADMAP
 items 1-2 ("profile with the new obs spans, then restructure").  It
@@ -8,10 +8,10 @@ adds three things on top of the raw span/metric recorders:
   (calls, total wall-time) per DES handler qualname.  The simulator
   feeds it behind the usual ``obs.STATE`` cheap guard, so the disabled
   path stays one attribute load.
-* **Self-time vs child-time** — :func:`span_aggregate` reconstructs the
-  span nesting from a :class:`~repro.obs.trace.TraceBuffer` event
-  stream (complete events carry ``ts``/``dur``) and charges each span
-  its own time minus its direct children's.
+* **Profile merging** — :func:`merge_profile` folds per-cell handler
+  tables and span tables (self vs child time, charged as each span
+  closes by :class:`~repro.obs.trace.TraceBuffer`) into the manifest's
+  ``profile`` section.
 * **Run diffing** — :func:`diff_manifests` compares two run manifests
   field by field with stable ordering and signed deltas.
 
@@ -28,18 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Keys that hold measured wall time — excluded from every determinism
 #: digest (they vary run to run; the counts around them must not).
 TIME_FIELDS = frozenset(
     {"total_ns", "total_us", "total_ms", "self_us", "self_ms", "mean_us", "max_us"}
 )
-
-#: Tolerance (microseconds) when deciding span nesting from float
-#: timestamps: a span starting within this of the stack top's end is
-#: treated as a sibling, not a child.
-_NEST_EPS_US = 1e-9
 
 
 def handler_qualname(callback) -> str:
@@ -115,56 +110,13 @@ def merge_profile(base: Dict, snap: Optional[Dict]) -> Dict:
         entry["total_ns"] += int(data["total_ns"])
     for name, data in (snap.get("spans") or {}).items():
         entry = base.setdefault("spans", {}).setdefault(
-            name, {"count": 0, "total_us": 0.0, "self_us": 0.0}
+            name, {"count": 0, "total_us": 0.0, "self_us": 0.0, "max_us": 0.0}
         )
         entry["count"] += int(data["count"])
         entry["total_us"] += float(data["total_us"])
         entry["self_us"] += float(data["self_us"])
+        entry["max_us"] = max(entry["max_us"], float(data["max_us"]))
     return base
-
-
-def span_aggregate(events: List[Dict]) -> Dict[str, Dict]:
-    """Per-span-name ``{count, total_us, self_us}`` from complete events.
-
-    Nesting is reconstructed per ``(pid, tid)`` timeline by interval
-    containment: spans are sorted by start (ties: longest first, i.e.
-    parents before their zero-offset children) and walked with a
-    stack; each span's duration is charged to its direct parent's
-    child-time, so ``self_us = dur - direct children``.
-    """
-    groups: Dict[Tuple[int, int], List[Dict]] = {}
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        key = (int(event.get("pid", 0)), int(event.get("tid", 0)))
-        groups.setdefault(key, []).append(event)
-
-    stats: Dict[str, Dict] = {}
-
-    def close(frame: List) -> None:
-        end_us, child_us, name, dur_us = frame
-        entry = stats.setdefault(name, {"count": 0, "total_us": 0.0, "self_us": 0.0})
-        entry["count"] += 1
-        entry["total_us"] += dur_us
-        entry["self_us"] += max(dur_us - child_us, 0.0)
-
-    for group in groups.values():
-        ordered = sorted(
-            group, key=lambda e: (float(e["ts"]), -float(e.get("dur", 0.0)))
-        )
-        stack: List[List] = []  # [end_us, child_us, name, dur_us]
-        for event in ordered:
-            ts = float(event["ts"])
-            dur = float(event.get("dur", 0.0))
-            while stack and ts >= stack[-1][0] - _NEST_EPS_US:
-                close(stack.pop())
-            if stack:
-                stack[-1][1] += dur
-            stack.append([ts + dur, 0.0, event["name"], dur])
-        while stack:
-            close(stack.pop())
-
-    return {name: stats[name] for name in sorted(stats)}
 
 
 # -- determinism projection ----------------------------------------------------
@@ -191,92 +143,6 @@ def _digest(payload: object) -> str:
 def profile_digest(profile: Optional[Dict]) -> str:
     """Digest of a profile's count-derived fields only."""
     return _digest(strip_time_fields(profile or {}))
-
-
-# -- `repro obs top` -----------------------------------------------------------
-
-
-def top_rows(profile: Dict) -> List[Dict]:
-    """Hot-path table rows, deterministically ordered.
-
-    Ordering is by ``(kind, -calls, name)`` — count-derived, so the row
-    sequence is identical run to run even though the time columns are
-    measurements.  ``share`` is total handler time (handlers) or self
-    time (spans) as a fraction of that section's sum.
-    """
-    rows: List[Dict] = []
-    handlers = profile.get("handlers") or {}
-    handler_total_ns = sum(d["total_ns"] for d in handlers.values())
-    for name in sorted(handlers, key=lambda n: (-handlers[n]["calls"], n)):
-        data = handlers[name]
-        rows.append(
-            {
-                "kind": "handler",
-                "name": name,
-                "calls": data["calls"],
-                "total_ms": data["total_ns"] / 1e6,
-                "self_ms": data["total_ns"] / 1e6,
-                "share": (
-                    data["total_ns"] / handler_total_ns if handler_total_ns else 0.0
-                ),
-            }
-        )
-    spans = profile.get("spans") or {}
-    span_self_us = sum(d["self_us"] for d in spans.values())
-    for name in sorted(spans, key=lambda n: (-spans[n]["count"], n)):
-        data = spans[name]
-        rows.append(
-            {
-                "kind": "span",
-                "name": name,
-                "calls": data["count"],
-                "total_ms": data["total_us"] / 1e3,
-                "self_ms": data["self_us"] / 1e3,
-                "share": data["self_us"] / span_self_us if span_self_us else 0.0,
-            }
-        )
-    return rows
-
-
-def render_top(manifest: Dict, limit: int = 30) -> str:
-    """Terminal hot-path table for ``repro obs top``."""
-    profile = manifest.get("profile")
-    scenarios = manifest.get("scenarios", {})
-    lines = [
-        f"campaign {manifest.get('campaign', '?')} "
-        f"({scenarios.get('total', 0)} scenario(s), "
-        f"workers={manifest.get('workers', '?')})",
-        f"profile digest: {profile_digest(profile)} (count-derived fields)",
-    ]
-    if not profile:
-        lines.append(
-            "no profile in manifest — run the campaign with --profile "
-            "(handler attribution) and/or --trace (span self-times)"
-        )
-        return "\n".join(lines)
-    rows = top_rows(profile)
-    header = (
-        f"  {'name':<44} {'calls':>9} {'total ms':>10} {'self ms':>10} {'% run':>6}"
-    )
-    for kind, title in (
-        ("handler", "event handlers (wall time per handler qualname):"),
-        ("span", "spans (self vs child time):"),
-    ):
-        section = [r for r in rows if r["kind"] == kind]
-        if not section:
-            continue
-        lines.append(title)
-        lines.append(header)
-        shown = section[:limit]
-        for row in shown:
-            lines.append(
-                f"  {row['name']:<44} {row['calls']:>9,} "
-                f"{row['total_ms']:>10.2f} {row['self_ms']:>10.2f} "
-                f"{row['share'] * 100:>5.1f}%"
-            )
-        if len(section) > len(shown):
-            lines.append(f"  ... and {len(section) - len(shown)} more")
-    return "\n".join(lines)
 
 
 # -- `repro obs diff` ----------------------------------------------------------
@@ -444,8 +310,5 @@ __all__ = [
     "merge_profile",
     "profile_digest",
     "render_diff",
-    "render_top",
-    "span_aggregate",
     "strip_time_fields",
-    "top_rows",
 ]

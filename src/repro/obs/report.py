@@ -1,15 +1,15 @@
-"""Human-readable summary of a traced campaign run.
+"""``repro obs report``: the one viewer of a campaign run directory.
 
-``repro obs report <run-dir>`` reads the run manifest (any supported
-schema version) and, when present, the trace-event file, and renders
-the metrics section plus a per-span-name aggregation (count / total /
-mean / max) — the quick look you take before opening the full
-timeline in Perfetto.  ``--json`` emits the same data as a
-byte-deterministic machine-readable document instead of the table.
-
-Dropped spans are surfaced loudly: when the
-:class:`~repro.obs.trace.TraceBuffer` overflowed, every aggregate
-below is an undercount, and a report that hid that would be lying.
+The report renders everything from the run manifest: the merged
+metrics, the DES handler table and the span table (count / total /
+self / mean / max, aggregated as each span closed) of the ``profile``
+section, and the profile's count-derived digest.  When the run was
+traced, it also checks ``trace.json`` against
+:func:`~repro.obs.export.validate_trace`: the problems it finds make
+the report exit 1, and a buffer overflow shows as a "timeline
+truncated" note.  The tables do not depend on the trace file, so they
+stay exact when the timeline is truncated.  ``--json`` emits the same
+data as a byte-deterministic document instead of the tables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import json
 import pathlib
 from typing import Dict, List, Optional, Union
 
-from repro.obs.export import TRACE_FILENAME, read_trace
+from repro.obs.export import TRACE_FILENAME, read_trace, validate_trace
+from repro.obs.prof import profile_digest
 
 PathLike = Union[str, pathlib.Path]
 
@@ -34,32 +35,89 @@ def dropped_span_count(trace_doc: Optional[Dict]) -> int:
     return total
 
 
-def aggregate_spans(doc: Dict) -> List[Dict]:
-    """Aggregate complete events by span name, slowest-total first."""
-    stats: Dict[str, Dict] = {}
-    for event in doc.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        entry = stats.setdefault(
-            event["name"], {"count": 0, "total_us": 0.0, "max_us": 0.0}
-        )
-        dur = float(event.get("dur", 0.0))
-        entry["count"] += 1
-        entry["total_us"] += dur
-        entry["max_us"] = max(entry["max_us"], dur)
-    rows = []
-    for name in sorted(stats, key=lambda n: -stats[n]["total_us"]):
-        entry = stats[name]
-        rows.append(
-            {
-                "name": name,
-                "count": entry["count"],
-                "total_ms": entry["total_us"] / 1e3,
-                "mean_us": entry["total_us"] / entry["count"],
-                "max_us": entry["max_us"],
-            }
-        )
-    return rows
+def handler_rows(profile: Optional[Dict]) -> List[Dict]:
+    """Handler table rows ordered by ``(-calls, name)``.
+
+    The order is count-derived, so it is the same run to run even
+    though the time columns are measurements.  ``share`` is the
+    handler's fraction of the summed handler time.
+    """
+    handlers = (profile or {}).get("handlers") or {}
+    total_ns = sum(data["total_ns"] for data in handlers.values())
+    return [
+        {
+            "name": name,
+            "calls": handlers[name]["calls"],
+            "total_ms": handlers[name]["total_ns"] / 1e6,
+            "share": handlers[name]["total_ns"] / total_ns if total_ns else 0.0,
+        }
+        for name in sorted(handlers, key=lambda n: (-handlers[n]["calls"], n))
+    ]
+
+
+def span_rows(profile: Optional[Dict]) -> List[Dict]:
+    """Span table rows ordered by ``(-count, name)``."""
+    spans = (profile or {}).get("spans") or {}
+    return [
+        {
+            "name": name,
+            "count": spans[name]["count"],
+            "total_ms": spans[name]["total_us"] / 1e3,
+            "self_ms": spans[name]["self_us"] / 1e3,
+            "mean_us": spans[name]["total_us"] / spans[name]["count"],
+            "max_us": spans[name]["max_us"],
+        }
+        for name in sorted(spans, key=lambda n: (-spans[n]["count"], n))
+    ]
+
+
+def check_trace(run_dir: PathLike, manifest: Dict) -> Optional[Dict]:
+    """Validate a run's trace file; ``None`` when the run has none.
+
+    Returns ``{"file", "events", "dropped_spans", "problems"}``; a
+    file that is not JSON is one problem, not an exception.
+    """
+    name = manifest.get("spans_file") or TRACE_FILENAME
+    path = pathlib.Path(run_dir) / name
+    if not path.is_file():
+        return None
+    try:
+        doc = read_trace(path)
+    except ValueError as exc:
+        return {"file": name, "events": 0, "dropped_spans": 0,
+                "problems": [f"{name} is not JSON: {exc}"]}
+    problems = validate_trace(doc)
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
+    return {
+        "file": name,
+        "events": len(events) if isinstance(events, list) else 0,
+        "dropped_spans": 0 if problems else dropped_span_count(doc),
+        "problems": problems,
+    }
+
+
+def report_doc(manifest: Dict, trace: Optional[Dict] = None) -> Dict:
+    """Machine-readable report (``repro obs report --json``).
+
+    Contains everything the text report renders, keyed and typed for
+    tooling; ``trace`` is :func:`check_trace`'s result.  Serialization
+    with ``sort_keys=True`` is byte-identical across repeated
+    invocations on the same run directory.
+    """
+    profile = manifest.get("profile")
+    return {
+        "campaign": manifest.get("campaign"),
+        "schema_version": manifest.get("schema_version"),
+        "workers": manifest.get("workers"),
+        "scenarios": manifest.get("scenarios"),
+        "timing": manifest.get("timing"),
+        "des": manifest.get("des"),
+        "metrics": manifest.get("metrics"),
+        "profile_digest": profile_digest(profile),
+        "handlers": handler_rows(profile),
+        "spans": span_rows(profile),
+        "trace": trace,
+    }
 
 
 def _format_value(value: float) -> str:
@@ -69,10 +127,9 @@ def _format_value(value: float) -> str:
 
 
 def render_metrics(metrics: Optional[Dict]) -> List[str]:
-    lines: List[str] = []
     if not metrics:
-        lines.append("  (no metrics recorded — run with --trace)")
-        return lines
+        return ["  (no metrics recorded)"]
+    lines: List[str] = []
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
     histograms = metrics.get("histograms", {})
@@ -91,99 +148,78 @@ def render_metrics(metrics: Optional[Dict]) -> List[str]:
     return lines
 
 
-def render_report(manifest: Dict, trace_doc: Optional[Dict]) -> str:
-    """Terminal report for ``repro obs report``."""
-    scenarios = manifest.get("scenarios", {})
-    timing = manifest.get("timing", {})
+def render_report(doc: Dict) -> str:
+    """Terminal report for ``repro obs report`` from :func:`report_doc`."""
+    scenarios = doc.get("scenarios") or {}
+    timing = doc.get("timing") or {}
     lines = [
-        f"campaign {manifest.get('campaign', '?')} "
+        f"campaign {doc.get('campaign') or '?'} "
         f"({scenarios.get('total', 0)} scenario(s), "
-        f"workers={manifest.get('workers', '?')}, "
+        f"workers={doc.get('workers') or '?'}, "
         f"wall {timing.get('wall_clock_s', 0.0):.2f} s)",
         "metrics:",
+        *render_metrics(doc.get("metrics")),
+        f"profile digest: {doc['profile_digest']} (count-derived fields)",
     ]
-    lines.extend(render_metrics(manifest.get("metrics")))
-    if trace_doc is not None:
-        rows = aggregate_spans(trace_doc)
-        lines.append("spans:")
-        if not rows:
-            lines.append("  (trace file contains no spans)")
-        header = (
-            f"  {'name':<32} {'count':>8} {'total ms':>10} "
-            f"{'mean us':>10} {'max us':>10}"
-        )
-        if rows:
-            lines.append(header)
-        for row in rows:
+    if doc["handlers"]:
+        lines.append("event handlers (wall time per handler qualname):")
+        lines.append(f"  {'name':<44} {'calls':>9} {'total ms':>10} {'% run':>6}")
+        for row in doc["handlers"]:
             lines.append(
-                f"  {row['name']:<32} {row['count']:>8,} "
-                f"{row['total_ms']:>10.2f} {row['mean_us']:>10.1f} "
-                f"{row['max_us']:>10.1f}"
+                f"  {row['name']:<44} {row['calls']:>9,} "
+                f"{row['total_ms']:>10.2f} {row['share'] * 100:>5.1f}%"
             )
     else:
-        lines.append("spans: (no trace.json in run directory)")
-    dropped = dropped_span_count(trace_doc)
-    if dropped:
+        lines.append("event handlers: (none recorded; run with --profile)")
+    if doc["spans"]:
+        lines.append("spans (self vs child time):")
         lines.append(
-            f"WARNING: trace buffer dropped {dropped:,} span(s) — "
-            "span aggregates above are undercounts"
+            f"  {'name':<32} {'count':>8} {'total ms':>10} {'self ms':>10} "
+            f"{'mean us':>10} {'max us':>10}"
         )
-    profile = manifest.get("profile")
-    if profile:
-        handlers = len(profile.get("handlers") or {})
-        span_names = len(profile.get("spans") or {})
+        for row in doc["spans"]:
+            lines.append(
+                f"  {row['name']:<32} {row['count']:>8,} "
+                f"{row['total_ms']:>10.2f} {row['self_ms']:>10.2f} "
+                f"{row['mean_us']:>10.1f} {row['max_us']:>10.1f}"
+            )
+    else:
+        lines.append("spans: (none recorded; run with --trace)")
+    trace = doc.get("trace")
+    if trace is None:
+        lines.append("trace: no trace.json in run directory")
+    elif trace["problems"]:
         lines.append(
-            f"profile: {handlers} handler(s), {span_names} span name(s) "
-            "— see `repro obs top`"
+            f"trace: {trace['file']} INVALID ({len(trace['problems'])} problem(s))"
         )
+    else:
+        lines.append(f"trace: {trace['file']} valid ({trace['events']:,} events)")
+        if trace["dropped_spans"]:
+            lines.append(
+                f"timeline truncated, {trace['dropped_spans']:,} spans dropped "
+                "(the span table still counts them)"
+            )
     return "\n".join(lines)
 
 
-def report_doc(manifest: Dict, trace_doc: Optional[Dict]) -> Dict:
-    """Machine-readable report document (``repro obs report --json``).
-
-    Contains everything the text report renders — metrics, span
-    aggregates, profile, dropped-span count — keyed and typed for
-    tooling.  Serialization with ``sort_keys=True`` is byte-identical
-    across repeated invocations on the same run directory.
-    """
-    return {
-        "campaign": manifest.get("campaign"),
-        "schema_version": manifest.get("schema_version"),
-        "workers": manifest.get("workers"),
-        "scenarios": manifest.get("scenarios"),
-        "timing": manifest.get("timing"),
-        "des": manifest.get("des"),
-        "metrics": manifest.get("metrics"),
-        "profile": manifest.get("profile"),
-        "spans": aggregate_spans(trace_doc) if trace_doc is not None else None,
-        "dropped_spans": dropped_span_count(trace_doc),
-    }
-
-
-def render_report_json(manifest: Dict, trace_doc: Optional[Dict]) -> str:
+def render_report_json(doc: Dict) -> str:
     """Canonical JSON rendering of :func:`report_doc`."""
-    doc = report_doc(manifest, trace_doc)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def report_run(run_dir: PathLike, manifest: Dict, as_json: bool = False) -> str:
-    """Build the report for a run directory from its loaded ``manifest``
-    and, when the run was traced, its trace file."""
-    run_dir = pathlib.Path(run_dir)
-    trace_path = run_dir / (manifest.get("spans_file") or TRACE_FILENAME)
-    trace_doc = read_trace(trace_path) if trace_path.exists() else None
-    if as_json:
-        return render_report_json(manifest, trace_doc)
-    return render_report(manifest, trace_doc)
+def report_run(run_dir: PathLike, manifest: Dict) -> Dict:
+    """The report document of a run directory with its loaded ``manifest``."""
+    return report_doc(manifest, check_trace(run_dir, manifest))
 
 
 __all__ = [
-    "aggregate_spans",
+    "check_trace",
     "dropped_span_count",
+    "handler_rows",
     "render_metrics",
     "render_report",
     "render_report_json",
     "report_doc",
     "report_run",
+    "span_rows",
 ]

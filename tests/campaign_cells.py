@@ -101,3 +101,32 @@ def device_pair_cell(*, distance_m: float = 2.0, seed: int = 0):
     laptop.train_toward(dock.position)
     coupling_dbi = dock.tx_gain_dbi(laptop.position) + laptop.tx_gain_dbi(dock.position)
     return {"coupling_dbi": coupling_dbi}
+
+
+def obs_mode_cell(*, seed: int = 0):
+    """Reports the obs mode this process runs with, then drives the DES.
+
+    ``env_var`` is whether the retired ``REPRO_OBS`` variable is set;
+    ``flags`` are ``obs.STATE``'s metrics/tracing/profiling flags.
+    """
+    from repro import obs
+
+    flags = [obs.STATE.metrics, obs.STATE.tracing, obs.STATE.profiling]
+    return {
+        "env_var": "REPRO_OBS" in os.environ,
+        "flags": flags,
+        **des_cell(ticks=5, seed=seed),
+    }
+
+
+_MEMO: dict = {}
+
+
+def memo_cell(*, value: int = 1, seed: int = 0):
+    """Impure on purpose: a module-level memo keyed on ``value`` alone.
+
+    The first cell a process runs fixes every later result for that
+    value, whatever its seed.  It records no obs metrics, so only the
+    result rows can show it.
+    """
+    return {"value": _MEMO.setdefault(value, value * 100 + seed)}

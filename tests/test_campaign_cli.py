@@ -194,7 +194,17 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "campaign beam-patterns" in out
         assert "metrics:" in out
-        assert "spans:" in out
+        assert "spans (self vs child time):" in out
+        assert "campaign.cell" in out
+        assert "trace: trace.json valid" in out
+
+    def test_report_checks_trace_events(self, traced_run, capsys):
+        assert main(["obs", "report", str(traced_run)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        events = json.loads((traced_run / "trace.json").read_text())["traceEvents"]
+        assert events
+        assert f"trace: trace.json valid ({len(events):,} events)" in captured.out
 
     def test_obs_report_json_byte_deterministic(self, traced_run, capsys):
         assert main(["obs", "report", str(traced_run), "--json"]) == 0
@@ -204,30 +214,45 @@ class TestObsCli:
         doc = json.loads(first)
         assert doc["campaign"] == "beam-patterns"
         assert doc["metrics"]["counters"]["campaign.cells.total"] == 9
-        assert doc["dropped_spans"] == 0
+        assert doc["trace"]["problems"] == []
+        assert doc["trace"]["dropped_spans"] == 0
 
-    def test_obs_export_check(self, traced_run, capsys):
-        assert main(["obs", "export", str(traced_run), "--check"]) == 0
-        assert "valid trace-event JSON" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["traceEvents"][-1].update(dur=-1.0),
+            lambda doc: doc["traceEvents"].append({"name": "x", "ph": "Q"}),
+        ],
+        ids=["negative-dur", "unknown-phase"],
+    )
+    def test_report_rejects_corrupt_trace(self, traced_run, capsys, corrupt):
+        path = traced_run / "trace.json"
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["obs", "report", str(traced_run)]) == 1
+        captured = capsys.readouterr()
+        assert "trace: trace.json INVALID (1 problem(s))" in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("invalid: traceEvents[")
 
-    def test_obs_export_copies_to_output(self, traced_run, tmp_path, capsys):
-        dest = tmp_path / "out" / "perfetto.json"
-        assert main(["obs", "export", str(traced_run), "-o", str(dest)]) == 0
-        assert dest.is_file()
-        assert json.loads(dest.read_text())["traceEvents"]
-        assert "perfetto" in capsys.readouterr().out
+    def test_report_rejects_trace_that_is_not_json(self, traced_run, capsys):
+        (traced_run / "trace.json").write_text('{"traceEvents": [')
+        assert main(["obs", "report", str(traced_run), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["trace"]["problems"]
+        assert captured.err.startswith("invalid: trace.json is not JSON")
 
     def test_missing_run_dir_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         assert main(["obs", "report", str(missing)]) == 2
-        assert main(["obs", "export", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "no manifest.json" in err
 
     @pytest.mark.parametrize(
         "command",
-        [["report"], ["top"], ["export"], ["diff", None]],
-        ids=["report", "top", "export", "diff"],
+        [["report"], ["diff", None]],
+        ids=["report", "diff"],
     )
     def test_unsupported_manifest_exits_2(self, tmp_path, capsys, command):
         old = tmp_path / "v4-run"
@@ -242,16 +267,11 @@ class TestObsCli:
         assert lines[0].startswith(f"error: {old}: ")
         assert "unsupported manifest schema version 4" in lines[0]
 
-    def test_export_without_trace_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "untraced"
-        assert run_beam_campaign(out, workers=1) == 0
-        assert main(["obs", "export", str(out)]) == 2
-        assert "--trace" in capsys.readouterr().err
-
     def test_report_works_without_trace(self, tmp_path, capsys):
         out = tmp_path / "untraced"
         assert run_beam_campaign(out, workers=1) == 0
         assert main(["obs", "report", str(out)]) == 0
         report = capsys.readouterr().out
-        assert "no metrics recorded" in report
-        assert "no trace.json" in report
+        # Every campaign run records metrics, traced or not.
+        assert "campaign.cells.total" in report
+        assert "trace: no trace.json in run directory" in report

@@ -17,10 +17,12 @@ from repro.campaign.verify import (
     verify_campaign,
 )
 from repro.cli import main
+from tests import campaign_cells
 
 DOUBLE = "tests.campaign_cells:double_cell"
 CLOCK = "tests.campaign_cells:clock_reading_cell"
 BROKEN = "tests.campaign_cells:always_fails"
+MEMO = "tests.campaign_cells:memo_cell"
 
 
 def double_campaign(values=(1, 2, 3, 4), seeds=(0, 1)):
@@ -87,6 +89,26 @@ class TestVerifyCampaign:
         # The wall-clock stamp differs between the two runs.
         assert not report.determinism_ok
         assert report.first_divergence
+        assert not report.ok
+
+    def test_module_memo_cell_fails_determinism(self):
+        """A memo not keyed on the seed lets the first cell a process runs
+        fix the others' results.  The parallel leg runs first, so its
+        workers fork from a process that has run no cell; with
+        shuffle_seed=2 the first cell submitted is seed 3, while the
+        serial leg starts from seed 0."""
+        spec = CampaignSpec(
+            name="memo-cells", experiment=MEMO, grid={}, seeds=(0, 1, 2, 3)
+        )
+        campaign_cells._MEMO.clear()
+        try:
+            report = verify_campaign(spec, workers=2, shuffle_seed=2)
+        finally:
+            campaign_cells._MEMO.clear()
+        assert not report.determinism_ok
+        assert "parallel=" in report.first_divergence
+        # The cell records no metrics: only the result rows show it.
+        assert report.metrics_ok
         assert not report.ok
 
     def test_failing_cells_compare_deterministically(self):

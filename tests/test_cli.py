@@ -90,6 +90,23 @@ class TestParser:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top", "run"],
+            ["top", "run", "--limit", "5"],
+            ["export", "run"],
+            ["export", "run", "--check"],
+            ["export", "run", "-o", "trace.json"],
+        ],
+        ids=["top", "top-limit", "export", "export-check", "export-output"],
+    )
+    def test_retired_obs_commands_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", *argv])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     """Each command runs end to end and prints its headline rows."""

@@ -13,7 +13,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.report import aggregate_spans, render_report
+from repro.obs.report import render_report, render_report_json, report_doc
 from repro.obs.trace import NOOP_SPAN, TraceBuffer, complete_event
 
 
@@ -46,16 +46,6 @@ class TestState:
     def test_disabled_add_records_nothing(self):
         obs.add("x.y.z", 5)
         assert obs.metrics_snapshot() is None
-
-    def test_configure_from_env(self):
-        obs.configure_from_env({"REPRO_OBS": "metrics"})
-        assert obs.STATE.metrics and not obs.STATE.tracing
-        obs.disable()
-        obs.configure_from_env({"REPRO_OBS": "trace"})
-        assert obs.STATE.metrics and obs.STATE.tracing
-        obs.disable()
-        obs.configure_from_env({})
-        assert not obs.STATE.enabled
 
 
 class TestMetricsRegistry:
@@ -235,19 +225,6 @@ class TestExport:
 
 
 class TestReport:
-    def test_aggregate_spans(self):
-        doc = build_trace_doc(
-            [
-                complete_event("a.b.c", 0, 3000),
-                complete_event("a.b.c", 0, 1000),
-                complete_event("d.e.f", 0, 10000),
-            ]
-        )
-        rows = aggregate_spans(doc)
-        assert [r["name"] for r in rows] == ["d.e.f", "a.b.c"]
-        assert rows[1]["count"] == 2
-        assert rows[1]["max_us"] == 3.0
-
     def test_render_report_includes_metrics_and_spans(self):
         manifest = {
             "campaign": "demo",
@@ -266,9 +243,15 @@ class TestReport:
                     }
                 },
             },
+            "profile": {
+                "spans": {
+                    "mac.simulator.run": {
+                        "count": 2, "total_us": 4.0, "self_us": 3.0, "max_us": 3.0
+                    }
+                }
+            },
         }
-        doc = build_trace_doc([complete_event("mac.simulator.run", 0, 2000)])
-        text = render_report(manifest, doc)
+        text = render_report(report_doc(manifest))
         assert "mac.simulator.events" in text
         assert "120" in text
         assert "mac.simulator.run" in text
@@ -276,31 +259,42 @@ class TestReport:
 
     def test_render_report_without_trace(self):
         manifest = {"campaign": "demo", "workers": 1, "scenarios": {}, "timing": {}}
-        text = render_report(manifest, None)
+        text = render_report(report_doc(manifest))
         assert "no metrics recorded" in text
         assert "no trace.json" in text
+        assert "event handlers: (none recorded; run with --profile)" in text
+        assert "spans: (none recorded; run with --trace)" in text
 
     def test_report_json_is_byte_deterministic(self):
-        from repro.obs.report import render_report_json
-
         manifest = {
             "campaign": "demo",
             "workers": 2,
-            "schema_version": 3,
+            "schema_version": 5,
             "scenarios": {"total": 4},
             "timing": {"wall_clock_s": 1.25},
             "metrics": {"counters": {"n": 1}, "gauges": {}, "histograms": {}},
-            "profile": {"handlers": {"h": {"calls": 1, "total_ns": 5}}},
+            "profile": {
+                "handlers": {
+                    "h": {"calls": 1, "total_ns": 5},
+                    "g": {"calls": 1, "total_ns": 7},
+                },
+                "spans": {
+                    "mac.simulator.run": {
+                        "count": 1, "total_us": 2.0, "self_us": 2.0, "max_us": 2.0
+                    }
+                },
+            },
         }
-        doc = build_trace_doc([complete_event("mac.simulator.run", 0, 2000)])
-        first = render_report_json(manifest, doc)
+        first = render_report_json(report_doc(manifest))
         # Key insertion order must not leak into the bytes.
         shuffled = json.loads(json.dumps(manifest, sort_keys=True))
-        shuffled["profile"] = dict(reversed(list(shuffled["profile"].items())))
-        assert render_report_json(shuffled, doc) == first
+        shuffled["profile"]["handlers"] = dict(
+            reversed(list(shuffled["profile"]["handlers"].items()))
+        )
+        assert render_report_json(report_doc(shuffled)) == first
         parsed = json.loads(first)
-        assert parsed["dropped_spans"] == 0
-        assert parsed["profile"]["handlers"]["h"]["calls"] == 1
+        assert parsed["trace"] is None
+        assert [row["name"] for row in parsed["handlers"]] == ["g", "h"]
         assert parsed["spans"][0]["name"] == "mac.simulator.run"
 
 
@@ -316,7 +310,7 @@ class TestDroppedSpans:
         for _ in range(6):
             with obs.span("x.y.z"):
                 pass
-        _, spans, _ = obs.collect_cell()
+        _, spans, profile = obs.collect_cell()
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         write_trace(run_dir / TRACE_FILENAME, spans, label="demo")
@@ -328,7 +322,7 @@ class TestDroppedSpans:
             "timing": {"wall_clock_s": 0.1},
             "spans_file": TRACE_FILENAME,
             "metrics": None,
-            "profile": None,
+            "profile": profile,
         }
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
         return run_dir, spans
@@ -340,24 +334,29 @@ class TestDroppedSpans:
         assert spans[-1]["name"] == "obs.dropped_spans"
         assert spans[-1]["args"]["dropped"] == 4
 
-    def test_export_check_reports_drop_count(self, tmp_path, monkeypatch, capsys):
+    def test_report_checks_truncated_trace(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
         run_dir, _ = self._overflowed_run(tmp_path, monkeypatch)
-        assert main(["obs", "export", str(run_dir), "--check"]) == 0
+        assert main(["obs", "report", str(run_dir)]) == 0
         captured = capsys.readouterr()
-        assert "4 dropped" in captured.out
-        assert "WARNING" in captured.err
-        assert "incomplete" in captured.err
+        # A truncated timeline is still a valid trace: no stderr problems.
+        assert captured.err == ""
+        events = json.loads((run_dir / TRACE_FILENAME).read_text())["traceEvents"]
+        assert f"trace: trace.json valid ({len(events)} events)" in captured.out
+        assert "4 spans dropped" in captured.out
 
     def test_report_warns_and_json_counts(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
         run_dir, _ = self._overflowed_run(tmp_path, monkeypatch)
         assert main(["obs", "report", str(run_dir)]) == 0
-        assert "dropped 4 span(s)" in capsys.readouterr().out
+        assert "timeline truncated, 4 spans dropped" in capsys.readouterr().out
         assert main(["obs", "report", str(run_dir), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["dropped_spans"] == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trace"]["dropped_spans"] == 4
+        # The span table counts every span, the dropped ones included.
+        assert doc["spans"][0]["count"] == 6
 
 
 class TestInstrumentation:

@@ -5,9 +5,14 @@ campaign's merged ``metrics`` manifest section must be byte-identical
 between ``workers=1`` and a shuffled parallel run.
 """
 
+import functools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+from repro.campaign import runner as runner_module
 
 from repro import obs
 from repro.campaign.runner import CampaignRunner, run_campaign
@@ -19,17 +24,16 @@ from repro.obs.export import read_trace, validate_trace
 DES = "tests.campaign_cells:des_cell"
 DEVICES = "tests.campaign_cells:device_pair_cell"
 DOUBLE = "tests.campaign_cells:double_cell"
+OBS_MODE = "tests.campaign_cells:obs_mode_cell"
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable()
     obs.reset()
-    os.environ.pop(obs.OBS_ENV, None)
     yield
     obs.disable()
     obs.reset()
-    os.environ.pop(obs.OBS_ENV, None)
 
 
 def des_campaign(ticks=(30, 60), seeds=(0, 1)):
@@ -43,13 +47,15 @@ def des_campaign(ticks=(30, 60), seeds=(0, 1)):
 
 class TestMetricsCollection:
     def test_off_by_default(self):
+        # Metrics are always recorded; spans and handler times are not.
         result = run_campaign(des_campaign())
-        assert result.telemetry.metrics is None
+        assert result.telemetry.metrics["counters"]["campaign.cells.total"] == 4
+        assert result.telemetry.profile is None
         assert result.telemetry.spans_file is None
         assert result.trace_events == []
 
     def test_metrics_run_merges_cell_counters(self):
-        result = run_campaign(des_campaign(), metrics=True)
+        result = run_campaign(des_campaign())
         counters = result.telemetry.metrics["counters"]
         # DES cells feed the simulator counter; the runner adds its own.
         assert counters["mac.simulator.events"] > 0
@@ -59,9 +65,8 @@ class TestMetricsCollection:
         assert not [k for k in counters if k.startswith("campaign.cache")]
 
     def test_state_restored_after_run(self):
-        run_campaign(des_campaign(), metrics=True)
+        run_campaign(des_campaign())
         assert not obs.STATE.enabled
-        assert obs.OBS_ENV not in os.environ
         assert obs.metrics_snapshot() is None
 
     def test_state_restored_after_failure(self):
@@ -71,16 +76,16 @@ class TestMetricsCollection:
             grid={},
             seeds=(0,),
         )
-        result = run_campaign(spec, metrics=True)
+        result = run_campaign(spec)
         assert result.telemetry.failed == 1
         assert result.telemetry.metrics["counters"]["campaign.cells.failed"] == 1
         assert not obs.STATE.enabled
 
     def test_serial_and_parallel_metrics_byte_identical(self):
         spec = des_campaign(ticks=(20, 40, 60), seeds=(0, 1))
-        serial = CampaignRunner(spec, workers=1, metrics=True).run()
+        serial = CampaignRunner(spec, workers=1).run()
         parallel = CampaignRunner(
-            spec, workers=3, shuffle_seed=7, metrics=True
+            spec, workers=3, shuffle_seed=7
         ).run()
         assert canonical_metrics(serial) == canonical_metrics(parallel)
         assert canonical_metrics(serial)  # non-empty: metrics were recorded
@@ -101,19 +106,48 @@ class TestMetricsCollection:
             grid={"distance_m": (2.0, 3.0, 4.0)},
             seeds=(0, 1),
         )
-        serial = CampaignRunner(spec, workers=1, metrics=True).run()
+        serial = CampaignRunner(spec, workers=1).run()
         parallel = CampaignRunner(
-            spec, workers=3, shuffle_seed=7, metrics=True
+            spec, workers=3, shuffle_seed=7
         ).run()
         assert canonical_metrics(serial) == canonical_metrics(parallel)
         counters = serial.telemetry.metrics["counters"]
         assert counters["phy.antenna.pattern_syntheses"] == 128 * 6
 
     def test_metrics_excluded_from_result_rows(self):
-        result = run_campaign(des_campaign(), metrics=True)
+        result = run_campaign(des_campaign())
         for row in result.result_rows():
             assert "metrics" not in row
             assert "spans" not in row
+
+
+class TestWorkerObsMode:
+    """Pool workers get the obs mode from the pool's initializer."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_get_mode_without_environment(self, monkeypatch, start_method):
+        # A spawned worker inherits no module state: only the pool's
+        # initializer can switch its flags on.
+        context = multiprocessing.get_context(start_method)
+        monkeypatch.setattr(
+            runner_module,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=context),
+        )
+        environ = dict(os.environ)
+        spec = CampaignSpec(
+            name="obs-mode", experiment=OBS_MODE, grid={}, seeds=(0, 1, 2, 3)
+        )
+        result = run_campaign(spec, workers=2, trace=True, profile=True)
+        assert dict(os.environ) == environ
+        assert result.telemetry.failed == 0
+        for outcome in result.outcomes:
+            assert outcome.result["flags"] == [True, True, True]
+            assert outcome.result["env_var"] is False
+        profile = result.telemetry.profile
+        assert any(name.endswith("<locals>.tick") for name in profile["handlers"])
+        assert profile["spans"]["campaign.cell"]["count"] == 4
+        assert profile["spans"]["mac.simulator.run"]["count"] == 4
 
 
 class TestTraceCollection:
@@ -147,6 +181,19 @@ class TestTraceCollection:
             e["pid"] for e in result.trace_events if e["name"] == "campaign.run"
         }
         assert run_pids == {0}
+
+    def test_failed_cell_spans_stay_counted(self):
+        spec = CampaignSpec(
+            name="broken",
+            experiment="tests.campaign_cells:always_fails",
+            grid={},
+            seeds=(0,),
+        )
+        result = run_campaign(spec, trace=True)
+        assert result.telemetry.failed == 1
+        cell_spans = [e for e in result.trace_events if e["name"] == "campaign.cell"]
+        assert len(cell_spans) == 1
+        assert result.telemetry.profile["spans"]["campaign.cell"]["count"] == 1
 
     def test_write_run_persists_valid_trace(self, tmp_path):
         result = run_campaign(des_campaign(), workers=2, trace=True)

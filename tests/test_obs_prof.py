@@ -1,4 +1,4 @@
-"""Profiling layer: handler attribution, span self-time, top/diff.
+"""Profiling layer: handler attribution, span self-time, report/diff.
 
 The determinism contract under test: every count-derived field of a
 profile (handler calls, span counts) is identical across repeated runs
@@ -8,12 +8,13 @@ hash only the remainder.
 """
 
 import functools
+import itertools
 import json
-import os
 
 import pytest
 
 from repro import obs
+from repro.obs import clock
 from repro.campaign.runner import CampaignRunner, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import load_manifest, write_run
@@ -27,11 +28,10 @@ from repro.obs.prof import (
     merge_profile,
     profile_digest,
     render_diff,
-    render_top,
-    span_aggregate,
     strip_time_fields,
-    top_rows,
 )
+from repro.obs.report import handler_rows, span_rows
+from repro.obs.trace import TraceBuffer
 
 DES = "tests.campaign_cells:des_cell"
 
@@ -40,11 +40,9 @@ DES = "tests.campaign_cells:des_cell"
 def _clean_obs_state():
     obs.disable()
     obs.reset()
-    os.environ.pop(obs.OBS_ENV, None)
     yield
     obs.disable()
     obs.reset()
-    os.environ.pop(obs.OBS_ENV, None)
 
 
 def des_campaign(ticks=(30, 60), seeds=(0, 1)):
@@ -112,11 +110,13 @@ class TestMergeProfile:
         base = {}
         merge_profile(base, {"handlers": {"h": {"calls": 2, "total_ns": 10}}})
         merge_profile(base, {"handlers": {"h": {"calls": 3, "total_ns": 5}}})
-        merge_profile(
-            base, {"spans": {"s": {"count": 1, "total_us": 4.0, "self_us": 2.0}}}
-        )
+        span = {"count": 1, "total_us": 4.0, "self_us": 2.0, "max_us": 4.0}
+        merge_profile(base, {"spans": {"s": span}})
+        merge_profile(base, {"spans": {"s": dict(span, max_us=3.0)}})
         assert base["handlers"]["h"] == {"calls": 5, "total_ns": 15}
-        assert base["spans"]["s"] == {"count": 1, "total_us": 4.0, "self_us": 2.0}
+        assert base["spans"]["s"] == {
+            "count": 2, "total_us": 8.0, "self_us": 4.0, "max_us": 4.0
+        }
 
     def test_empty_snapshot_is_noop(self):
         base = {"handlers": {"h": {"calls": 1, "total_ns": 1}}}
@@ -124,42 +124,75 @@ class TestMergeProfile:
         assert base["handlers"]["h"]["calls"] == 1
 
 
-def _span(name, ts, dur, pid=0, tid=0):
-    return {"name": name, "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid}
+@pytest.fixture()
+def ticking_clock(monkeypatch):
+    """Every clock read advances 1 us, so span times are exact."""
+    ticks = itertools.count(1)
+    monkeypatch.setattr(clock, "perf_counter_ns", lambda: next(ticks) * 1000)
 
 
+def span_table():
+    return obs.profile_snapshot()["spans"]
+
+
+@pytest.mark.usefixtures("ticking_clock")
 class TestSpanAggregate:
+    """The span table is charged through the open-span stack as each
+    span closes; a span is one clock read in, one clock read out."""
+
+    @pytest.fixture(autouse=True)
+    def _tracing(self):
+        obs.enable(trace=True)
+        obs.begin_cell()
+
     def test_nested_child_charged_to_parent(self):
-        events = [
-            _span("outer", 0.0, 100.0),
-            _span("inner", 10.0, 30.0),
-        ]
-        agg = span_aggregate(events)
-        assert agg["outer"] == {"count": 1, "total_us": 100.0, "self_us": 70.0}
-        assert agg["inner"] == {"count": 1, "total_us": 30.0, "self_us": 30.0}
+        with obs.span("outer"):          # 1 .. 6
+            with obs.span("mid"):        # 2 .. 5
+                with obs.span("inner"):  # 3 .. 4
+                    pass
+        table = span_table()
+        assert table["inner"] == {
+            "count": 1, "total_us": 1.0, "self_us": 1.0, "max_us": 1.0
+        }
+        # inner is mid's child only; outer is charged mid's 3 us.
+        assert table["mid"]["total_us"] == 3.0 and table["mid"]["self_us"] == 2.0
+        assert table["outer"]["total_us"] == 5.0 and table["outer"]["self_us"] == 2.0
 
     def test_siblings_do_not_nest(self):
-        events = [_span("a", 0.0, 10.0), _span("b", 10.0, 5.0)]
-        agg = span_aggregate(events)
-        assert agg["a"]["self_us"] == 10.0
-        assert agg["b"]["self_us"] == 5.0
+        with obs.span("parent"):   # 1 .. 6
+            with obs.span("a"):    # 2 .. 3
+                pass
+            with obs.span("b"):    # 4 .. 5
+                pass
+        table = span_table()
+        assert table["a"]["self_us"] == table["a"]["total_us"] == 1.0
+        assert table["b"]["self_us"] == table["b"]["total_us"] == 1.0
+        assert table["parent"]["self_us"] == 3.0
 
-    def test_separate_timelines_never_nest(self):
-        # Same instants, different (pid, tid): full self-time for both.
-        events = [
-            _span("a", 0.0, 100.0, pid=0),
-            _span("b", 10.0, 30.0, pid=1),
-        ]
-        agg = span_aggregate(events)
-        assert agg["a"]["self_us"] == 100.0
-        assert agg["b"]["self_us"] == 30.0
+    def test_span_left_by_exception_still_pops(self):
+        with obs.span("parent"):
+            with pytest.raises(RuntimeError):
+                with obs.span("failing"):
+                    raise RuntimeError("boom")
+            assert obs._BUFFER.stack[-1].name == "parent"
+            with obs.span("next"):
+                pass
+        assert obs._BUFFER.stack == []
+        table = span_table()
+        # "next" is a sibling of "failing", not its child.
+        assert table["failing"]["self_us"] == table["failing"]["total_us"] == 1.0
+        assert table["parent"]["total_us"] == 5.0
+        assert table["parent"]["self_us"] == 3.0
 
-    def test_non_complete_events_ignored(self):
-        events = [
-            _span("a", 0.0, 10.0),
-            {"name": "obs.dropped_spans", "ph": "C", "ts": 10.0, "args": {}},
-        ]
-        assert list(span_aggregate(events)) == ["a"]
+    def test_dropped_events_still_counted(self, monkeypatch):
+        monkeypatch.setattr(obs, "_BUFFER", TraceBuffer(max_events=2))
+        for _ in range(5):
+            with obs.span("x.y.z"):
+                pass
+        assert span_table()["x.y.z"]["count"] == 5
+        events = obs._BUFFER.drain()
+        assert [e["name"] for e in events] == ["x.y.z", "x.y.z", "obs.dropped_spans"]
+        assert events[-1]["args"] == {"dropped": 3}
 
 
 class TestDeterminismProjection:
@@ -249,6 +282,8 @@ class TestCampaignProfile:
 
 
 class TestTopRows:
+    """Row order and shares of the report's hot-path tables."""
+
     def test_ordering_is_calls_then_name(self):
         profile = {
             "handlers": {
@@ -256,15 +291,8 @@ class TestTopRows:
                 "a": {"calls": 5, "total_ns": 2},
                 "c": {"calls": 9, "total_ns": 3},
             },
-            "spans": {"s": {"count": 1, "total_us": 2.0, "self_us": 1.0}},
         }
-        rows = top_rows(profile)
-        assert [(r["kind"], r["name"]) for r in rows] == [
-            ("handler", "c"),
-            ("handler", "a"),
-            ("handler", "b"),
-            ("span", "s"),
-        ]
+        assert [r["name"] for r in handler_rows(profile)] == ["c", "a", "b"]
 
     def test_shares_sum_to_one_per_section(self):
         profile = {
@@ -273,8 +301,21 @@ class TestTopRows:
                 "b": {"calls": 1, "total_ns": 70},
             }
         }
-        shares = [r["share"] for r in top_rows(profile)]
+        shares = [r["share"] for r in handler_rows(profile)]
         assert sum(shares) == pytest.approx(1.0)
+
+    def test_span_rows_order_by_count_then_name(self):
+        row = {"total_us": 4.0, "self_us": 2.0, "max_us": 3.0}
+        profile = {
+            "spans": {
+                "b": dict(row, count=2),
+                "a": dict(row, count=2),
+                "c": dict(row, count=1),
+            }
+        }
+        rows = span_rows(profile)
+        assert [r["name"] for r in rows] == ["a", "b", "c"]
+        assert rows[2]["mean_us"] == 4.0 and rows[0]["mean_us"] == 2.0
 
 
 class TestTopDiffCli:
@@ -285,36 +326,40 @@ class TestTopDiffCli:
         write_run(result, out)
         return out
 
-    def test_top_renders_handler_and_span_tables(self, profiled_run, capsys):
-        assert main(["obs", "top", str(profiled_run)]) == 0
+    def test_report_renders_handler_and_span_tables(self, profiled_run, capsys):
+        assert main(["obs", "report", str(profiled_run)]) == 0
         out = capsys.readouterr().out
         assert "event handlers (wall time per handler qualname):" in out
         assert "spans (self vs child time):" in out
         assert "profile digest:" in out
         assert "mac.simulator.run" in out
+        assert "trace: trace.json valid" in out
 
-    def test_top_deterministic_across_reruns(self, tmp_path):
+    def test_report_digest_stable_across_runs(self, tmp_path, capsys):
         digests = []
         for label in ("x", "y"):
             out = tmp_path / label
             write_run(run_campaign(des_campaign(), profile=True, trace=True), out)
-            text = render_top(load_manifest(out))
-            digests.append(
-                [line for line in text.splitlines() if "profile digest" in line]
-            )
+            assert main(["obs", "report", str(out), "--json"]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["profile_digest"])
         # Count-derived digest identical between independent runs even
         # though the measured times differ.
         assert digests[0] == digests[1]
 
-    def test_top_without_profile_says_so(self, tmp_path, capsys):
+    def test_report_without_profile_says_so(self, tmp_path, capsys):
         out = tmp_path / "plain"
         write_run(run_campaign(des_campaign()), out)
-        assert main(["obs", "top", str(out)]) == 0
-        assert "no profile in manifest" in capsys.readouterr().out
+        assert main(["obs", "report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "event handlers: (none recorded; run with --profile)" in text
+        assert "spans: (none recorded; run with --trace)" in text
 
-    def test_top_missing_manifest_exits_2(self, tmp_path, capsys):
-        assert main(["obs", "top", str(tmp_path / "nope")]) == 2
-        assert "no manifest.json" in capsys.readouterr().err
+    def test_diff_missing_manifest_exits_2(self, profiled_run, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["obs", "diff", str(profiled_run), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no manifest.json in {missing}" in captured.err
 
     def test_self_diff_is_count_clean_exit_0(self, profiled_run, capsys):
         assert main(["obs", "diff", str(profiled_run), str(profiled_run)]) == 0
