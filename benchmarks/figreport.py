@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -34,18 +35,17 @@ def cached_aggregation_sweep():
 
 @functools.lru_cache(maxsize=1)
 def cached_interference_sweeps():
-    """The Figure 22 aligned + rotated sweeps, computed once."""
-    from repro.experiments.interference import (
-        interference_free_baseline,
-        interference_sweep,
-    )
+    """The Figure 22 ``interference`` campaign on every core, run once.
 
-    distances = (0.0, 0.5, 1.0, 1.6, 2.0, 2.5, 3.0)
-    aligned = interference_sweep(distances, rotated=False, duration_s=0.3)
-    rotated = interference_sweep(distances, rotated=True, duration_s=0.3)
-    base_aligned = interference_free_baseline(duration_s=0.3)
-    base_rotated = interference_free_baseline(rotated=True, duration_s=0.3)
-    return aligned, rotated, base_aligned, base_rotated
+    Returns the aligned and rotated sweeps and their baselines.
+    """
+    from repro.campaign import get_campaign, run_campaign
+    from repro.experiments.interference import campaign_points
+
+    result = run_campaign(get_campaign("interference"), workers=os.cpu_count() or 1)
+    points = campaign_points(result.outcomes)
+    (base_aligned,), (base_rotated,) = points[False, False], points[False, True]
+    return points[True, False], points[True, True], base_aligned, base_rotated
 
 
 @functools.lru_cache(maxsize=1)

@@ -12,17 +12,18 @@ on two workers — and demonstrates:
 import os
 import time
 
-from repro.campaign.registry import get_campaign
 from repro.campaign.runner import run_campaign
+from repro.campaign.spec import CampaignSpec, grid_cells
+from repro.experiments.beam_patterns import PATTERN_SETUPS
 
 POSITIONS = 48
 SEEDS = (0, 1)
 
 
 def _spec():
-    return get_campaign("beam-patterns").with_overrides(
-        {"positions": POSITIONS}, seeds=SEEDS
-    )
+    return CampaignSpec("beam-patterns", grid_cells(
+        "beam_pattern", {"positions": POSITIONS}, {"setup": PATTERN_SETUPS}, seeds=SEEDS
+    ))
 
 
 def test_perf_campaign_parallel():

@@ -5,11 +5,10 @@ positions, distance sweeps, repeated trace captures, offline analysis
 — is campaign-shaped.  Every campaign cell is a deterministic function
 of its parameters and seed, and this package runs such campaigns:
 
-* :mod:`repro.campaign.spec` — declarative, content-addressed
-  :class:`ScenarioSpec`/:class:`CampaignSpec` grids with deterministic
-  expansion;
+* :mod:`repro.campaign.spec` — content-addressed :class:`ScenarioSpec`
+  cells; a :class:`CampaignSpec` is a named, ordered tuple of them;
 * :mod:`repro.campaign.runner` — maps every cell over 1 or N
-  processes in expansion order, with per-scenario timeouts; failed
+  processes in cell order, with per-scenario timeouts; failed
   cells are recorded, not fatal;
 * :mod:`repro.campaign.telemetry` — per-run counters/timers emitted
   as a JSON run manifest;
@@ -36,7 +35,7 @@ from repro.campaign.runner import (
     ScenarioTimeout,
     run_campaign,
 )
-from repro.campaign.spec import CampaignSpec, ScenarioSpec, canonicalize
+from repro.campaign.spec import CampaignSpec, ScenarioSpec, canonicalize, grid_cells
 from repro.campaign.store import load_manifest, load_results, save_results, write_run
 from repro.campaign.telemetry import (
     MANIFEST_SCHEMA_VERSION,
@@ -66,6 +65,7 @@ __all__ = [
     "canonical_rows",
     "canonicalize",
     "get_campaign",
+    "grid_cells",
     "load_manifest",
     "load_results",
     "read_manifest",

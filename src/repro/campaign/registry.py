@@ -13,14 +13,19 @@ processes can resolve them independently:
 Cells may include an ``events_simulated`` key in their result when
 they drive the discrete-event simulator; the runner folds it into the
 run telemetry (events per worker-second).
+
+A built-in campaign is a :class:`CampaignSpec`: a name, a description
+and its ordered cells.  Four are :func:`grid_cells` products; the
+``interference`` campaign lists the Figure 22 cells with their
+per-point seeds, so ``campaign run interference`` runs the figure.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, ScenarioSpec, grid_cells
 
 #: Registered cell name -> "module:function" dotted path.
 CELLS: Dict[str, str] = {
@@ -51,6 +56,30 @@ def resolve_cell(name: str) -> Callable[..., Dict]:
     return fn
 
 
+def _fig22_cells() -> Tuple[ScenarioSpec, ...]:
+    """Figure 22: each offset aligned then rotated at seed 10+i, then
+    the two interference-free baselines at seed 99; 0.3 s each."""
+    sweep = tuple(
+        ScenarioSpec(
+            "interference_point",
+            {"wihd_offset_m": d, "rotated": rotated, "duration_s": 0.3},
+            seed=10 + i,
+        )
+        for rotated in (False, True)
+        for i, d in enumerate((0.0, 0.5, 1.0, 1.6, 2.0, 2.5, 3.0))
+    )
+    baselines = tuple(
+        ScenarioSpec(
+            "interference_point",
+            {"wihd_offset_m": 0.0, "rotated": rotated, "with_wihd": False,
+             "duration_s": 0.3},
+            seed=99,
+        )
+        for rotated in (False, True)
+    )
+    return sweep + baselines
+
+
 def builtin_campaigns() -> Dict[str, CampaignSpec]:
     """The campaign catalog exposed by ``python -m repro campaign``.
 
@@ -59,8 +88,9 @@ def builtin_campaigns() -> Dict[str, CampaignSpec]:
       100 positions each, repeated over seeds.
     * ``range-vs-distance`` — the Figure 13 grid: one cell per
       (distance, run-seed) pair, 1-20 m x 10 runs.
-    * ``interference`` — the Figure 22 side-lobe sweep: one cell per
-      (WiHD offset, alignment), full DES simulation per cell.
+    * ``interference`` — the Figure 22 side-lobe sweep exactly as the
+      figure runs it: 7 WiHD offsets x (aligned, rotated) plus the two
+      WiHD-free baselines, 16 full DES cells.
     * ``mobility-speed`` — the vehicular drive-by: one cell per
       (speed, seed), throughput and re-training overhead (DES).
     * ``mobility-handover`` — the corridor walk: one cell per
@@ -68,49 +98,48 @@ def builtin_campaigns() -> Dict[str, CampaignSpec]:
     """
     return {
         "beam-patterns": CampaignSpec(
-            name="beam-patterns",
-            experiment="beam_pattern",
-            base_params={"positions": 100},
-            grid={"setup": ("laptop", "dock_aligned", "dock_rotated_70")},
-            seeds=(0, 1, 2),
-            description="Figure 17 semicircle beam-pattern sweep",
+            "beam-patterns",
+            grid_cells(
+                "beam_pattern",
+                {"positions": 100},
+                {"setup": ("laptop", "dock_aligned", "dock_rotated_70")},
+                seeds=(0, 1, 2),
+            ),
+            "Figure 17 semicircle beam-pattern sweep",
         ),
         "range-vs-distance": CampaignSpec(
-            name="range-vs-distance",
-            experiment="range_point",
-            base_params={},
-            grid={"distance_m": tuple(float(d) for d in range(1, 21))},
-            seeds=tuple(range(10)),
-            description="Figure 13 TCP throughput vs link length",
+            "range-vs-distance",
+            grid_cells(
+                "range_point",
+                grid={"distance_m": tuple(float(d) for d in range(1, 21))},
+                seeds=range(10),
+            ),
+            "Figure 13 TCP throughput vs link length",
         ),
         "interference": CampaignSpec(
-            name="interference",
-            experiment="interference_point",
-            base_params={"duration_s": 0.25},
-            grid={
-                "wihd_offset_m": (0.0, 0.5, 1.0, 1.6, 2.0, 2.5, 3.0),
-                "rotated": (False, True),
-            },
-            seeds=(10,),
-            description="Figure 22 side-lobe interference sweep (DES)",
+            "interference",
+            _fig22_cells(),
+            "Figure 22 side-lobe interference sweep (DES)",
         ),
         "mobility-speed": CampaignSpec(
-            name="mobility-speed",
-            experiment="mobility_vehicular",
-            base_params={},
-            grid={"speed_kmh": (50.0, 70.0, 110.0)},
-            seeds=(0, 1),
-            description="Vehicular drive-by: throughput and re-training "
-            "overhead vs speed (DES)",
+            "mobility-speed",
+            grid_cells(
+                "mobility_vehicular",
+                grid={"speed_kmh": (50.0, 70.0, 110.0)},
+                seeds=(0, 1),
+            ),
+            "Vehicular drive-by: throughput and re-training overhead vs "
+            "speed (DES)",
         ),
         "mobility-handover": CampaignSpec(
-            name="mobility-handover",
-            experiment="mobility_handover",
-            base_params={},
-            grid={"policy": ("sticky", "hysteresis", "wifi")},
-            seeds=(0, 1),
-            description="Corridor walk: handover policies, goodput, and "
-            "AP contact time (DES)",
+            "mobility-handover",
+            grid_cells(
+                "mobility_handover",
+                grid={"policy": ("sticky", "hysteresis", "wifi")},
+                seeds=(0, 1),
+            ),
+            "Corridor walk: handover policies, goodput, and AP contact "
+            "time (DES)",
         ),
     }
 

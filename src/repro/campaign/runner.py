@@ -1,7 +1,7 @@
 """The campaign engine: one ordered map over the campaign's cells.
 
-The runner expands a :class:`~repro.campaign.spec.CampaignSpec` and
-maps :func:`execute_cell` over every cell — the builtin ``map`` for
+The runner maps :func:`execute_cell` over the cells of a
+:class:`~repro.campaign.spec.CampaignSpec` — the builtin ``map`` for
 ``workers <= 1``, ``ProcessPoolExecutor.map`` otherwise.  Per-scenario
 timeouts are enforced inside the executing process via ``SIGALRM``,
 and failed cells are *recorded*, never fatal: a campaign always
@@ -11,7 +11,7 @@ way again.
 
 Results are bit-for-bit identical between serial and parallel runs
 because cells are deterministic functions of (experiment, params,
-seed) and both maps return outcomes in expansion order.
+seed) and both maps return outcomes in cell order.
 
 Every run records :mod:`repro.obs` metrics; ``trace`` and ``profile``
 add spans and DES handler attribution.  The runner switches the mode
@@ -150,7 +150,7 @@ class ScenarioOutcome:
 
 @dataclass
 class CampaignResult:
-    """Outcomes (in expansion order) plus run telemetry."""
+    """Outcomes (in cell order) plus run telemetry."""
 
     campaign: CampaignSpec
     outcomes: List[ScenarioOutcome] = field(default_factory=list)
@@ -194,9 +194,9 @@ class CampaignRunner:
         timeout_s: Per-scenario wall-clock budget, enforced inside the
             executing process; ``None`` disables it.
         shuffle_seed: When set, the submission order is a seeded
-            permutation of the expansion order.  Results must be
+            permutation of the cell order.  Results must be
             identical either way (outcomes are un-permuted back into
-            expansion order); ``repro campaign verify`` uses this to
+            cell order); ``repro campaign verify`` uses this to
             prove that claim rather than assume it.
         trace: Record spans — one ``campaign.cell`` span per cell plus
             the cell's own timeline, from inside the process that ran
@@ -207,7 +207,7 @@ class CampaignRunner:
             into the manifest's ``profile`` section.
 
     Per-cell :mod:`repro.obs` metrics are always collected and merged
-    into the manifest.  Every merge runs in expansion order, so it is
+    into the manifest.  Every merge runs in cell order, so it is
     byte-stable regardless of worker count.
     """
 
@@ -293,7 +293,7 @@ class CampaignRunner:
     def _merged_metrics(
         self, outcomes: List[ScenarioOutcome], telemetry: RunTelemetry
     ) -> Optional[Dict]:
-        """Merge per-cell snapshots (expansion order) + runner counters.
+        """Merge per-cell snapshots (cell order) + runner counters.
 
         Expansion order makes even the float histogram sums bit-stable
         across worker counts; the runner-level counters are derived
@@ -312,7 +312,7 @@ class CampaignRunner:
     def _merged_profile(outcomes: List[ScenarioOutcome]) -> Optional[Dict]:
         """Merge per-cell handler and span tables.
 
-        Merging happens in expansion order, mirroring the metrics
+        Merging happens in cell order, mirroring the metrics
         merge, so even the float time sums are bit-stable across
         worker counts; the count fields (handler calls, span counts)
         are additionally run-invariant and are what ``campaign
@@ -343,7 +343,7 @@ class CampaignRunner:
         obs.enable(metrics=True, trace=self.trace, profile=self.profile)
         run_start_ns = clock.perf_counter_ns() if self.trace else 0
         try:
-            scenarios = self.campaign.expand()
+            scenarios = self.campaign.cells
             telemetry = RunTelemetry(
                 campaign=self.campaign.name,
                 campaign_digest=self.campaign.digest(),

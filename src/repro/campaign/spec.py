@@ -2,10 +2,10 @@
 
 The paper's workflow is campaign-shaped: hundreds of rotation-stage
 positions, distance sweeps, repeated captures, analyzed offline.  A
-:class:`CampaignSpec` describes such a sweep declaratively — one
-experiment cell function, a base parameter set, a grid of swept axes,
-and the seeds to run each cell with — and expands deterministically
-into :class:`ScenarioSpec` cells.
+:class:`CampaignSpec` is such a sweep as data: its name, a description
+and the ordered tuple of its :class:`ScenarioSpec` cells.
+:func:`grid_cells` builds the usual cartesian product of swept axes
+and seeds; a figure that needs per-point seeds lists its cells.
 
 Scenarios are *content addressed*: :meth:`ScenarioSpec.digest` is a
 SHA-256 over the canonicalized spec, stable across processes and
@@ -20,9 +20,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
-
-_SCALARS = (str, int, float, bool, type(None))
-
 
 def canonicalize(value: Any) -> Any:
     """Reduce a parameter value to a canonical JSON-compatible form.
@@ -117,111 +114,69 @@ class ScenarioSpec:
         ).hexdigest()
 
 
+def grid_cells(
+    experiment: str,
+    params: Mapping[str, Any] | None = None,
+    grid: Mapping[str, Sequence[Any]] | None = None,
+    seeds: Sequence[int] = (0,),
+) -> Tuple[ScenarioSpec, ...]:
+    """The cartesian product of ``grid`` axes crossed with ``seeds``.
+
+    Every cell gets ``params`` (grid axes win on collision).  Order:
+    axes sorted by name, values in declaration order, seeds innermost.
+    """
+    axes = sorted((grid or {}).items())
+    cells: List[ScenarioSpec] = []
+    for combo in itertools.product(*[values for _, values in axes]):
+        cell_params = dict(params or {})
+        cell_params.update((name, value) for (name, _), value in zip(axes, combo))
+        for seed in seeds:
+            cells.append(ScenarioSpec(experiment, cell_params, seed=int(seed)))
+    return tuple(cells)
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A grid of scenarios over one experiment cell.
+    """A named campaign: the ordered tuple of its cells.
 
-    ``grid`` maps parameter names to the values swept on that axis;
-    the expansion is the cartesian product over axes (sorted by axis
-    name) crossed with ``seeds``.  ``base_params`` are merged under
-    every cell (grid axes win on collision).
+    Cells may run different experiments and any seeds; the runner
+    executes them in this order.  :func:`grid_cells` builds the
+    common cartesian sweep.
     """
 
     name: str
-    experiment: str
-    base_params: Tuple[Tuple[str, Any], ...] = ()
-    grid: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
-    seeds: Tuple[int, ...] = (0,)
+    cells: Tuple[ScenarioSpec, ...]
     description: str = ""
 
     def __post_init__(self) -> None:
-        base = self.base_params
-        if isinstance(base, Mapping):
-            base = tuple(base.items())
-        frozen_base = tuple(sorted((str(k), _freeze(canonicalize(v))) for k, v in base))
-        object.__setattr__(self, "base_params", frozen_base)
-        grid = self.grid
-        if isinstance(grid, Mapping):
-            grid = tuple(grid.items())
-        frozen_grid = tuple(
-            sorted((str(k), tuple(_freeze(canonicalize(v)) for v in values))
-                   for k, values in grid)
-        )
-        object.__setattr__(self, "grid", frozen_grid)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-
-    def base_param_dict(self) -> Dict[str, Any]:
-        return {k: _thaw(v) for k, v in self.base_params}
-
-    def grid_dict(self) -> Dict[str, List[Any]]:
-        return {k: [_thaw(v) for v in values] for k, values in self.grid}
+        object.__setattr__(self, "cells", tuple(self.cells))
+        if not self.cells:
+            raise ValueError("a campaign needs at least one cell")
 
     def with_overrides(
         self,
         params: Mapping[str, Any] | None = None,
-        seeds: Sequence[int] | None = None,
+        seed: int | None = None,
     ) -> "CampaignSpec":
-        """A copy with base parameters and/or seeds replaced.
+        """A copy with ``params`` set on every cell and seeds shifted.
 
-        Override keys that name a grid axis replace that axis with the
-        single given value (pinning it); other keys merge into
-        ``base_params``.
+        ``seed`` shifts every cell's seed so that the smallest becomes
+        ``seed``.  Cells that become identical collapse to the first
+        one, so pinning a grid axis keeps one cell per remaining combo.
         """
-        base = self.base_param_dict()
-        grid = self.grid_dict()
-        for key, value in dict(params or {}).items():
-            if key in grid:
-                grid[key] = [value]
-            else:
-                base[key] = value
-        return CampaignSpec(
-            name=self.name,
-            experiment=self.experiment,
-            base_params=tuple(base.items()),
-            grid=tuple((k, tuple(v)) for k, v in grid.items()),
-            seeds=tuple(seeds) if seeds is not None else self.seeds,
-            description=self.description,
-        )
-
-    def scenario_count(self) -> int:
-        cells = 1
-        for _, values in self.grid:
-            cells *= len(values)
-        return cells * len(self.seeds)
-
-    def expand(self) -> List[ScenarioSpec]:
-        """Deterministic expansion into scenario cells.
-
-        Order: grid axes sorted by name, values in declaration order,
-        seeds innermost — the same input always yields the same list,
-        which the runner and the bit-for-bit serial/parallel
-        equivalence tests rely on.
-        """
-        axes = [(name, values) for name, values in self.grid]
-        base = self.base_param_dict()
-        combos = itertools.product(*[values for _, values in axes]) if axes else [()]
-        scenarios: List[ScenarioSpec] = []
-        for combo in combos:
-            params = dict(base)
-            for (axis, _), value in zip(axes, combo):
-                params[axis] = _thaw(value)
-            for seed in self.seeds:
-                scenarios.append(
-                    ScenarioSpec(experiment=self.experiment, params=params, seed=seed)
-                )
-        return scenarios
-
-    def canonical(self) -> str:
-        doc = {
-            "name": self.name,
-            "experiment": self.experiment,
-            "base_params": {k: _thaw(v) for k, v in self.base_params},
-            "grid": {k: [_thaw(v) for v in values] for k, values in self.grid},
-            "seeds": list(self.seeds),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        shift = 0 if seed is None else seed - min(c.seed for c in self.cells)
+        cells: Dict[str, ScenarioSpec] = {}
+        for cell in self.cells:
+            new = ScenarioSpec(
+                cell.experiment,
+                {**cell.param_dict(), **dict(params or {})},
+                seed=cell.seed + shift,
+            )
+            cells.setdefault(new.digest(), new)
+        return CampaignSpec(self.name, tuple(cells.values()), self.description)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        """SHA-256 over the name and the ordered cell digests."""
+        doc = {"name": self.name, "cells": [c.digest() for c in self.cells]}
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()

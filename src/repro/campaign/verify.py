@@ -132,7 +132,7 @@ def verify_campaign(
     """Prove workers=1 ≡ workers=N-with-shuffled-submission for a campaign."""
     report = VerifyReport(
         campaign=campaign.name,
-        scenarios=campaign.scenario_count(),
+        scenarios=len(campaign.cells),
         workers=workers,
         shuffle_seed=shuffle_seed,
     )

@@ -5,12 +5,12 @@ Usage::
     python -m repro patterns [--rotated 70]
     python -m repro sweep
     python -m repro range [--runs 10]
-    python -m repro interference [--distances 0 1 2 3]
     python -m repro nlos
     python -m repro blockage [--no-failover] [--no-wall]
     python -m repro mobility [--speeds 50 70 110]
     python -m repro campaign list
     python -m repro campaign run beam-patterns --workers 4
+    python -m repro campaign run interference --workers 2   # Figure 22
     python -m repro campaign verify beam-patterns --workers 4
     python -m repro campaign run beam-patterns --trace --profile
     python -m repro obs report campaign_runs/beam-patterns [--json]
@@ -101,23 +101,6 @@ def _cmd_range(args: argparse.Namespace) -> int:
         print(f"  {d:4.0f} m {avg / 1e6:7.0f} mbps |{bar}")
     lo, hi = cliff_statistics(runs)
     print(f"  link-break cliffs span {lo:.0f}-{hi:.0f} m (paper: 10-17 m)")
-    return 0
-
-
-def _cmd_interference(args: argparse.Namespace) -> int:
-    from repro.experiments.interference import (
-        interference_free_baseline,
-        run_interference_point,
-    )
-
-    base = interference_free_baseline(duration_s=args.duration, seed=args.seed + 89)
-    print(f"baseline: util {base.utilization * 100:.0f}%, "
-          f"rate {base.link_rate_bps / 1e9:.2f} Gbps")
-    print(f"{'d (m)':>6} {'util %':>7} {'rate Gbps':>10} {'retx':>6}")
-    for i, d in enumerate(args.distances):
-        p = run_interference_point(d, duration_s=args.duration, seed=args.seed + i)
-        print(f"{d:6.1f} {p.utilization * 100:7.1f} "
-              f"{p.link_rate_bps / 1e9:10.2f} {p.retransmissions:6d}")
     return 0
 
 
@@ -271,21 +254,22 @@ class _CampaignInputError(Exception):
 
 
 def _check_overrides(spec, overrides) -> None:
-    """Reject ``--set`` keys the campaign's cell has no keyword for."""
+    """Reject ``--set`` keys that some cell of the campaign has no keyword for."""
     import inspect
 
     from repro.campaign import resolve_cell
 
     if "seed" in overrides:
         raise _CampaignInputError("seed is not a --set parameter; use --seed N")
-    params = inspect.signature(resolve_cell(spec.experiment)).parameters
-    accepted = sorted(name for name in params if name != "seed")
-    for key in overrides:
-        if key not in accepted:
-            raise _CampaignInputError(
-                f"campaign {spec.name} has no parameter {key!r} "
-                f"(accepted: {', '.join(accepted)})"
-            )
+    for experiment in dict.fromkeys(cell.experiment for cell in spec.cells):
+        params = inspect.signature(resolve_cell(experiment)).parameters
+        accepted = sorted(name for name in params if name != "seed")
+        for key in overrides:
+            if key not in accepted:
+                raise _CampaignInputError(
+                    f"campaign {spec.name} has no parameter {key!r} "
+                    f"(accepted: {', '.join(accepted)})"
+                )
 
 
 def _campaign_spec_from_args(args: argparse.Namespace):
@@ -297,11 +281,8 @@ def _campaign_spec_from_args(args: argparse.Namespace):
         raise _CampaignInputError(exc.args[0]) from None
     overrides = dict(args.set or [])
     _check_overrides(spec, overrides)
-    seeds = None
-    if args.seed is not None:
-        seeds = tuple(args.seed + i for i in range(len(spec.seeds)))
-    if overrides or seeds is not None:
-        spec = spec.with_overrides(overrides, seeds)
+    if overrides or args.seed is not None:
+        spec = spec.with_overrides(overrides, args.seed)
     return spec
 
 
@@ -310,7 +291,7 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
 
     print(f"{'name':<20} {'cells':>6}  description")
     for name, spec in sorted(builtin_campaigns().items()):
-        print(f"{name:<20} {spec.scenario_count():>6}  {spec.description}")
+        print(f"{name:<20} {len(spec.cells):>6}  {spec.description}")
     return 0
 
 
@@ -325,7 +306,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         trace=args.trace,
         profile=args.profile,
     )
-    print(f"campaign {spec.name}: {spec.scenario_count()} cells, "
+    print(f"campaign {spec.name}: {len(spec.cells)} cells, "
           f"{args.workers} worker(s)"
           f"{', tracing on' if args.trace else ''}"
           f"{', profiling on' if args.profile else ''}")
@@ -496,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed_option(p, 5)
     p.set_defaults(func=_cmd_range)
 
-    p = sub.add_parser("interference", help="side-lobe interference sweep (Figure 22)")
-    p.add_argument("--distances", type=float, nargs="+", default=[0.0, 1.0, 2.0, 3.0])
-    p.add_argument("--duration", type=float, default=0.25)
-    seed_option(p, 10)
-    p.set_defaults(func=_cmd_interference)
-
     p = sub.add_parser("nlos", help="NLOS reflection link (Figures 5/20)")
     seed_option(p, 7)
     p.set_defaults(func=_cmd_nlos)
@@ -551,10 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     def campaign_target_options(c: argparse.ArgumentParser) -> None:
         c.add_argument("name", help="campaign name (see 'campaign list')")
         c.add_argument("--seed", type=int, default=None,
-                       help="base seed replacing the campaign's seed list")
+                       help="shift every cell's seed so the smallest is N")
         c.add_argument("--set", type=_parse_override, action="append",
                        metavar="KEY=VALUE",
-                       help="override a base parameter or pin a grid axis")
+                       help="set KEY on every cell (cells made identical "
+                            "run once)")
 
     c = csub.add_parser("run", help="execute a campaign")
     campaign_target_options(c)

@@ -116,18 +116,6 @@ def measure_discovery_patterns(
     ]
 
 
-def directional_pattern_report(positions: int = 100) -> List[PatternMetrics]:
-    """The Figure 17 summary rows: laptop, dock, rotated dock."""
-    rows = [
-        PatternMetrics.from_measurement("laptop", measure_laptop_pattern(positions)),
-        PatternMetrics.from_measurement("dock aligned", measure_dock_pattern(0.0, positions)),
-        PatternMetrics.from_measurement(
-            "dock rotated 70", measure_dock_rotated_pattern(positions)
-        ),
-    ]
-    return rows
-
-
 # -- campaign integration ------------------------------------------------------
 
 #: The semicircle setups swept by the ``beam-patterns`` campaign.

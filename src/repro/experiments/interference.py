@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -297,51 +297,21 @@ def interference_cell(
     }
 
 
-def run_interference_point(
-    wihd_offset_m: float,
-    rotated: bool = False,
-    duration_s: float = 0.4,
-    warmup_s: float = 0.1,
-    with_wihd: bool = True,
-    seed: int = 10,
-) -> InterferencePoint:
-    """:func:`interference_cell` as an :class:`InterferencePoint`."""
-    row = interference_cell(
-        wihd_offset_m=wihd_offset_m,
-        rotated=rotated,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        with_wihd=with_wihd,
-        seed=seed,
-    )
-    del row["events_simulated"]
-    return InterferencePoint(**row)
+def campaign_points(outcomes) -> Dict[Tuple[bool, bool], List[InterferencePoint]]:
+    """An ``interference`` campaign's rows as points, in cell order.
 
-
-def interference_sweep(
-    distances_m: Sequence[float] = (0.0, 0.5, 1.0, 1.6, 2.0, 2.5, 3.0),
-    rotated: bool = False,
-    duration_s: float = 0.4,
-    seed: int = 10,
-) -> List[InterferencePoint]:
-    """The full Figure 22 sweep for one alignment setting."""
-    return [
-        run_interference_point(
-            d, rotated=rotated, duration_s=duration_s, seed=seed + i
-        )
-        for i, d in enumerate(distances_m)
-    ]
-
-
-def interference_free_baseline(
-    rotated: bool = False,
-    duration_s: float = 0.4,
-    seed: int = 99,
-) -> InterferencePoint:
-    """Utilization/rate without the WiHD system (paper: 38%/42%)."""
-    return run_interference_point(
-        0.0, rotated=rotated, duration_s=duration_s, with_wihd=False, seed=seed
-    )
+    Keyed ``(with_wihd, rotated)`` from each cell's parameters; a
+    failed cell raises, since a figure cannot skip a point.
+    """
+    points: Dict[Tuple[bool, bool], List[InterferencePoint]] = {}
+    for outcome in outcomes:
+        if not outcome.ok:
+            raise RuntimeError(f"interference cell failed: {outcome.error}")
+        params = outcome.spec.param_dict()
+        row = {k: v for k, v in outcome.result.items() if k != "events_simulated"}
+        key = (params.get("with_wihd", True), params.get("rotated", False))
+        points.setdefault(key, []).append(InterferencePoint(**row))
+    return points
 
 
 def capture_interference_trace(

@@ -162,24 +162,26 @@ def render_report(doc: Dict) -> str:
         f"profile digest: {doc['profile_digest']} (count-derived fields)",
     ]
     if doc["handlers"]:
+        width = max(4, *(len(row["name"]) for row in doc["handlers"]))
         lines.append("event handlers (wall time per handler qualname):")
-        lines.append(f"  {'name':<44} {'calls':>9} {'total ms':>10} {'% run':>6}")
+        lines.append(f"  {'name':<{width}} {'calls':>9} {'total ms':>10} {'% run':>6}")
         for row in doc["handlers"]:
             lines.append(
-                f"  {row['name']:<44} {row['calls']:>9,} "
+                f"  {row['name']:<{width}} {row['calls']:>9,} "
                 f"{row['total_ms']:>10.2f} {row['share'] * 100:>5.1f}%"
             )
     else:
         lines.append("event handlers: (none recorded; run with --profile)")
     if doc["spans"]:
+        width = max(4, *(len(row["name"]) for row in doc["spans"]))
         lines.append("spans (self vs child time):")
         lines.append(
-            f"  {'name':<32} {'count':>8} {'total ms':>10} {'self ms':>10} "
+            f"  {'name':<{width}} {'count':>8} {'total ms':>10} {'self ms':>10} "
             f"{'mean us':>10} {'max us':>10}"
         )
         for row in doc["spans"]:
             lines.append(
-                f"  {row['name']:<32} {row['count']:>8,} "
+                f"  {row['name']:<{width}} {row['count']:>8,} "
                 f"{row['total_ms']:>10.2f} {row['self_ms']:>10.2f} "
                 f"{row['mean_us']:>10.1f} {row['max_us']:>10.1f}"
             )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.store import load_results, write_run
 from repro.campaign.verify import VOLATILE_ROW_KEYS, canonical_rows
 
@@ -58,11 +58,10 @@ class TestWorkerCountInvariance:
     @settings(max_examples=4, deadline=None)
     def test_double_cell_store_identical(self, values, seeds, shuffle_seed):
         campaign = CampaignSpec(
-            name="prop-doubles",
-            experiment=DOUBLE,
-            base_params={"scale": 3},
-            grid={"value": tuple(values)},
-            seeds=tuple(seeds),
+            "prop-doubles",
+            grid_cells(
+                DOUBLE, params={"scale": 3}, grid={"value": tuple(values)}, seeds=seeds
+            ),
         )
         serial = _store_bytes(campaign, workers=1)
         parallel = _store_bytes(campaign, workers=4, shuffle_seed=shuffle_seed)
@@ -81,11 +80,8 @@ class TestWorkerCountInvariance:
     @settings(max_examples=3, deadline=None)
     def test_des_cell_store_identical(self, ticks, seed, shuffle_seed):
         campaign = CampaignSpec(
-            name="prop-des",
-            experiment=DES,
-            base_params={},
-            grid={"ticks": tuple(ticks)},
-            seeds=(seed,),
+            "prop-des",
+            grid_cells(DES, grid={"ticks": tuple(ticks)}, seeds=(seed,)),
         )
         serial = _store_bytes(campaign, workers=1)
         parallel = _store_bytes(campaign, workers=4, shuffle_seed=shuffle_seed)
@@ -93,11 +89,8 @@ class TestWorkerCountInvariance:
 
     def test_canonical_rows_matches_store_projection(self):
         campaign = CampaignSpec(
-            name="proj-check",
-            experiment=DOUBLE,
-            base_params={"scale": 2},
-            grid={"value": (1, 2)},
-            seeds=(0,),
+            "proj-check",
+            grid_cells(DOUBLE, params={"scale": 2}, grid={"value": (1, 2)}, seeds=(0,)),
         )
         result = CampaignRunner(campaign, workers=1).run()
         direct = canonical_rows(result).encode("utf-8")

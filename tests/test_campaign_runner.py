@@ -7,7 +7,7 @@ resolve them by dotted path like production cells.
 import pytest
 
 from repro.campaign.runner import CampaignRunner, run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.telemetry import read_manifest
 from repro.campaign.verify import canonical_rows
 
@@ -22,11 +22,8 @@ DES = "tests.campaign_cells:des_cell"
 
 def double_campaign(values=(1, 2, 3, 4), seeds=(0, 1)):
     return CampaignSpec(
-        name="doubles",
-        experiment=DOUBLE,
-        base_params={"scale": 3},
-        grid={"value": tuple(values)},
-        seeds=seeds,
+        "doubles",
+        grid_cells(DOUBLE, params={"scale": 3}, grid={"value": tuple(values)}, seeds=seeds),
     )
 
 
@@ -41,7 +38,7 @@ class TestSerialEngine:
     def test_outcomes_follow_expansion_order(self):
         spec = double_campaign()
         result = run_campaign(spec)
-        assert [o.spec for o in result.outcomes] == spec.expand()
+        assert [o.spec for o in result.outcomes] == list(spec.cells)
 
     def test_telemetry_counts(self):
         result = run_campaign(double_campaign())
@@ -67,13 +64,14 @@ class TestParallelEngine:
     def test_shuffled_submission_keeps_expansion_order(self):
         spec = double_campaign(values=tuple(range(6)))
         shuffled = CampaignRunner(spec, workers=2, shuffle_seed=5).run()
-        assert [o.spec for o in shuffled.outcomes] == spec.expand()
+        assert [o.spec for o in shuffled.outcomes] == list(spec.cells)
         assert canonical_rows(shuffled) == canonical_rows(run_campaign(spec))
 
     def test_broken_pool_falls_back_to_serial(self):
         """A worker that dies breaks the pool; the rest run in-process."""
         spec = CampaignSpec(
-            name="killer", experiment=KILLER, grid={"value": (1, 2, 3)}, seeds=(0, 1)
+            "killer",
+            grid_cells(KILLER, grid={"value": (1, 2, 3)}, seeds=(0, 1)),
         )
         parallel = run_campaign(spec, workers=2)
         assert all(o.status == "completed" for o in parallel.outcomes)
@@ -82,7 +80,7 @@ class TestParallelEngine:
 
 class TestFailureHandling:
     def test_failures_recorded_not_fatal(self):
-        spec = CampaignSpec(name="broken", experiment=BROKEN, seeds=(0, 1))
+        spec = CampaignSpec("broken", grid_cells(BROKEN, seeds=(0, 1)))
         result = run_campaign(spec)
         assert len(result.failures()) == 2
         t = result.telemetry
@@ -97,10 +95,8 @@ class TestFailureHandling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cell_runs_exactly_once(self, tmp_path, workers):
         spec = CampaignSpec(
-            name="counted",
-            experiment=COUNTED,
-            base_params={"marker_dir": str(tmp_path)},
-            seeds=(0,),
+            "counted",
+            grid_cells(COUNTED, params={"marker_dir": str(tmp_path)}, seeds=(0,)),
         )
         result = run_campaign(spec, workers=workers)
         assert result.outcomes[0].status == "failed"
@@ -108,9 +104,7 @@ class TestFailureHandling:
         assert (tmp_path / "runs").read_text() == "0\n"
 
     def test_non_dict_result_is_a_failure(self):
-        spec = CampaignSpec(
-            name="bad-return", experiment=SCALAR, seeds=(0,)
-        )
+        spec = CampaignSpec("bad-return", grid_cells(SCALAR, seeds=(0,)))
         result = run_campaign(spec)
         assert result.outcomes[0].status == "failed"
         assert "returned int, expected dict" in result.outcomes[0].error
@@ -120,10 +114,8 @@ class TestFailureHandling:
 class TestTimeouts:
     def test_slow_cell_times_out_serially(self):
         spec = CampaignSpec(
-            name="slow",
-            experiment=SLOW,
-            base_params={"sleep_s": 5.0},
-            seeds=(0,),
+            "slow",
+            grid_cells(SLOW, params={"sleep_s": 5.0}, seeds=(0,)),
         )
         result = run_campaign(spec, timeout_s=0.3)
         outcome = result.outcomes[0]
@@ -135,10 +127,8 @@ class TestTimeouts:
 
     def test_slow_cell_times_out_in_workers(self):
         spec = CampaignSpec(
-            name="slow",
-            experiment=SLOW,
-            base_params={"sleep_s": 5.0},
-            seeds=(0, 1),
+            "slow",
+            grid_cells(SLOW, params={"sleep_s": 5.0}, seeds=(0, 1)),
         )
         result = run_campaign(spec, workers=2, timeout_s=0.3)
         assert result.telemetry.timeouts == 2
@@ -146,10 +136,10 @@ class TestTimeouts:
 
     def test_timeouts_are_not_retried(self, tmp_path):
         spec = CampaignSpec(
-            name="slow-counted",
-            experiment=COUNTED,
-            base_params={"marker_dir": str(tmp_path), "sleep_s": 5.0},
-            seeds=(0,),
+            "slow-counted",
+            grid_cells(
+                COUNTED, params={"marker_dir": str(tmp_path), "sleep_s": 5.0}, seeds=(0,)
+            ),
         )
         result = run_campaign(spec, timeout_s=0.3)
         assert "ScenarioTimeout" in result.outcomes[0].error
@@ -159,12 +149,7 @@ class TestTimeouts:
 
 class TestTelemetry:
     def test_des_events_aggregate(self):
-        spec = CampaignSpec(
-            name="des",
-            experiment=DES,
-            base_params={"ticks": 40},
-            seeds=(0, 1),
-        )
+        spec = CampaignSpec("des", grid_cells(DES, params={"ticks": 40}, seeds=(0, 1)))
         result = run_campaign(spec)
         t = result.telemetry
         assert t.events_simulated == 80
@@ -192,7 +177,7 @@ class TestTelemetry:
 
 class TestRunnerValidation:
     def test_unknown_cell_fails_gracefully(self):
-        spec = CampaignSpec(name="nope", experiment="no_such_cell", seeds=(0,))
+        spec = CampaignSpec("nope", grid_cells("no_such_cell", seeds=(0,)))
         result = run_campaign(spec)
         assert result.outcomes[0].status == "failed"
         assert "no_such_cell" in result.outcomes[0].error

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.campaign.runner import run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.store import load_manifest, load_results, save_results, write_run
 from repro.campaign.telemetry import (
     MANIFEST_SCHEMA_VERSION,
@@ -20,10 +20,8 @@ DOUBLE = "tests.campaign_cells:double_cell"
 @pytest.fixture()
 def result():
     spec = CampaignSpec(
-        name="doubles",
-        experiment=DOUBLE,
-        grid={"value": (1, 2)},
-        seeds=(0,),
+        "doubles",
+        grid_cells(DOUBLE, grid={"value": (1, 2)}, seeds=(0,)),
     )
     return run_campaign(spec)
 

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.campaign.runner import run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.verify import (
     VOLATILE_ROW_KEYS,
     canonical_rows,
@@ -27,11 +27,8 @@ MEMO = "tests.campaign_cells:memo_cell"
 
 def double_campaign(values=(1, 2, 3, 4), seeds=(0, 1)):
     return CampaignSpec(
-        name="doubles",
-        experiment=DOUBLE,
-        base_params={"scale": 3},
-        grid={"value": tuple(values)},
-        seeds=seeds,
+        "doubles",
+        grid_cells(DOUBLE, params={"scale": 3}, grid={"value": tuple(values)}, seeds=seeds),
     )
 
 
@@ -56,11 +53,13 @@ class TestVerifyCampaign:
     @pytest.mark.parametrize("worker_per_cell", [True, False])
     def test_each_cell_runs_once_per_leg(self, tmp_path, worker_per_cell):
         campaign = CampaignSpec(
-            name="markers",
-            experiment="tests.campaign_cells:marker_cell",
-            base_params={"marker_dir": str(tmp_path)},
-            grid={"value": (1, 2, 3)},
-            seeds=(0, 1),
+            "markers",
+            grid_cells(
+                "tests.campaign_cells:marker_cell",
+                params={"marker_dir": str(tmp_path)},
+                grid={"value": (1, 2, 3)},
+                seeds=(0, 1),
+            ),
         )
         cells = [f"{value} {seed}" for value in (1, 2, 3) for seed in (0, 1)]
         # A pool as wide as the grid, or one that queues cells per worker.
@@ -78,13 +77,7 @@ class TestVerifyCampaign:
         assert report.serial_digest == report.parallel_digest
 
     def test_clock_cell_fails_determinism(self):
-        spec = CampaignSpec(
-            name="clock-cells",
-            experiment=CLOCK,
-            base_params={},
-            grid={},
-            seeds=(0,),
-        )
+        spec = CampaignSpec("clock-cells", grid_cells(CLOCK, seeds=(0,)))
         report = verify_campaign(spec, workers=2)
         # The wall-clock stamp differs between the two runs.
         assert not report.determinism_ok
@@ -97,9 +90,7 @@ class TestVerifyCampaign:
         workers fork from a process that has run no cell; with
         shuffle_seed=2 the first cell submitted is seed 3, while the
         serial leg starts from seed 0."""
-        spec = CampaignSpec(
-            name="memo-cells", experiment=MEMO, grid={}, seeds=(0, 1, 2, 3)
-        )
+        spec = CampaignSpec("memo-cells", grid_cells(MEMO, seeds=(0, 1, 2, 3)))
         campaign_cells._MEMO.clear()
         try:
             report = verify_campaign(spec, workers=2, shuffle_seed=2)
@@ -112,13 +103,7 @@ class TestVerifyCampaign:
         assert not report.ok
 
     def test_failing_cells_compare_deterministically(self):
-        spec = CampaignSpec(
-            name="broken",
-            experiment=BROKEN,
-            base_params={},
-            grid={},
-            seeds=(0, 1),
-        )
+        spec = CampaignSpec("broken", grid_cells(BROKEN, seeds=(0, 1)))
         report = verify_campaign(spec, workers=2)
         # Failures are recorded identically in both legs, but a campaign
         # whose cells fail does not verify.

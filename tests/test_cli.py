@@ -16,7 +16,6 @@ class TestParser:
             ["patterns"],
             ["sweep", "--duration", "0.05"],
             ["range", "--runs", "3"],
-            ["interference", "--distances", "0", "2"],
             ["nlos"],
             ["blockage", "--no-failover"],
             ["recover", "--outage", "0.2"],
@@ -35,7 +34,6 @@ class TestParser:
             ["patterns"],
             ["sweep"],
             ["range"],
-            ["interference"],
             ["nlos"],
             ["blockage"],
             ["recover"],
@@ -70,6 +68,22 @@ class TestParser:
             main(["sanitize", "--", "python", "-c", "pass"])
         assert exc.value.code == 2
         assert "sanitize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interference"],
+            ["interference", "--distances", "0", "2"],
+            ["interference", "--duration", "0.1", "--seed", "10"],
+        ],
+        ids=["bare", "distances", "duration-seed"],
+    )
+    def test_retired_interference_command_exits_two(self, argv, capsys):
+        """The Figure 22 sweep is ``campaign run interference`` now."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'interference'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -175,7 +189,6 @@ class TestSeededDeterminism:
         [
             ["patterns", "--rotated", "0"],
             ["sweep", "--duration", "0.02"],
-            ["interference", "--distances", "0", "1", "--duration", "0.1"],
             ["nlos"],
             ["table1"],
             ["spatial", "--links", "2"],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.frames import FrameDetector
+from repro.core.interference import InterferencePoint
 from repro.core.utilization import medium_usage_from_records
 from repro.experiments.interference import (
     UTILIZATION_THRESHOLD_DBM,
@@ -16,9 +17,8 @@ from repro.experiments.interference import (
     build_interference_scenario,
     capture_interference_trace,
     channel_utilization,
-    interference_free_baseline,
+    interference_cell,
     mean_link_rate_bps,
-    run_interference_point,
 )
 from repro.experiments.reflection_interference import (
     build_reflector_room,
@@ -90,18 +90,25 @@ class TestFigure21FrameEffects:
         assert overlaps > 0
 
 
+def fig22_point(offset_m, **kwargs):
+    """One ``interference_cell`` row as an :class:`InterferencePoint`."""
+    row = interference_cell(wihd_offset_m=offset_m, **kwargs)
+    del row["events_simulated"]
+    return InterferencePoint(**row)
+
+
 class TestFigure22Sweep:
     @pytest.fixture(scope="class")
     def baseline(self):
-        return interference_free_baseline(duration_s=0.25)
+        return fig22_point(0.0, with_wihd=False, duration_s=0.25, seed=99)
 
     @pytest.fixture(scope="class")
     def close_point(self):
-        return run_interference_point(0.5, duration_s=0.25, seed=10)
+        return fig22_point(0.5, duration_s=0.25, seed=10)
 
     @pytest.fixture(scope="class")
     def far_point(self):
-        return run_interference_point(3.0, duration_s=0.25, seed=10)
+        return fig22_point(3.0, duration_s=0.25, seed=10)
 
     def test_baseline_utilization_paper_range(self, baseline):
         """Interference-free utilization ~38% (paper: 38%/42%)."""
@@ -121,13 +128,28 @@ class TestFigure22Sweep:
         assert close_point.link_rate_bps < baseline.link_rate_bps
 
     def test_rotated_baseline_rate_lower(self):
-        aligned = interference_free_baseline(duration_s=0.2, seed=42)
-        rotated = interference_free_baseline(duration_s=0.2, rotated=True, seed=42)
+        aligned = fig22_point(0.0, with_wihd=False, duration_s=0.2, seed=42)
+        rotated = fig22_point(
+            0.0, with_wihd=False, rotated=True, duration_s=0.2, seed=42
+        )
         assert rotated.link_rate_bps < aligned.link_rate_bps
 
     def test_transfer_time_computed(self, close_point):
         assert close_point.transfer_time_s is not None
         assert close_point.transfer_time_s > 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"wihd_offset_m": 1.0, "seed": 37},
+            {"wihd_offset_m": 0.0, "with_wihd": False, "seed": 37 + 89},
+        ],
+        ids=["point", "baseline"],
+    )
+    def test_two_seeded_cells_identical(self, kwargs):
+        """A campaign row is reproducible from its seed."""
+        first = interference_cell(duration_s=0.1, **kwargs)
+        assert interference_cell(duration_s=0.1, **kwargs) == first
 
 
 class TestFigure23ReflectionInterference:

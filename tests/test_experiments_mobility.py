@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.campaign.registry import builtin_campaigns, get_campaign, resolve_cell
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.verify import verify_campaign
 from repro.experiments.mobility import (
     VEHICULAR_SPEEDS_KMH,
@@ -110,8 +110,9 @@ class TestCampaignCatalog:
         assert "mobility-speed" in campaigns
         assert "mobility-handover" in campaigns
         speed = get_campaign("mobility-speed")
-        assert tuple(speed.grid_dict()["speed_kmh"]) == VEHICULAR_SPEEDS_KMH
-        assert speed.experiment == "mobility_vehicular"
+        speeds = tuple(dict.fromkeys(c.param_dict()["speed_kmh"] for c in speed.cells))
+        assert speeds == VEHICULAR_SPEEDS_KMH
+        assert {c.experiment for c in speed.cells} == {"mobility_vehicular"}
 
 
 class TestObsMergeDeterminism:
@@ -161,11 +162,13 @@ class TestCampaignVerify:
         # submission) must agree byte-for-byte on rows AND merged metrics,
         # on a shrunken mobility-speed campaign.
         spec = CampaignSpec(
-            name="mobility-speed-smoke",
-            experiment="mobility_vehicular",
-            base_params=dict(SMALL_VEHICLE),
-            grid={"speed_kmh": (50.0, 110.0)},
-            seeds=(0,),
+            "mobility-speed-smoke",
+            grid_cells(
+                "mobility_vehicular",
+                params=dict(SMALL_VEHICLE),
+                grid={"speed_kmh": (50.0, 110.0)},
+                seeds=(0,),
+            ),
         )
         report = verify_campaign(spec, workers=2)
         assert report.determinism_ok, report.first_divergence

@@ -257,6 +257,43 @@ class TestReport:
         assert "mac.simulator.run" in text
         assert "aggregation_mpdus" in text
 
+    def test_long_names_keep_columns_aligned(self):
+        """Name columns widen to the longest name, past the old 44/32."""
+        long_handler = "MobileStation._charge_sweep_airtime.<locals>.<lambda>"
+        long_span = "mac.wigig.block_ack_session.retransmit_window"
+        assert len(long_handler) > 44 and len(long_span) > 32
+        manifest = {
+            "campaign": "demo",
+            "profile": {
+                "handlers": {
+                    long_handler: {"calls": 3, "total_ns": 300},
+                    "h": {"calls": 12345, "total_ns": 5},
+                },
+                "spans": {
+                    long_span: {
+                        "count": 2, "total_us": 4.0, "self_us": 3.0, "max_us": 3.0
+                    },
+                    "s": {"count": 1, "total_us": 1.0, "self_us": 1.0, "max_us": 1.0},
+                },
+            },
+        }
+        lines = render_report(report_doc(manifest)).splitlines()
+        for title, first, names in (
+            ("event handlers", "calls", (long_handler, "h")),
+            ("spans", "count", (long_span, "s")),
+        ):
+            start = next(i for i, ln in enumerate(lines) if ln.startswith(title))
+            header, *rows = lines[start + 1:start + 4]
+            # Every row's numbers end where the header's labels end.
+            label_end = header.index(first) + len(first)
+            assert header.rstrip().endswith(("% run", "max us"))
+            for row in rows:
+                name = next(n for n in names if row.startswith(f"  {n} "))
+                assert row[label_end - 1] != " "
+                assert row[label_end] == " "
+                assert len(row) == len(header)
+                assert row.index(name) == 2
+
     def test_render_report_without_trace(self):
         manifest = {"campaign": "demo", "workers": 1, "scenarios": {}, "timing": {}}
         text = render_report(report_doc(manifest))

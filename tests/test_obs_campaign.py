@@ -16,7 +16,7 @@ from repro.campaign import runner as runner_module
 
 from repro import obs
 from repro.campaign.runner import CampaignRunner, run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.store import load_manifest, write_run
 from repro.campaign.verify import canonical_metrics, verify_campaign
 from repro.obs.export import read_trace, validate_trace
@@ -38,10 +38,8 @@ def _clean_obs_state():
 
 def des_campaign(ticks=(30, 60), seeds=(0, 1)):
     return CampaignSpec(
-        name="des-obs",
-        experiment=DES,
-        grid={"ticks": tuple(ticks)},
-        seeds=seeds,
+        "des-obs",
+        grid_cells(DES, grid={"ticks": tuple(ticks)}, seeds=seeds),
     )
 
 
@@ -71,10 +69,8 @@ class TestMetricsCollection:
 
     def test_state_restored_after_failure(self):
         spec = CampaignSpec(
-            name="broken",
-            experiment="tests.campaign_cells:always_fails",
-            grid={},
-            seeds=(0,),
+            "broken",
+            grid_cells("tests.campaign_cells:always_fails", seeds=(0,)),
         )
         result = run_campaign(spec)
         assert result.telemetry.failed == 1
@@ -101,10 +97,8 @@ class TestMetricsCollection:
 
         make_d5000_dock()
         spec = CampaignSpec(
-            name="device-units",
-            experiment=DEVICES,
-            grid={"distance_m": (2.0, 3.0, 4.0)},
-            seeds=(0, 1),
+            "device-units",
+            grid_cells(DEVICES, grid={"distance_m": (2.0, 3.0, 4.0)}, seeds=(0, 1)),
         )
         serial = CampaignRunner(spec, workers=1).run()
         parallel = CampaignRunner(
@@ -135,9 +129,7 @@ class TestWorkerObsMode:
             functools.partial(ProcessPoolExecutor, mp_context=context),
         )
         environ = dict(os.environ)
-        spec = CampaignSpec(
-            name="obs-mode", experiment=OBS_MODE, grid={}, seeds=(0, 1, 2, 3)
-        )
+        spec = CampaignSpec("obs-mode", grid_cells(OBS_MODE, seeds=(0, 1, 2, 3)))
         result = run_campaign(spec, workers=2, trace=True, profile=True)
         assert dict(os.environ) == environ
         assert result.telemetry.failed == 0
@@ -184,10 +176,8 @@ class TestTraceCollection:
 
     def test_failed_cell_spans_stay_counted(self):
         spec = CampaignSpec(
-            name="broken",
-            experiment="tests.campaign_cells:always_fails",
-            grid={},
-            seeds=(0,),
+            "broken",
+            grid_cells("tests.campaign_cells:always_fails", seeds=(0,)),
         )
         result = run_campaign(spec, trace=True)
         assert result.telemetry.failed == 1

@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.obs import clock
 from repro.campaign.runner import CampaignRunner, run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, grid_cells
 from repro.campaign.store import load_manifest, write_run
 from repro.campaign.verify import canonical_profile, verify_campaign
 from repro.cli import main
@@ -47,10 +47,8 @@ def _clean_obs_state():
 
 def des_campaign(ticks=(30, 60), seeds=(0, 1)):
     return CampaignSpec(
-        name="des-prof",
-        experiment=DES,
-        grid={"ticks": tuple(ticks)},
-        seeds=seeds,
+        "des-prof",
+        grid_cells(DES, grid={"ticks": tuple(ticks)}, seeds=seeds),
     )
 
 
