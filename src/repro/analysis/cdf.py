@@ -53,14 +53,6 @@ class EmpiricalCDF:
         """Convenience accessor for the 0.5 quantile."""
         return self.quantile(0.5)
 
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples strictly greater than ``threshold``.
-
-        This is the statistic behind Figure 10 ("percentage of long
-        frames"): frames longer than ~5 us are counted as long.
-        """
-        return 1.0 - self(threshold)
-
     def curve(self, points: int = 200) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(x, y)`` arrays tracing the CDF for plotting.
 

@@ -12,8 +12,8 @@ of its parameters and seed, and this package runs such campaigns:
   cells are recorded, not fatal;
 * :mod:`repro.campaign.telemetry` — per-run counters/timers emitted
   as a JSON run manifest;
-* :mod:`repro.campaign.store` — JSONL result persistence following
-  the :mod:`repro.io` conventions;
+* :mod:`repro.campaign.store` — JSON-lines result persistence and the
+  run-directory layout;
 * :mod:`repro.campaign.registry` — the experiment-cell registry and
   the built-in campaign catalog behind ``python -m repro campaign``;
 * :mod:`repro.campaign.verify` — the worker-count-determinism prover

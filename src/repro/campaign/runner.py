@@ -22,6 +22,7 @@ the same flags.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
@@ -192,7 +193,8 @@ class CampaignRunner:
         workers: Process count.  ``<= 1`` runs serially in-process
             (the reference path parallel runs must match bit-for-bit).
         timeout_s: Per-scenario wall-clock budget, enforced inside the
-            executing process; ``None`` disables it.
+            executing process; ``None`` disables it.  Anything else
+            must be a positive finite number of seconds (``ValueError``).
         shuffle_seed: When set, the submission order is a seeded
             permutation of the cell order.  Results must be
             identical either way (outcomes are un-permuted back into
@@ -220,6 +222,8 @@ class CampaignRunner:
         trace: bool = False,
         profile: bool = False,
     ):
+        if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s!r}")
         self.campaign = campaign
         self.workers = max(1, int(workers))
         self.timeout_s = timeout_s

@@ -5,8 +5,8 @@ A campaign run writes two artifacts into its output directory:
 * ``results.jsonl`` — one row per scenario cell (the
   :meth:`~repro.campaign.runner.CampaignResult.result_rows` schema:
   digest, experiment, params, seed, status, elapsed_s, result,
-  error), via the same JSON-lines
-  conventions as :mod:`repro.io`;
+  error), as JSON lines: one compact, key-sorted document per line,
+  which diffs cleanly, streams well and greps with standard tools;
 * ``manifest.json`` — the run telemetry
   (:meth:`~repro.campaign.telemetry.RunTelemetry.write_manifest`).
 
@@ -16,17 +16,42 @@ paper's oscilloscope -> files -> offline-Matlab workflow.
 
 from __future__ import annotations
 
+import json
 import pathlib
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.campaign.runner import CampaignResult
 from repro.campaign.telemetry import MANIFEST_FILENAME, read_manifest
-from repro.io import load_jsonl, save_jsonl
 from repro.obs.export import write_trace
 
 PathLike = Union[str, pathlib.Path]
 
 RESULTS_FILENAME = "results.jsonl"
+
+
+def save_jsonl(rows: Iterable[dict], path: PathLike) -> int:
+    """Write dict rows as JSON lines; returns the count written."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            count += 1
+    return count
+
+
+def load_jsonl(path: PathLike) -> List[dict]:
+    """Read rows written by :func:`save_jsonl`; blank lines skipped."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: bad JSON line ({exc})") from exc
+    return rows
 
 
 def save_results(result: CampaignResult, path: PathLike) -> int:

@@ -449,6 +449,43 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
 
+# argparse ``type=`` checks: a bad numeric option exits 2 with the usage
+# line before any work starts.
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
+def ratio_above_one(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 1.0):
+        raise argparse.ArgumentTypeError(f"must be a finite ratio > 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -457,23 +494,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def seed_option(p: argparse.ArgumentParser, default: int) -> None:
-        p.add_argument("--seed", type=int, default=default,
+        p.add_argument("--seed", type=non_negative_int, default=default,
                        help=f"base RNG seed (default {default})")
 
     p = sub.add_parser("patterns", help="beam pattern metrics (Figure 17)")
-    p.add_argument("--rotated", type=float, default=70.0,
+    p.add_argument("--rotated", type=finite_float, default=70.0,
                    help="also measure the dock misaligned by DEG (0 to skip)")
     seed_option(p, 0)
     p.set_defaults(func=_cmd_patterns)
 
     p = sub.add_parser("sweep", help="TCP aggregation sweep (Figures 9-11)")
-    p.add_argument("--duration", type=float, default=0.1,
+    p.add_argument("--duration", type=positive_float, default=0.1,
                    help="simulated seconds per operating point")
     seed_option(p, 1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("range", help="throughput vs distance (Figure 13)")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=positive_int, default=10)
     seed_option(p, 5)
     p.set_defaults(func=_cmd_range)
 
@@ -488,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blockage)
 
     p = sub.add_parser("recover", help="link break + re-association lifecycle")
-    p.add_argument("--outage", type=float, default=0.25,
+    p.add_argument("--outage", type=positive_float, default=0.25,
                    help="obstruction duration in seconds")
     seed_option(p, 20)
     p.set_defaults(func=_cmd_recover)
@@ -497,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mobility",
         help="vehicular drive-by overhead + corridor handover figures",
     )
-    p.add_argument("--speeds", type=float, nargs="+", default=[50.0, 70.0, 110.0],
+    p.add_argument("--speeds", type=positive_float, nargs="+", default=[50.0, 70.0, 110.0],
                    help="vehicle speeds in km/h")
     p.add_argument("--policies", nargs="+",
                    default=["sticky", "hysteresis", "wifi"],
@@ -506,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mobility)
 
     p = sub.add_parser("spatial", help="conflict graph / schedule for N links")
-    p.add_argument("--links", type=int, default=3)
+    p.add_argument("--links", type=positive_int, default=3)
     seed_option(p, 1)
     p.set_defaults(func=_cmd_spatial)
 
@@ -525,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def campaign_target_options(c: argparse.ArgumentParser) -> None:
         c.add_argument("name", help="campaign name (see 'campaign list')")
-        c.add_argument("--seed", type=int, default=None,
+        c.add_argument("--seed", type=non_negative_int, default=None,
                        help="shift every cell's seed so the smallest is N")
         c.add_argument("--set", type=_parse_override, action="append",
                        metavar="KEY=VALUE",
@@ -534,9 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("run", help="execute a campaign")
     campaign_target_options(c)
-    c.add_argument("--workers", type=int, default=1,
+    c.add_argument("--workers", type=positive_int, default=1,
                    help="worker processes (1 = serial in-process)")
-    c.add_argument("--timeout", type=float, default=None,
+    c.add_argument("--timeout", type=positive_float, default=None,
                    help="per-scenario timeout in seconds")
     c.add_argument("--output", default=None,
                    help="run directory (default campaign_runs/<name>)")
@@ -554,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove workers=1 ≡ workers=N with shuffled submission",
     )
     campaign_target_options(c)
-    c.add_argument("--workers", type=int, default=4,
+    c.add_argument("--workers", type=positive_int, default=4,
                    help="pool size for the parallel leg (default 4)")
-    c.add_argument("--shuffle-seed", type=int, default=1,
+    c.add_argument("--shuffle-seed", type=non_negative_int, default=1,
                    help="seed for the shuffled submission order")
     c.add_argument("--json", action="store_true",
                    help="machine-readable report")
@@ -610,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="current results directory (default benchmarks/results)")
     b.add_argument("--baseline", required=True,
                    help="baseline results directory to compare against")
-    b.add_argument("--tolerance", type=float, default=None,
+    b.add_argument("--tolerance", type=ratio_above_one, default=None,
                    help="default allowed degradation ratio "
                         "(default 3.0; per-entry 'tolerance' overrides)")
     b.set_defaults(func=_cmd_obs, obs_func=_cmd_obs_bench_check)

@@ -255,25 +255,3 @@ class BeamPatternCampaign:
         return MeasuredPattern(
             bearings_rad=np.asarray(bearings), power_dbm=power_arr
         )
-
-    def measure_all_discovery_patterns(
-        self,
-        frames_per_position: int = 10,
-    ) -> List[MeasuredPattern]:
-        """Measure every quasi-omni discovery pattern (Figure 16).
-
-        The D5000's sub-element order is fixed across discovery frames,
-        so each sub-element index can be averaged across frames — this
-        sweeps all of them.  (The WiHD system randomizes the order,
-        which is why the paper could not measure it; see
-        Section 4.2.)
-        """
-        n = len(self.device.codebook.quasi_omni_entries)
-        return [
-            self.measure(
-                kind=FrameKind.DISCOVERY,
-                subelement=i,
-                frames_per_position=frames_per_position,
-            )
-            for i in range(n)
-        ]

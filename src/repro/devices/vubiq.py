@@ -266,14 +266,3 @@ class VubiqReceiver:
             extra_gain_db=self.extra_gain_db,
             tracer=self.tracer,
         )
-
-    def rotated_to(self, boresight_rad: float) -> "VubiqReceiver":
-        """Copy with the horn at an absolute bearing (rotation stage)."""
-        return VubiqReceiver(
-            position=self.position,
-            boresight_rad=boresight_rad,
-            antenna=self.antenna,
-            budget=self.budget,
-            extra_gain_db=self.extra_gain_db,
-            tracer=self.tracer,
-        )

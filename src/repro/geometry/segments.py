@@ -177,15 +177,3 @@ def ray_segment_intersection(
     if t > tol and -tol <= u <= 1.0 + tol:
         return t
     return None
-
-
-def angle_of_incidence(incoming: Vec2, segment: Segment) -> float:
-    """Angle between an incoming ray direction and the wall normal.
-
-    Returned in radians, in [0, pi/2].  Used by reflection models that
-    scale loss with incidence angle.
-    """
-    n = segment.normal()
-    cos_theta = abs(incoming.normalized().dot(n))
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    return math.acos(cos_theta)

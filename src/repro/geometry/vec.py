@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 def deg_to_rad(degrees: float) -> float:
@@ -99,10 +99,6 @@ class Vec2:
     def perpendicular(self) -> "Vec2":
         """Copy rotated CCW by 90 degrees."""
         return Vec2(-self.y, self.x)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
 
     @staticmethod
     def from_polar(

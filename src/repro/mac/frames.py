@@ -34,10 +34,6 @@ class FrameKind(enum.Enum):
     ASSOC_REQ = "assoc_req"
     ASSOC_RESP = "assoc_resp"
 
-    def is_control(self) -> bool:
-        """Control frames are sent at the robust control-PHY MCS."""
-        return self._control
-
     def uses_wide_pattern(self) -> bool:
         """Frames sent over wide patterns at boosted power.
 

@@ -100,16 +100,6 @@ class WiGigLinkStats:
     rts_failures: int = 0
     cca_deferrals: int = 0
 
-    @property
-    def delivery_ratio(self) -> float:
-        if self.data_frames_sent == 0:
-            return 1.0
-        return self.data_frames_delivered / self.data_frames_sent
-
-    @property
-    def bits_delivered(self) -> int:
-        return self.mpdus_delivered * MPDU_BITS
-
 
 class WiGigLink:
     """One dock <-> notebook WiGig link running on a shared medium.
@@ -119,7 +109,7 @@ class WiGigLink:
     replays them like :class:`repro.mac.tcp.IperfFlow`, via
     :meth:`arrive`) and learn about deliveries through the
     ``on_delivery`` callback, which the link drops when the simulation
-    is closed (:meth:`Simulator.close`), as it drops its arbiter.
+    is closed (:meth:`Simulator.close`).
 
     Args:
         sim: Shared event loop.
@@ -150,7 +140,6 @@ class WiGigLink:
         send_beacons: bool = True,
         on_delivery: Optional[Callable[[int], None]] = None,
         rate_adaptation_interval_s: float = 50e-3,
-        tx_arbiter=None,
         max_aggregation: int = MAX_AGGREGATION,
     ):
         self.sim = sim
@@ -190,11 +179,6 @@ class WiGigLink:
         self._recent_sent = 0
         self._recent_delivered = 0
         self.mcs_history: List[tuple] = []  # (time_s, mcs_index)
-        # Several links can share one radio (the dock serving multiple
-        # WBE stations); an arbiter serializes their TXOPs.
-        self._arbiter = tx_arbiter
-        if tx_arbiter is not None:
-            tx_arbiter.register(self)
         if not 1 <= max_aggregation <= MAX_AGGREGATION:
             raise ValueError(
                 f"max_aggregation must be in [1, {MAX_AGGREGATION}]"
@@ -218,11 +202,9 @@ class WiGigLink:
             self.sim.schedule(self._rate_interval, self._rate_adaptation_tick)
 
     def _detach(self) -> None:
-        # A traffic source behind ``on_delivery`` (IperfFlow) and a
-        # transmit arbiter both hold this link; a closed run keeps
-        # neither edge back.
+        # A traffic source behind ``on_delivery`` (IperfFlow) holds this
+        # link; a closed run keeps no edge back.
         self.on_delivery = None
-        self._arbiter = None
 
     # -- public API -----------------------------------------------------
 
@@ -367,10 +349,6 @@ class WiGigLink:
 
     # -- CSMA/CA + burst machinery ----------------------------------------
 
-    def kick(self) -> None:
-        """Prod the link to contend (used by the transmit arbiter)."""
-        self._maybe_start_contention()
-
     def _maybe_start_contention(self) -> None:
         if (
             self._contending
@@ -379,8 +357,6 @@ class WiGigLink:
             or not self._associated
         ):
             return
-        if self._arbiter is not None and not self._arbiter.may_transmit(self):
-            return  # another link on this radio holds the TXOP token
         self._contending = True
         self._backoff_slots = int(self.sim.rng.integers(0, self._cw))
         self._backoff_step()
@@ -552,8 +528,6 @@ class WiGigLink:
     def _end_burst(self, failed: bool) -> None:
         self._in_burst = False
         self._awaiting_data = False
-        if self._arbiter is not None:
-            self._arbiter.burst_finished(self)
         if failed:
             self._cw = min(self._cw * 2, MAX_CONTENTION_WINDOW)
         if self._queue_mpdus > 0:

@@ -117,10 +117,6 @@ class WiHDLink:
         self._fill_queue()
         self._video_rate = rate_bps
 
-    @property
-    def powered(self) -> bool:
-        return self._powered
-
     # -- internals ---------------------------------------------------------
 
     def _fill_queue(self) -> None:

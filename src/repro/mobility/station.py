@@ -372,19 +372,6 @@ class MobileStation:
                 obs.add("mobility.retrain.failed")
         return training
 
-    def force_retrain(self, reason: str = "periodic") -> TrainingResult:
-        """Re-train right now, bypassing the trigger logic.
-
-        The sweep is charged and counted like any trigger-driven
-        re-training; ``reason`` picks which counter it lands in.
-        """
-        if reason not in _RETRAIN_COUNTERS:
-            raise ValueError(
-                f"unknown re-train reason {reason!r} "
-                f"(choose from {', '.join(sorted(_RETRAIN_COUNTERS))})"
-            )
-        return self._train(reason)
-
     # -- handover support ------------------------------------------------------
 
     def set_peer(

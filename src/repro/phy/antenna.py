@@ -397,10 +397,6 @@ class PhasedArray:
         return self._freq
 
     @property
-    def wavelength_m(self) -> float:
-        return self._lambda
-
-    @property
     def element_positions(self) -> np.ndarray:
         return self._positions.copy()
 

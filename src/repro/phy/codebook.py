@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,26 +140,3 @@ class Codebook:
             for i in range(num_quasi_omni)
         ]
         return Codebook(directional, quasi_omni)
-
-
-def boundary_degradation_report(codebook: Codebook) -> List[dict]:
-    """Summarize how beam quality degrades toward the sector boundary.
-
-    For each directional entry, reports steering angle, realized HPBW,
-    side-lobe level, and peak gain.  The paper's Section 4.2 finding —
-    less directionality and stronger side lobes near the boundary of
-    the transmission area — shows up as a trend in these rows.
-    """
-    rows = []
-    for entry in codebook.directional_entries:
-        pattern = entry.pattern
-        rows.append(
-            {
-                "index": entry.index,
-                "steering_deg": math.degrees(entry.steering_azimuth_rad or 0.0),
-                "peak_gain_dbi": pattern.peak_gain_dbi(),
-                "hpbw_deg": pattern.half_power_beam_width_deg(),
-                "side_lobe_db": pattern.side_lobe_level_db(),
-            }
-        )
-    return rows

@@ -42,7 +42,7 @@ from repro import obs
 from repro.geometry.room import Room
 from repro.geometry.segments import Segment, WallRow, mirror_xy
 from repro.geometry.vec import Vec2
-from repro.phy.channel import LinkBudget, friis_path_loss_db, oxygen_absorption_db
+from repro.phy.channel import LinkBudget
 
 
 @dataclass(frozen=True)
@@ -291,16 +291,3 @@ def _reflection_point(
     if u < 0.0 or u > 1.0:
         return None
     return ix + dx * t, iy + dy * t
-
-
-def path_loss_db(path: PropagationPath, frequency_hz: float) -> float:
-    """Total propagation loss of a path (spreading + absorption + extra).
-
-    Convenience for analyses that want loss rather than received power.
-    """
-    length = path.length_m()
-    return (
-        friis_path_loss_db(length, frequency_hz)
-        + oxygen_absorption_db(length, frequency_hz)
-        + path.extra_loss_db()
-    )

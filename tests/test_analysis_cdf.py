@@ -58,16 +58,6 @@ class TestQuantiles:
             assert cdf(cdf.quantile(q)) >= q
 
 
-class TestLongFrameFraction:
-    def test_fraction_above(self):
-        cdf = EmpiricalCDF([1.0, 2.0, 3.0, 4.0])
-        assert cdf.fraction_above(2.0) == 0.5
-
-    def test_fraction_above_max_is_zero(self):
-        cdf = EmpiricalCDF([1.0, 2.0])
-        assert cdf.fraction_above(2.0) == 0.0
-
-
 class TestCurves:
     def test_curve_shape(self):
         x, y = EmpiricalCDF([1.0, 2.0, 3.0]).curve(points=50)

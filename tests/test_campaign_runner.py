@@ -4,6 +4,8 @@ The cells live in :mod:`tests.campaign_cells` so worker processes can
 resolve them by dotted path like production cells.
 """
 
+import math
+
 import pytest
 
 from repro.campaign.runner import CampaignRunner, run_campaign
@@ -145,6 +147,13 @@ class TestTimeouts:
         assert "ScenarioTimeout" in result.outcomes[0].error
         assert result.telemetry.timeouts == 1
         assert (tmp_path / "runs").read_text() == "0\n"
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf], ids=str)
+    def test_timeout_must_be_positive_and_finite(self, timeout_s):
+        # setitimer(..., 0) would cancel the budget silently, and a
+        # negative or NaN budget would fail every cell in setitimer.
+        with pytest.raises(ValueError, match="timeout_s"):
+            CampaignRunner(double_campaign(), timeout_s=timeout_s)
 
 
 class TestTelemetry:

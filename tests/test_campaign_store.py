@@ -6,13 +6,19 @@ import pytest
 
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, grid_cells
-from repro.campaign.store import load_manifest, load_results, save_results, write_run
+from repro.campaign.store import (
+    load_jsonl,
+    load_manifest,
+    load_results,
+    save_jsonl,
+    save_results,
+    write_run,
+)
 from repro.campaign.telemetry import (
     MANIFEST_SCHEMA_VERSION,
     RunTelemetry,
     read_manifest,
 )
-from repro.io import load_jsonl, save_jsonl
 
 DOUBLE = "tests.campaign_cells:double_cell"
 

@@ -59,6 +59,39 @@ class TestParser:
         assert dict(args.set) == {"positions": 16, "setup": "laptop"}
         assert args.timeout == 30.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "bench", "check", "--baseline", "b", "--tolerance", "0.5"],
+            ["obs", "bench", "check", "--baseline", "b", "--tolerance", "nan"],
+            ["patterns", "--rotated", "nan"],
+            ["spatial", "--links", "0"],
+            ["range", "--runs", "0"],
+            ["range", "--runs", "ten"],
+            ["sweep", "--duration", "0"],
+            ["sweep", "--duration", "inf"],
+            ["recover", "--outage", "-1"],
+            ["blockage", "--seed", "-1"],
+            ["mobility", "--speeds", "0"],
+            ["campaign", "run", "beam-patterns", "--workers", "-3"],
+            ["campaign", "run", "beam-patterns", "--timeout", "0"],
+            ["campaign", "run", "beam-patterns", "--timeout", "nan"],
+            ["campaign", "run", "beam-patterns", "--seed", "-1"],
+            ["campaign", "verify", "beam-patterns", "--workers", "0"],
+            ["campaign", "verify", "beam-patterns", "--shuffle-seed", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[-3:]),
+    )
+    def test_bad_numeric_option_exits_two_at_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: repro ")
+        last = err.splitlines()[-1]
+        assert last.startswith("repro ") and f"error: argument {argv[-2]}" in last
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])

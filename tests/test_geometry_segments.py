@@ -7,7 +7,6 @@ import pytest
 from repro.geometry.materials import get_material
 from repro.geometry.segments import (
     Segment,
-    angle_of_incidence,
     ray_segment_intersection,
     segment_intersection,
 )
@@ -112,17 +111,3 @@ class TestRayIntersection:
         d = Vec2(1, 1).normalized()
         t = ray_segment_intersection(Vec2(0, 0), d, wall)
         assert t == pytest.approx(2 * math.sqrt(2))
-
-
-class TestIncidence:
-    def test_normal_incidence_is_zero(self):
-        wall = seg(0, -1, 0, 1)
-        assert angle_of_incidence(Vec2(1, 0), wall) == pytest.approx(0.0)
-
-    def test_grazing_incidence_near_ninety(self):
-        wall = seg(0, -1, 0, 1)
-        assert angle_of_incidence(Vec2(0, 1), wall) == pytest.approx(math.pi / 2)
-
-    def test_forty_five_degrees(self):
-        wall = seg(0, -1, 0, 1)
-        assert angle_of_incidence(Vec2(1, 1), wall) == pytest.approx(math.pi / 4)

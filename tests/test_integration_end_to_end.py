@@ -2,8 +2,7 @@
 
 These exercise chains the unit tests cover only piecewise:
 devices -> SLS training -> MAC simulation -> Vubiq capture -> trace
-analysis -> persistence, verifying that the numbers agree at every
-hand-off.
+analysis, verifying that the numbers agree at every hand-off.
 """
 
 import math
@@ -11,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.aggregation import frame_length_cdf, long_frame_fraction
+from repro.core.aggregation import frame_length_cdf
 from repro.core.frames import FrameDetector
 from repro.core.utilization import medium_usage_from_records
 from repro.devices.d5000 import make_d5000_dock, make_e7440_laptop
@@ -28,7 +27,7 @@ from repro.phy.channel import LinkBudget
 
 
 @pytest.fixture(scope="module")
-def full_pipeline(tmp_path_factory):
+def full_pipeline():
     """SLS-trained link, TCP run, Vubiq capture, trace analysis."""
     dock = make_d5000_dock(position=Vec2(0, 0), orientation_rad=0.0)
     laptop = make_e7440_laptop(position=Vec2(2, 0), orientation_rad=math.pi)
@@ -132,33 +131,6 @@ class TestTraceAgreement:
         det_long = [f for f in full_pipeline["detected"] if f.duration_s > 4e-6]
         det_cdf = frame_length_cdf(det_long)
         assert det_cdf.median() == pytest.approx(truth_cdf.median(), rel=0.4)
-
-
-class TestPersistenceIntegration:
-    def test_save_analyze_reload_cycle(self, full_pipeline, tmp_path):
-        from repro.io import (
-            load_frame_records,
-            load_trace,
-            save_frame_records,
-            save_trace,
-        )
-
-        trace_path = tmp_path / "capture.npz"
-        frames_path = tmp_path / "history.jsonl"
-        save_trace(full_pipeline["trace"], trace_path)
-        save_frame_records(full_pipeline["medium"].history, frames_path)
-
-        trace = load_trace(trace_path)
-        records = load_frame_records(frames_path)
-
-        redetected = FrameDetector(threshold_v=0.05).detect(trace)
-        assert len(redetected) == len(full_pipeline["detected"])
-        data = [r for r in records if r.kind == FrameKind.DATA]
-        assert long_frame_fraction(data) == pytest.approx(
-            long_frame_fraction(
-                [r for r in full_pipeline["medium"].history if r.kind == FrameKind.DATA]
-            )
-        )
 
 
 class TestSpatialIntegration:

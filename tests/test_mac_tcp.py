@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments.interference import build_interference_scenario
 from repro.geometry.vec import Vec2
-from repro.mac.scheduler import TransmitArbiter
 from repro.mac.simulator import Medium, Simulator, Station, StaticCoupling
 from repro.mac.tcp import GIGE_CAP_BPS, IperfFlow, TcpParameters
 from repro.mac.wigig import MPDU_BITS, WiGigLink
@@ -168,28 +167,6 @@ def _history_flow(params, coupling_db=-40.0, seed=7, send_beacons=False):
     return sim, medium, [link], [IperfFlow(sim, link, params)]
 
 
-def _shared_radio(seed=7):
-    """Two flows from one dock radio, serialized by a TXOP arbiter."""
-    sim = Simulator(seed=seed)
-    coupling = StaticCoupling({
-        ("dock", "sta-0"): -40.0, ("sta-0", "dock"): -40.0,
-        ("dock", "sta-1"): -45.0, ("sta-1", "dock"): -45.0,
-    })
-    medium = Medium(sim, coupling)
-    dock = Station("dock", Vec2(0, 0))
-    medium.register(dock)
-    arbiter = TransmitArbiter()
-    links, flows = [], []
-    for i, window in enumerate((256 * 1024, 14 * 1024)):
-        station = Station(f"sta-{i}", Vec2(2, i))
-        medium.register(station)
-        link = WiGigLink(sim, medium, transmitter=dock, receiver=station,
-                         snr_hint_db=35.0, tx_arbiter=arbiter)
-        links.append(link)
-        flows.append(IperfFlow(sim, link, TcpParameters(window_bytes=window)))
-    return sim, medium, links, flows
-
-
 _SCENARIOS = {
     # The 171 Mbps point: the TXOP is mostly held waiting for data.
     "fixed-14k": lambda: _history_flow(TcpParameters(window_bytes=14 * 1024)),
@@ -203,7 +180,6 @@ _SCENARIOS = {
     "paced": lambda: _history_flow(
         TcpParameters(window_bytes=64 * 1024, rate_limit_bps=50e6)
     ),
-    "shared-radio": _shared_radio,
 }
 
 _PINNED = {
@@ -212,7 +188,6 @@ _PINNED = {
     "fixed-256k": "9e6e592fd19f2a744cf7a77c5293eca6d0b98e44abe59e058fdf5105ef7b64dc",
     "aimd-lossy": "1ee5e7abd31104aac56612b5f380eed4a9ddeabdb352aa3efebde966e8659f04",
     "paced": "6acd4b71280741ca3aca6c20e66daa85f074bbf398fe6f2ef023e0b401963e97",
-    "shared-radio": "547a053817483c1a3d6099067359f8826d11da5504c57629709a1caf65570daa",
 }
 
 
@@ -238,10 +213,6 @@ _PINNED_WORK = {
     }),
     "paced": (6045, {
         ("ack", True): 976, ("cts", True): 25, ("data", True): 976, ("rts", True): 25,
-    }),
-    "shared-radio": (5619, {
-        ("ack", True): 1289, ("beacon", None): 4, ("cts", True): 25, ("data", None): 1,
-        ("data", True): 1289, ("rts", True): 25,
     }),
 }
 

@@ -78,6 +78,11 @@ def stationary_at(point):
     return LinearTrajectory(point, Vec2(0.0, 0.0))
 
 
+def retrain_now(mobile):
+    """Re-train with the serving AP right now (a same-AP handover)."""
+    return mobile.set_peer(mobile.peer_device, mobile.peer_station)
+
+
 class TestConfigValidation:
     def test_negative_timing_rejected(self):
         with pytest.raises(ValueError):
@@ -88,12 +93,6 @@ class TestConfigValidation:
     def test_update_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             build_mobile(stationary_at(Vec2(0.0, 3.0)), update_interval_s=0.0)
-
-    def test_unknown_force_reason_rejected(self):
-        ns = build_mobile(stationary_at(Vec2(0.0, 3.0)))
-        ns.mobile.start()
-        with pytest.raises(ValueError):
-            ns.mobile.force_retrain("sunspots")
 
 
 class TestLifecycle:
@@ -197,7 +196,7 @@ class TestSweepAirtime:
         ns = build_mobile(stationary_at(Vec2(0.0, 3.0)))
         ns.mobile.start()
         ns.sim.run_until(0.01)
-        ns.mobile.force_retrain()
+        retrain_now(ns.mobile)
         ns.sim.run_until(0.05)
         ssw = [f for f in ns.medium.history if f.kind == FrameKind.SSW]
         # One ISS from the dock plus one RSS from the client.
@@ -250,7 +249,7 @@ class TestSweepAirtime:
                 ns.sim.schedule(10e-3 + i * 1e-3, send_data)
             if retrain:
                 for k in range(40):
-                    ns.sim.schedule(10e-3 + k * 3e-3, ns.mobile.force_retrain)
+                    ns.sim.schedule(10e-3 + k * 3e-3, lambda: retrain_now(ns.mobile))
             ns.sim.run_until(0.2)
             if retrain:
                 assert ns.mobile.stats.retrains_total == 40

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.phy.antenna import PhaseShifterModel, UniformRectangularArray
-from repro.phy.codebook import Codebook, boundary_degradation_report
+from repro.phy.codebook import Codebook
 
 FREQ = 60.48e9
 
@@ -75,25 +75,3 @@ class TestSelection:
         # its nominal steering direction despite hardware errors.
         entry = codebook.best_entry_toward(0.0)
         assert abs(math.degrees(entry.peak_direction_rad())) < 20.0
-
-
-class TestBoundaryReport:
-    def test_report_rows(self, codebook):
-        rows = boundary_degradation_report(codebook)
-        assert len(rows) == 16
-        assert {"steering_deg", "peak_gain_dbi", "hpbw_deg", "side_lobe_db"} <= set(rows[0])
-
-    def test_boundary_entries_degraded(self, codebook):
-        rows = boundary_degradation_report(codebook)
-        center = [r for r in rows if abs(r["steering_deg"]) < 15]
-        edge = [r for r in rows if abs(r["steering_deg"]) > 50]
-        mean_center_sll = np.mean([r["side_lobe_db"] for r in center])
-        mean_edge_sll = np.mean([r["side_lobe_db"] for r in edge])
-        # Edge beams have relatively stronger side lobes (paper 4.2).
-        assert mean_edge_sll > mean_center_sll
-
-    def test_boundary_entries_lose_gain(self, codebook):
-        rows = boundary_degradation_report(codebook)
-        center = max(rows, key=lambda r: -abs(r["steering_deg"]))
-        edge = max(rows, key=lambda r: abs(r["steering_deg"]))
-        assert edge["peak_gain_dbi"] < center["peak_gain_dbi"]

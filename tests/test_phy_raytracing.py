@@ -9,7 +9,7 @@ from repro.geometry.room import Obstacle, Room
 from repro.geometry.segments import Segment
 from repro.geometry.vec import Vec2
 from repro.phy.channel import LinkBudget
-from repro.phy.raytracing import RayTracer, path_loss_db
+from repro.phy.raytracing import RayTracer
 
 
 def single_wall_room(material="metal", y=-1.0):
@@ -150,16 +150,3 @@ class TestPowerRanking:
         room.add_obstacle(Obstacle.plate(Vec2(1, -1.0), Vec2(1, 1.0), material="metal"))
         tracer = RayTracer(room, max_order=1)
         assert tracer.strongest_path(Vec2(0, 0), Vec2(4, 0), LinkBudget()) is None
-
-    def test_path_loss_combines_terms(self):
-        room, _ = single_wall_room(material="brick")
-        paths = RayTracer(room, max_order=1).trace(Vec2(0, 0), Vec2(4, 0))
-        refl = [p for p in paths if p.order == 1][0]
-        loss = path_loss_db(refl, 60.48e9)
-        from repro.phy.channel import friis_path_loss_db
-
-        assert loss == pytest.approx(
-            friis_path_loss_db(refl.length_m(), 60.48e9)
-            + refl.extra_loss_db(),
-            abs=0.2,  # oxygen term is tiny at this range
-        )

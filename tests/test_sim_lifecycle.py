@@ -20,9 +20,7 @@ import repro
 from repro.experiments import frame_level, interference, link_recovery, mobility
 from repro.experiments.reflection_interference import run_reflection_interference
 from repro.mac.association import AssociationManager, LinkSupervisor
-from repro.geometry.vec import Vec2
-from repro.mac.scheduler import TransmitArbiter
-from repro.mac.simulator import Medium, Simulator, Station, StaticCoupling
+from repro.mac.simulator import Medium, Simulator
 from repro.mac.tcp import IperfFlow
 from repro.mac.wigig import WiGigLink
 from repro.mac.wihd import WiHDLink
@@ -110,26 +108,6 @@ def test_run_closed_while_a_station_waits_for_an_idle_channel_is_freed(tracked, 
     assert scenario.medium._idle_waiters, "no station waits at the end any more"
     scenario.sim.close()
     del scenario
-    assert sorted(kind for kind, ref in tracked if ref() is not None) == []
-    assert gc.collect() == 0
-
-
-def test_closed_run_with_a_transmit_arbiter_is_freed(tracked, no_gc):
-    # The arbiter holds its links and each link its arbiter.
-    sim = Simulator(seed=1)
-    medium = Medium(sim, StaticCoupling({("dock", "a"): -40.0, ("dock", "b"): -40.0}))
-    dock = Station("dock", Vec2(0, 0))
-    medium.register(dock)
-    arbiter = TransmitArbiter()
-    for name in ("a", "b"):
-        station = Station(name, Vec2(2, len(name)))
-        medium.register(station)
-        link = WiGigLink(sim, medium, transmitter=dock, receiver=station,
-                         snr_hint_db=35.0, send_beacons=False, tx_arbiter=arbiter)
-        link.enqueue_mpdus(40)
-    sim.run_until(2e-3)
-    sim.close()
-    del sim, medium, dock, arbiter, station, link
     assert sorted(kind for kind, ref in tracked if ref() is not None) == []
     assert gc.collect() == 0
 

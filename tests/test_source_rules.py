@@ -320,7 +320,7 @@ CASES = [
     ("repro.phy.x", "import random\nrandom.random()", ["RL001"]),
     ("repro.phy.x", "import random as rnd\nrnd.gauss(0.0, 1.0)", ["RL001"]),
     ("repro.phy.x", "from random import randint\nrandint(0, 5)", ["RL001"]),
-    ("repro.io", "import numpy as np\nnp.random.seed(3)", ["RL001"]),
+    ("repro.cli", "import numpy as np\nnp.random.seed(3)", ["RL001"]),
     ("repro.phy.x", "import numpy.random as npr\nnpr.rand()", ["RL001"]),
     ("repro.phy.x", "from numpy import random as npr\nnpr.normal()", ["RL001"]),
     ("repro.phy.x", "import numpy.random\nnumpy.random.shuffle(a)", ["RL001"]),
@@ -344,7 +344,7 @@ CASES = [
     ("repro.devices.x", "from datetime import date\ndate.today()", ["RL002"]),
     ("repro.obs.trace", "import time\ntime.perf_counter_ns()", ["RL002"]),
     ("repro.obs.clock", "import time as _time\n_time.perf_counter()", []),
-    ("repro.io", "import time\ntime.time()", []),
+    ("repro.cli", "import time\ntime.time()", []),
     ("repro.mac.x", "from repro.obs import clock\nclock.perf_counter()", []),
     ("repro.mac.x", "def f(sim):\n    return sim.now + 0.1", []),
     # RL003 — dB math outside repro.analysis.dbmath
@@ -359,13 +359,13 @@ CASES = [
     # RL007 — set order feeding a hash or serialized output
     ("repro.campaign.x", "def f(xs):\n    return json.dumps([x for x in set(xs)])",
      ["RL007"]),
-    ("repro.io", "def f(h, xs):\n    for x in frozenset(xs):\n        h.update(x)\n"
+    ("repro.cli", "def f(h, xs):\n    for x in frozenset(xs):\n        h.update(x)\n"
      "    return h.hexdigest()", ["RL007"]),
-    ("repro.io", "def f(xs):\n    return json.dumps({k: 1 for k in {'a', 'b'}})", ["RL007"]),
-    ("repro.io", "def f(xs):\n    return json.dumps(sorted(x for x in set(xs)))", []),
-    ("repro.io", "def f(d):\n    return json.dumps([v for v in d.values()])", []),
-    ("repro.io", "def f(xs):\n    return [x for x in set(xs)]", []),
-    ("repro.io", "def f(xs):\n    def g():\n        return json.dumps([x for x in set(xs)])\n"
+    ("repro.cli", "def f(xs):\n    return json.dumps({k: 1 for k in {'a', 'b'}})", ["RL007"]),
+    ("repro.cli", "def f(xs):\n    return json.dumps(sorted(x for x in set(xs)))", []),
+    ("repro.cli", "def f(d):\n    return json.dumps([v for v in d.values()])", []),
+    ("repro.cli", "def f(xs):\n    return [x for x in set(xs)]", []),
+    ("repro.cli", "def f(xs):\n    def g():\n        return json.dumps([x for x in set(xs)])\n"
      "    return json.dumps(g())", ["RL007"]),
     # RL009 — ambient input in cell packages
     ("repro.experiments.x", "import os\nos.environ.get('SCALE', '1')", ["RL009"]),
@@ -382,7 +382,7 @@ CASES = [
     ("repro.experiments.x", "import numpy as np\nnp.loadtxt('calib.txt')", ["RL009"]),
     ("repro.campaign.x", "import os\nos.environ['REPRO_OBS'] = 'metrics'", []),
     ("repro.obs.x", "import os\nos.environ.get('REPRO_OBS')", []),
-    ("repro.io", "def f(path):\n    with open(path) as fh:\n        return fh.read()", []),
+    ("repro.cli", "def f(path):\n    with open(path) as fh:\n        return fh.read()", []),
     ("repro.experiments.x", "def f(env, fh):\n    return env.get('SCALE'), fh.read()", []),
     ("repro.experiments.x", "import os\nos.path.join('a', 'b')", []),
 ]

@@ -22,6 +22,14 @@ from repro.phy.raytracing import RayTracer
 from repro.phy.signal import received_amplitude_v
 
 
+def rotated(vubiq, boresight_rad):
+    """Copy of a receiver with the horn at an absolute bearing."""
+    return VubiqReceiver(
+        vubiq.position, boresight_rad, vubiq.antenna, vubiq.budget,
+        vubiq.extra_gain_db, vubiq.tracer,
+    )
+
+
 @pytest.fixture()
 def receiver(trained_pair):
     dock, laptop = trained_pair
@@ -50,7 +58,7 @@ class TestPowerComputation:
         aimed = VubiqReceiver(Vec2(1, 1), antenna=standard_horn_25dbi()).pointed_at(
             laptop.position
         )
-        away = aimed.rotated_to(aimed.boresight_rad + math.pi)
+        away = rotated(aimed, aimed.boresight_rad + math.pi)
         assert aimed.received_power_dbm(laptop) > away.received_power_dbm(laptop) + 20.0
 
     def test_discovery_subelements_differ(self, trained_pair):
@@ -141,9 +149,9 @@ class TestPowerSweep:
         ]
         for device, kind, subelement in cases:
             sweep = vubiq.received_power_sweep_dbm(device, SWEEP_BORESIGHTS, kind, subelement)
-            rotated = [vubiq.rotated_to(b) for b in SWEEP_BORESIGHTS]
-            assert sweep == [v.received_power_dbm(device, kind, subelement) for v in rotated]
-            assert sweep == [reference_power_dbm(v, device, kind, subelement) for v in rotated]
+            receivers = [rotated(vubiq, b) for b in SWEEP_BORESIGHTS]
+            assert sweep == [v.received_power_dbm(device, kind, subelement) for v in receivers]
+            assert sweep == [reference_power_dbm(v, device, kind, subelement) for v in receivers]
 
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -155,7 +163,7 @@ class TestPowerSweep:
         with pytest.raises(ValueError, match="finite"):
             vubiq.received_power_sweep_dbm(laptop, [0.0, bad])
         with pytest.raises(ValueError, match="finite"):
-            vubiq.rotated_to(bad).received_power_dbm(laptop)
+            rotated(vubiq, bad).received_power_dbm(laptop)
 
 
 @pytest.fixture(scope="module")
